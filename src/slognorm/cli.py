@@ -18,9 +18,13 @@ unstable verdicts), 2 input error, 3 numerical failure.  Every numeric
 result carries an estimator or bound identifier.  Re-running an identical
 invocation reproduces the report byte for byte, and --workers can never
 change any numeric output, so execution knobs are left out of the
-invocation echo.  The SLOGNORM_SEED environment variable overrides the
-default seed; an explicit --seed flag wins over both.  Non-finite numbers
-are serialized as the strings "inf", "-inf", "nan".
+invocation echo.  By default ("auto") Monte Carlo blocks whose kernel calls
+LAPACK (p = 2 at dimension > 2) run on every available core with numpy's
+OpenBLAS held to one thread; everything else runs on one thread, because
+the n <= 2 closed forms get slower on two.  The SLOGNORM_SEED environment
+variable overrides the default seed; an explicit --seed flag wins over
+both.  Non-finite numbers are serialized as the strings "inf", "-inf",
+"nan".
 """
 
 from __future__ import annotations
@@ -223,8 +227,8 @@ _SEED_OPTION = click.option(
 _WORKERS_OPTION = click.option(
     "--workers",
     type=click.IntRange(min=1),
-    default=1,
-    show_default=True,
+    default=None,
+    show_default="auto: every core for LAPACK-bound blocks, else 1",
     help="Worker threads; can never change numeric results.",
 )
 _ANTITHETIC_OPTION = click.option(
@@ -324,7 +328,7 @@ def cmd_slognorm(
     hsteps: int,
     tol: float,
     antithetic: bool,
-    workers: int,
+    workers: int | None,
 ) -> None:
     """Estimate the stochastic logarithmic norm nu_p^l of a system file.
 
@@ -343,8 +347,8 @@ def cmd_slognorm(
             if h0 <= 0:
                 raise InputError(f"--h0 must be positive, got {h0}")
             h_seq = tuple(h0 * 0.5**k for k in range(hsteps))
-        if tol < 0:
-            raise InputError(f"--tol must be nonnegative, got {tol}")
+        if not (math.isfinite(tol) and tol >= 0):
+            raise InputError(f"--tol must be finite and nonnegative, got {tol}")
         estimates: list[NuEstimate] = []
         if method in ("direct", "both"):
             estimates.append(nu_direct(system, p, l, cfg))
@@ -458,7 +462,7 @@ def cmd_simulate(
     l: int,
     seed: int,
     out: str | None,
-    workers: int,
+    workers: int | None,
 ) -> None:
     """Simulate E norm(X_t, p)^l over an ensemble and fit its growth rate."""
     system, meta = _load_system(system_file)
@@ -641,7 +645,7 @@ def table1_system(case: str, seed: int = 42) -> SdeSystem:
               help="Monte Carlo samples per case (default scales with dimension).")
 @_ANTITHETIC_OPTION
 @_WORKERS_OPTION
-def cmd_table1(seed: int, samples: int | None, antithetic: bool, workers: int) -> None:
+def cmd_table1(seed: int, samples: int | None, antithetic: bool, workers: int | None) -> None:
     """Reproduce the published nu_2^2 benchmark table with fresh estimates.
 
     For each case the white-noise estimate, the closed-form bounds, the
@@ -764,7 +768,7 @@ def cmd_examples(
     samples: int | None,
     seed: int,
     antithetic: bool,
-    workers: int,
+    workers: int | None,
 ) -> None:
     """Worked stability examples with closed-form nu_2^2 oracles.
 
@@ -779,6 +783,10 @@ def cmd_examples(
     """
     with _numeric_guard():
         cfg = McConfig(samples=samples, seed=seed, antithetic=antithetic, workers=workers)
+    for flag, value in (("--g-over-l", g_over_l), ("--eps", eps), ("--b", b),
+                        ("--sigma2", sigma2)):
+        if value is not None and not math.isfinite(value):
+            raise InputError(f"{flag} must be finite, got {value}")
     if which == "pendulum":
         amplitude = 50.0 if b is None else b
         if g_over_l <= 0:
@@ -791,11 +799,11 @@ def cmd_examples(
         s = amplitude + eps
         closed = _folded_normal_mean(c, s) - eps * amplitude
         threshold = c / eps
-        system = SdeSystem(
-            ComplexMatrix.from_array([[0.0, 1.0], [g_over_l, 0.0]]),
-            (ComplexMatrix.from_array([[0.0, eps], [amplitude, 0.0]]),),
-        )
         with _numeric_guard():
+            system = SdeSystem(
+                ComplexMatrix.from_array([[0.0, 1.0], [g_over_l, 0.0]]),
+                (ComplexMatrix.from_array([[0.0, eps], [amplitude, 0.0]]),),
+            )
             est = nu_direct(system, 2, 2, cfg)
         agreement = abs(est.value - closed) <= 3.0 * est.std_error + FP_FLOOR
         results = {
@@ -847,11 +855,11 @@ def cmd_examples(
             )
         if sigma2 >= 0:
             sigma = math.sqrt(sigma2)
-            system = SdeSystem(
-                ComplexMatrix.from_array([[-1.0, coupling], [0.0, -1.0]]),
-                (ComplexMatrix.from_array([[0.0, sigma], [-sigma, 0.0]]),),
-            )
             with _numeric_guard():
+                system = SdeSystem(
+                    ComplexMatrix.from_array([[-1.0, coupling], [0.0, -1.0]]),
+                    (ComplexMatrix.from_array([[0.0, sigma], [-sigma, 0.0]]),),
+                )
                 est = nu_direct(system, 2, 2, cfg)
             results["nu_estimate"] = _estimate_payload(est)
             results["classification"] = classify(est).value

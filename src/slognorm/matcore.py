@@ -9,14 +9,22 @@ immutable inputs and are safe to call from many threads.
 Batched variants (suffix ``_batch``) operate on stacks of matrices with
 shape ``(..., n, n)`` and exist so that Monte Carlo loops elsewhere in the
 package can stay vectorized; they share the same numerics as the scalar
-entry points.
+entry points.  The Monte Carlo engines fan their independent blocks out
+over threads through :func:`_run_blocks`, which decides the thread count
+from whether the kernels call LAPACK and holds OpenBLAS to one thread
+meanwhile; nothing here changes BLAS threading at import.
 """
 
 from __future__ import annotations
 
+import ctypes
+import functools
 import math
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Iterable, Sequence, Union
+from typing import Callable, Iterable, Sequence, Union
 
 import numpy as np
 
@@ -41,6 +49,9 @@ __all__ = [
 
 #: machine epsilon for binary64, the only precision used in this package
 _EPS = float(np.finfo(np.float64).eps)
+
+#: largest dimension the eigenvalue kernels solve in closed form; LAPACK above it
+_CLOSED_FORM_MAX_N = 2
 
 
 class DimensionError(ValueError):
@@ -230,7 +241,7 @@ def lambda_max_hermitian_batch(H: np.ndarray) -> np.ndarray:
         raise DimensionError(f"expected square matrices, got shape {H.shape}")
     if n == 1:
         return np.ascontiguousarray(H[..., 0, 0].real)
-    if n == 2:
+    if n <= _CLOSED_FORM_MAX_N:
         a = H[..., 0, 0].real
         d = H[..., 1, 1].real
         off = np.abs(H[..., 0, 1])
@@ -252,7 +263,7 @@ def max_re_eigvals_batch(M: np.ndarray) -> np.ndarray:
         raise DimensionError(f"expected square matrices, got shape {M.shape}")
     if n == 1:
         return np.ascontiguousarray(M[..., 0, 0].real)
-    if n == 2:
+    if n <= _CLOSED_FORM_MAX_N:
         tr = M[..., 0, 0] + M[..., 1, 1]
         det = M[..., 0, 0] * M[..., 1, 1] - M[..., 0, 1] * M[..., 1, 0]
         disc = np.sqrt((tr * tr - 4.0 * det).astype(np.complex128))
@@ -261,6 +272,127 @@ def max_re_eigvals_batch(M: np.ndarray) -> np.ndarray:
         return np.linalg.eigvals(M).real.max(axis=-1)
     except np.linalg.LinAlgError as exc:
         raise EigenConvergenceError(f"general eigensolver failed: {exc}") from exc
+
+
+def _calls_lapack(n: int, p=2) -> bool:
+    """Whether the eigenvalue kernels call LAPACK for n x n inputs at norm p.
+
+    p = 2 quantities (mu_2, the spectral norm) and the general eigensolver
+    go through :func:`lambda_max_hermitian_batch` or
+    :func:`max_re_eigvals_batch`, which use closed forms up to
+    ``_CLOSED_FORM_MAX_N``; p = 1 and p = inf are entrywise closed forms.
+    """
+    return n > _CLOSED_FORM_MAX_N and p == 2
+
+
+@functools.cache
+def _openblas_controls():
+    """(get, set) of the thread count of the OpenBLAS bundled with numpy.
+
+    Looked up on first use, never at import.  None when no such library or
+    symbol exists (numpy built against another BLAS, or a system OpenBLAS
+    outside numpy's package directory).
+    """
+    import glob  # only here: importing the package does not pay for it
+
+    root = os.path.dirname(np.__file__)
+    for path in sorted(
+        glob.glob(os.path.join(os.path.dirname(root), "numpy.libs", "*openblas*"))
+        + glob.glob(os.path.join(root, ".dylibs", "*openblas*"))
+    ):
+        try:
+            lib = ctypes.CDLL(path)  # the copy numpy already loaded
+        except OSError:
+            continue
+        for prefix in ("scipy_openblas", "openblas"):
+            for suffix in ("64_", ""):
+                try:
+                    get = getattr(lib, f"{prefix}_get_num_threads{suffix}")
+                    put = getattr(lib, f"{prefix}_set_num_threads{suffix}")
+                except AttributeError:
+                    continue
+                get.argtypes, get.restype = [], ctypes.c_int
+                put.argtypes, put.restype = [ctypes.c_int], None
+                return get, put
+    return None
+
+
+class _SingleThreadBlas:
+    """Context that holds OpenBLAS to one thread while blocks fan out.
+
+    Python threads that each call a multi-threaded OpenBLAS oversubscribe
+    the cores.  The thread count is process-wide, so concurrent holders
+    share one hold: the first to enter saves the count and sets 1, the last
+    to leave restores it.  Without :func:`_openblas_controls` it does
+    nothing.
+    """
+
+    def __init__(self):
+        self._lock = threading.Lock()
+        self._holders = 0
+        self._controls = None
+        self._saved = 1
+
+    def __enter__(self):
+        with self._lock:
+            if self._holders == 0:
+                self._controls = _openblas_controls()
+                if self._controls is not None:
+                    self._saved = self._controls[0]()
+                    self._controls[1](1)
+            self._holders += 1
+        return self
+
+    def __exit__(self, *exc):
+        with self._lock:
+            self._holders -= 1
+            if self._holders == 0 and self._controls is not None:
+                self._controls[1](self._saved)
+
+
+_single_thread_blas = _SingleThreadBlas()
+
+
+def _available_cores() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _block_workers(workers: int | None, nblocks: int, lapack: bool) -> int:
+    """Threads for ``nblocks`` independent blocks, at most one per block.
+
+    ``workers=None`` picks the count: every available core when the
+    blocks' kernel calls LAPACK (``lapack``, see :func:`_calls_lapack`)
+    and OpenBLAS can be held to one thread, else 1 (why: see
+    ``slognorm.McConfig``).
+    """
+    if workers is None:
+        workers = _available_cores() if lapack and _openblas_controls() is not None else 1
+    elif workers < 1:
+        raise ValueError(f"workers must be positive, got {workers}")
+    return max(1, min(workers, nblocks))
+
+
+def _run_blocks(
+    run: Callable[[int], None], nblocks: int, workers: int | None, lapack: bool
+) -> None:
+    """Call ``run(b)`` for every block b on :func:`_block_workers` threads.
+
+    Blocks must write disjoint outputs, so that the thread count cannot
+    change any result.  A fan-out holds OpenBLAS to one thread and
+    restores the previous count when the last block has finished, also
+    when a block raises.
+    """
+    threads = _block_workers(workers, nblocks, lapack)
+    if threads == 1:
+        for b in range(nblocks):
+            run(b)
+        return
+    with _single_thread_blas, ThreadPoolExecutor(max_workers=threads) as pool:
+        for future in [pool.submit(run, b) for b in range(nblocks)]:
+            future.result()
 
 
 def spectrum(M: MatrixLike) -> Spectrum:

@@ -24,14 +24,13 @@ from __future__ import annotations
 import csv
 import io
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import IO, Union
 
 import numpy as np
 
-from .matcore import check_p, vector_norm
-from .slognorm import SdeSystem, sample_wiener_increments
+from .matcore import _run_blocks, check_p, vector_norm
+from .slognorm import SdeSystem, _check_l, sample_wiener_increments
 
 __all__ = [
     "SimConfig",
@@ -85,8 +84,7 @@ class SimConfig:
         if not 0 <= int(self.seed) < 2**64:
             raise ValueError("seed must fit in an unsigned 64-bit integer")
         object.__setattr__(self, "p", check_p(self.p))
-        if not isinstance(self.l, (int, np.integer)) or self.l < 1:
-            raise ValueError(f"l must be a positive integer, got {self.l!r}")
+        object.__setattr__(self, "l", _check_l(self.l))
         steps = self.steps  # validates integrality
         if self.checkpoints < 1 or steps % self.checkpoints != 0:
             raise ValueError(
@@ -195,17 +193,16 @@ def _norm_rows(x: np.ndarray, p) -> np.ndarray:
 
 
 def simulate_moments(
-    system: SdeSystem, x0, cfg: SimConfig, workers: int = 1
+    system: SdeSystem, x0, cfg: SimConfig, workers: int | None = 1
 ) -> MomentTrajectory:
     """Estimate E norm(X_t, p)^l over an ensemble of independent paths.
 
     The initial condition is deterministic, so ``moments[0]`` is exact.
     The result is bit-identical for a fixed ``cfg.seed`` at any ``workers``
     count: blocks of paths own independent child seeds and the cross-block
-    reduction runs in fixed order.
+    reduction runs in fixed order.  The step kernel calls no LAPACK, so
+    ``workers=None`` (auto) runs one thread.
     """
-    if workers < 1:
-        raise ValueError(f"workers must be positive, got {workers}")
     x0 = np.asarray(x0).ravel()
     if x0.shape[0] != system.dim:
         raise ValueError(f"x0 has dimension {x0.shape[0]}, system is {system.dim}")
@@ -256,13 +253,7 @@ def simulate_moments(
                     dead[b, c] = count - int(alive.sum())
                     c += 1
 
-    if workers > 1 and nblocks > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            for f in [pool.submit(run, b) for b in range(nblocks)]:
-                f.result()
-    else:
-        for b in range(nblocks):
-            run(b)
+    _run_blocks(run, nblocks, workers, lapack=False)
 
     total = np.add.reduce(sums, axis=0)
     total_sq = np.add.reduce(sqs, axis=0)

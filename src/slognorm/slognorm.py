@@ -21,12 +21,13 @@ All estimators share one deterministic Monte Carlo engine: draws are
 generated in fixed-size blocks, each block seeded independently from
 (seed, block index), and reduced in fixed order, which makes every result
 bit-identical for a given seed regardless of the worker-thread count.
+Blocks whose kernel calls LAPACK run on every available core by default
+(see :class:`McConfig`).
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Sequence
@@ -38,6 +39,8 @@ from .matcore import (
     ComplexMatrix,
     EigenConvergenceError,
     MatrixLike,
+    _calls_lapack,
+    _run_blocks,
     as_complex_matrix,
     check_p,
     lambda_max_hermitian,
@@ -81,6 +84,10 @@ def _block_size(dim: int) -> int:
     it every numeric result) is reproducible.
     """
     return max(64, min(_BLOCK, 4_194_304 // max(1, dim * dim)))
+
+
+#: doubles per (rows, dim, dim) temporary when a block's statistic is evaluated
+_CHUNK_DOUBLES = 2**19
 
 
 #: subintervals used to discretize off-diagonal iterated Wiener integrals
@@ -170,20 +177,26 @@ class McConfig:
     into one replicate, so the reported standard error is the spread of the
     pair means; with it enabled the effective sample count is rounded down
     to a multiple of two.  ``workers`` only fans out independent RNG blocks
-    and can never change any numeric result.
+    over threads and can never change any numeric result.  ``workers=None``
+    (the CLI's default, "auto") uses every available core when the
+    statistic's kernel calls LAPACK (p = 2 or the general eigensolver at
+    n > 2) and numpy's OpenBLAS can be held to one thread meanwhile, and
+    one thread otherwise: n <= 2 closed forms run slower on two threads
+    (108 ms -> 193 ms for a 2x2 system at 10^6 samples).  Any fan-out holds
+    OpenBLAS to one thread and restores its thread count afterwards.
     """
 
     samples: int | None = None
     seed: int = 42
     antithetic: bool = True
-    workers: int = 1
+    workers: int | None = 1
 
     def __post_init__(self):
         if self.samples is not None and self.samples < 2:
             raise ValueError(f"samples must be at least 2, got {self.samples}")
         if not 0 <= int(self.seed) < 2**64:
             raise ValueError("seed must fit in an unsigned 64-bit integer")
-        if self.workers < 1:
+        if self.workers is not None and self.workers < 1:
             raise ValueError(f"workers must be positive, got {self.workers}")
 
     def resolve_samples(self, n: int) -> int:
@@ -234,8 +247,8 @@ def classify(nu: NuEstimate, tol: float = 0.0) -> StabilityClass:
     the indeterminate boundary, reported as stable; anything else is
     unstable.
     """
-    if tol < 0:
-        raise ValueError("tol must be nonnegative")
+    if not (math.isfinite(tol) and tol >= 0):
+        raise ValueError(f"tol must be finite and nonnegative, got {tol}")
     if nu.value + 2.0 * nu.std_error < -tol:
         return StabilityClass.ASYMPTOTICALLY_STABLE
     if abs(nu.value) <= 2.0 * nu.std_error + tol:
@@ -249,39 +262,58 @@ def classify(nu: NuEstimate, tol: float = 0.0) -> StabilityClass:
 
 
 def _collect_blocks(
-    rep_fn: Callable[[np.random.Generator, int, int], np.ndarray],
+    rep_fn: Callable[[np.random.Generator, int], np.ndarray],
     reps: int,
     ncols: int,
-    seed: int,
-    workers: int,
-    block: int = _BLOCK,
+    cfg: McConfig,
+    dim: int,
+    lapack: bool,
 ) -> np.ndarray:
     """Fill a (reps, ncols) matrix of replicate statistics deterministically.
 
-    Block b (of size ``block``) is produced by ``rep_fn(rng_b, count,
-    start)`` where rng_b is seeded from (seed, spawn_key=(b,)) only.  The
-    output slices are disjoint, so any thread fan-out yields bit-identical
+    Block b of ``_block_size(dim)`` replicates is ``rep_fn(rng_b, count)``
+    where rng_b is seeded from (cfg.seed, spawn_key=(b,)) only.  The output
+    slices are disjoint, so the thread fan-out (``cfg.workers``; ``lapack``
+    says whether rep_fn's kernel calls LAPACK) yields bit-identical
     results; reductions over the returned array are the caller's business
     and use numpy's fixed-order pairwise summation.
     """
+    block = _block_size(dim)
     out = np.empty((reps, ncols), dtype=np.float64)
-    nblocks = -(-reps // block)
 
     def run(b: int) -> None:
         start = b * block
         stop = min(start + block, reps)
-        rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(b,)))
-        out[start:stop] = rep_fn(rng, stop - start, start)
+        rng = np.random.default_rng(np.random.SeedSequence(cfg.seed, spawn_key=(b,)))
+        try:
+            out[start:stop] = rep_fn(rng, stop - start)
+        except EigenConvergenceError as exc:
+            raise EigenConvergenceError(
+                f"{exc} (while evaluating replicates {start}..{stop})", exc.partial
+            ) from exc
 
-    if workers > 1 and nblocks > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(run, b) for b in range(nblocks)]
-            for f in futures:
-                f.result()
-    else:
-        for b in range(nblocks):
-            run(b)
+    _run_blocks(run, -(-reps // block), cfg.workers, lapack)
     return out
+
+
+def _pair_mean(
+    stat: Callable[[np.ndarray], np.ndarray], x: np.ndarray, dim: int, antithetic: bool
+) -> np.ndarray:
+    """stat(x), or 0.5 (stat(x) + stat(-x)) with antithetic pairing.
+
+    x holds one block's draws, one row per replicate.  It is evaluated in
+    row chunks that keep each (rows, dim, dim) temporary near
+    ``_CHUNK_DOUBLES``; statistics are row-wise, so the chunking changes no
+    number.
+    """
+    rows = max(1, _CHUNK_DOUBLES // (dim * dim))
+
+    def pair(c: np.ndarray) -> np.ndarray:
+        return 0.5 * (stat(c) + stat(-c)) if antithetic else stat(c)
+
+    if len(x) <= rows:
+        return pair(x)
+    return np.concatenate([pair(x[i:i + rows]) for i in range(0, len(x), rows)])
 
 
 def _replicate_plan(samples: int, antithetic: bool) -> tuple[int, int]:
@@ -325,22 +357,12 @@ def nu_direct(system: SdeSystem, p=2, l: int = 2, cfg: McConfig | None = None) -
         mats = base + np.tensordot(z, bs, axes=(1, 0))
         return l * mu_batch(mats, p)
 
-    def rep(rng: np.random.Generator, count: int, start: int) -> np.ndarray:
+    def rep(rng: np.random.Generator, count: int) -> np.ndarray:
         z = rng.standard_normal((count, m))
-        try:
-            if cfg.antithetic:
-                vals = 0.5 * (stat(z) + stat(-z))
-            else:
-                vals = stat(z)
-        except EigenConvergenceError as exc:
-            raise EigenConvergenceError(
-                f"{exc} (while evaluating replicates {start}..{start + count})",
-                exc.partial,
-            ) from exc
-        return vals[:, np.newaxis]
+        return _pair_mean(stat, z, system.dim, cfg.antithetic)[:, np.newaxis]
 
     arr = _collect_blocks(
-        rep, reps, 1, cfg.seed, cfg.workers, block=_block_size(system.dim)
+        rep, reps, 1, cfg, system.dim, _calls_lapack(system.dim, p)
     )[:, 0]
     value = float(arr.mean())
     se = float(arr.std(ddof=1) / math.sqrt(reps)) if reps > 1 else 0.0
@@ -378,6 +400,8 @@ def _validate_h_sequence(h_seq, a_norm: float) -> np.ndarray:
     h = np.asarray(list(h_seq), dtype=np.float64)
     if h.size < 2:
         raise ValueError("h_seq must contain at least two step sizes")
+    if not np.all(np.isfinite(h)):
+        raise ValueError("step sizes must be finite")
     if np.any(h <= 0):
         raise ValueError("step sizes must be positive")
     if np.any(np.diff(h) >= 0):
@@ -433,8 +457,9 @@ def nu_definitional(
         else np.zeros((0, 0, n, n), dtype=a.dtype)
     )
 
-    def quotient_rows(xi: np.ndarray, count: int) -> np.ndarray:
+    def quotient_rows(xi: np.ndarray) -> np.ndarray:
         """Quotients for every h from one batch of unit normals (count, ...)."""
+        count = xi.shape[0]
         rows = np.empty((count, nh), dtype=np.float64)
         for k in range(nh):
             hk = float(h[k])
@@ -450,27 +475,17 @@ def nu_definitional(
             rows[:, k] = (matrix_norm_batch(g, p) ** l - 1.0) / hk
         return rows
 
-    def rep(rng: np.random.Generator, count: int, start: int) -> np.ndarray:
+    def rep(rng: np.random.Generator, count: int) -> np.ndarray:
         if m == 0:
             xi = np.empty((count, 0))
         elif m == 1:
             xi = rng.standard_normal((count, 1))
         else:
             xi = rng.standard_normal((count, LEVY_SUBDIVISIONS, m))
-        try:
-            rows = quotient_rows(xi, count)
-            if cfg.antithetic and m > 0:
-                rows = 0.5 * (rows + quotient_rows(-xi, count))
-        except EigenConvergenceError as exc:
-            raise EigenConvergenceError(
-                f"{exc} (while evaluating replicates {start}..{start + count})",
-                exc.partial,
-            ) from exc
+        rows = _pair_mean(quotient_rows, xi, n, cfg.antithetic and m > 0)
         return np.column_stack([rows @ weights, rows])
 
-    arr = _collect_blocks(
-        rep, reps, 1 + nh, cfg.seed, cfg.workers, block=_block_size(system.dim)
-    )
+    arr = _collect_blocks(rep, reps, 1 + nh, cfg, n, _calls_lapack(n, p))
     intercepts = arr[:, 0]
     value = float(intercepts.mean())
     mc_se = float(intercepts.std(ddof=1) / math.sqrt(reps)) if reps > 1 else 0.0
@@ -776,21 +791,11 @@ def expected_max_re_perturbed(
         )
         return np.column_stack([max_re_eigvals_batch(mats), mu_batch(mats, 2)])
 
-    def rep(rng: np.random.Generator, count: int, start: int) -> np.ndarray:
+    def rep(rng: np.random.Generator, count: int) -> np.ndarray:
         z = rng.standard_normal((count, m))
-        try:
-            if cfg.antithetic:
-                return 0.5 * (stat(z) + stat(-z))
-            return stat(z)
-        except EigenConvergenceError as exc:
-            raise EigenConvergenceError(
-                f"{exc} (while evaluating replicates {start}..{start + count})",
-                exc.partial,
-            ) from exc
+        return _pair_mean(stat, z, system.dim, cfg.antithetic)
 
-    arr = _collect_blocks(
-        rep, reps, 2, cfg.seed, cfg.workers, block=_block_size(system.dim)
-    )
+    arr = _collect_blocks(rep, reps, 2, cfg, system.dim, _calls_lapack(system.dim))
     means = arr.mean(axis=0)
     if reps > 1:
         ses = arr.std(axis=0, ddof=1) / math.sqrt(reps)

@@ -230,6 +230,20 @@ class TestSlognormCommand:
         result = run(["slognorm", path, *extra])
         assert result.exit_code == 2
 
+    @pytest.mark.parametrize("extra", [
+        ["--h0", "nan"],
+        ["--h0", "inf"],
+        ["--tol", "nan"],
+        ["--tol", "inf"],
+    ])
+    def test_nonfinite_flags_exit_two(self, tmp_path, extra):
+        # NaN slips through "must be positive" checks; it used to print a
+        # NaN estimate or an "unstable" verdict with exit 0
+        path = write_system(tmp_path, [[-1.0]], [[[0.5]]])
+        result = run(["slognorm", path, "--samples", "64", *extra])
+        assert result.exit_code == 2
+        assert "finite" in result.stderr
+
     def test_workers_do_not_change_output(self, tmp_path):
         rng = np.random.default_rng(3)
         a = rng.normal(size=(3, 3))
@@ -379,6 +393,18 @@ class TestExamplesCommand:
     def test_pendulum_validation(self, extra):
         result = run(["examples", "--which", "pendulum", *extra])
         assert result.exit_code == 2
+
+    @pytest.mark.parametrize("which, flag, value", [
+        ("pendulum", "--b", "nan"),
+        ("pendulum", "--b", "inf"),
+        ("pendulum", "--g-over-l", "nan"),
+        ("nonnormal", "--b", "nan"),
+        ("nonnormal", "--sigma2", "nan"),
+    ])
+    def test_nonfinite_parameters_exit_two(self, which, flag, value):
+        result = run(["examples", "--which", which, flag, value, "--samples", "64"])
+        assert result.exit_code == 2
+        assert flag in result.stderr
 
     def test_nonnormal_boundary(self):
         result = run(["examples", "--which", "nonnormal", "--samples", "512"])

@@ -3,12 +3,15 @@
 from __future__ import annotations
 
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import slognorm.matcore as matcore
 from slognorm.matcore import (
     ComplexMatrix,
     DimensionError,
@@ -300,3 +303,57 @@ class TestSpectralInequalities:
         m = random_matrix(rng, n, scale=2.0, complex_=True)
         bound = math.sqrt(matrix_norm(m, 1) * matrix_norm(m, math.inf))
         assert matrix_norm(m, 2) <= bound + 1e-9
+
+
+class TestRunBlocks:
+    def test_every_block_runs_once(self):
+        for workers in (None, 1, 3):
+            done = []
+            matcore._run_blocks(done.append, 7, workers, lapack=True)
+            assert sorted(done) == list(range(7))
+
+    def test_worker_count_rules(self, monkeypatch):
+        assert matcore._block_workers(8, 3, lapack=False) == 3
+        assert matcore._block_workers(None, 5, lapack=False) == 1
+        with pytest.raises(ValueError, match="workers"):
+            matcore._block_workers(0, 5, lapack=True)
+        monkeypatch.setattr(matcore, "_openblas_controls", lambda: None)
+        assert matcore._block_workers(None, 5, lapack=True) == 1
+
+    def test_lapack_rule_follows_closed_form_switch(self):
+        assert not any(matcore._calls_lapack(n, 2) for n in (1, 2))
+        assert matcore._calls_lapack(3, 2) and matcore._calls_lapack(100, 2)
+        assert not matcore._calls_lapack(100, 1) and not matcore._calls_lapack(100, math.inf)
+
+    def test_concurrent_fan_outs_share_one_blas_hold(self):
+        controls = matcore._openblas_controls()
+        if controls is None:
+            pytest.skip("numpy's OpenBLAS thread controls are not available")
+        get, put = controls
+        original = get()
+        put(2)
+        interval = sys.getswitchinterval()
+        seen = []
+
+        def fan_out():
+            for _ in range(40):
+                matcore._run_blocks(lambda b: seen.append(get()), 4, 3, lapack=True)
+
+        threads = [threading.Thread(target=fan_out) for _ in range(4)]
+        try:
+            before = get()
+            sys.setswitchinterval(1e-6)
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+            for t in threads:
+                t.join(timeout=120)
+            after = get()
+            put(original)
+        assert not any(t.is_alive() for t in threads)
+        assert len(seen) == 4 * 40 * 4
+        assert set(seen) == {1}  # no holder restored the count under another
+        assert after == before

@@ -8,6 +8,8 @@ import math
 import numpy as np
 import pytest
 
+import slognorm.matcore as matcore
+import slognorm.sdesim as sdesim
 from slognorm.matcore import ComplexMatrix
 from slognorm.sdesim import (
     DIVERGENCE_THRESHOLD,
@@ -55,6 +57,10 @@ class TestSimConfig:
     def test_rejects_bad_config(self, kwargs):
         with pytest.raises(ValueError):
             SimConfig(**kwargs)
+
+    def test_rejects_boolean_l(self):
+        with pytest.raises(ValueError, match="l must be a positive integer"):
+            SimConfig(h=0.1, t_end=1.0, paths=10, l=True)
 
     def test_p_string_canonicalized(self):
         cfg = SimConfig(h=0.1, t_end=1.0, paths=10, p="inf")
@@ -221,6 +227,21 @@ class TestSimulateMoments:
             simulate_moments(sys_, [0.0], cfg)
         with pytest.raises(ValueError, match="workers"):
             simulate_moments(sys_, [1.0], cfg, workers=0)
+
+    def test_auto_workers_run_serially(self, monkeypatch):
+        # the step kernel calls no LAPACK, so "auto" keeps one thread
+        seen = []
+
+        def spy(run, nblocks, workers, lapack):
+            seen.append(matcore._block_workers(workers, nblocks, lapack))
+            matcore._run_blocks(run, nblocks, workers, lapack)
+
+        monkeypatch.setattr(sdesim, "_run_blocks", spy)
+        cfg = SimConfig(h=0.1, t_end=1.0, paths=9000, seed=2)
+        auto = simulate_moments(scalar_system(-1.0, 1.0), [1.0], cfg, workers=None)
+        assert seen == [1]
+        two = simulate_moments(scalar_system(-1.0, 1.0), [1.0], cfg, workers=2)
+        np.testing.assert_array_equal(auto.moments, two.moments)
 
     def test_arrays_are_read_only(self):
         traj = simulate_moments(

@@ -7,8 +7,11 @@ import math
 import numpy as np
 import pytest
 
+import slognorm.matcore as matcore
+import slognorm.slognorm as slognorm_module
+from slognorm.cli import table1_system
 from slognorm.lognorm import mu
-from slognorm.matcore import ComplexMatrix, matrix_norm
+from slognorm.matcore import ComplexMatrix, EigenConvergenceError, matrix_norm
 from slognorm.slognorm import (
     BOUND_APPLICABILITY,
     FP_FLOOR,
@@ -147,6 +150,14 @@ class TestClassify:
         with pytest.raises(ValueError):
             classify(est, tol=-0.1)
 
+    @pytest.mark.parametrize("tol", [math.nan, math.inf])
+    def test_rejects_nonfinite_tol(self, tol):
+        # a NaN tol fails every comparison, which used to read as unstable
+        est = NuEstimate(value=-5.0, std_error=0.1, samples=100,
+                         estimator="direct", p=2, l=2)
+        with pytest.raises(ValueError, match="tol"):
+            classify(est, tol)
+
 
 class TestNuDirect:
     def test_case_f_exact(self):
@@ -253,6 +264,14 @@ class TestNuDefinitional:
         with pytest.raises(ValueError):
             nu_definitional(sys_, 2, 2, h_seq=(0.01, -0.001))
 
+    @pytest.mark.parametrize("h_seq", [
+        (math.nan, math.nan), (0.01, math.nan), (math.inf, 0.01),
+    ])
+    def test_rejects_nonfinite_h(self, h_seq):
+        # NaN passes every comparison of the other checks
+        with pytest.raises(ValueError, match="finite"):
+            nu_definitional(scalar_system(-1.0, 1.0), 2, 2, h_seq=h_seq)
+
     def test_default_h_sequence_scaling(self):
         seq = default_h_sequence(scalar_system(-100.0, 1.0), 2)
         assert len(seq) == 7
@@ -260,6 +279,120 @@ class TestNuDefinitional:
         assert all(a / b == pytest.approx(2.0) for a, b in zip(seq, seq[1:]))
         # small matrices are clamped at h0 = 0.05
         assert default_h_sequence(np.zeros((2, 2)), 2)[0] == 0.05
+
+
+def _estimates(sys_, p, direct_cfg, definitional_cfg):
+    d = nu_direct(sys_, p, 2, direct_cfg)
+    f = nu_definitional(sys_, p, 2, cfg=definitional_cfg)
+    return (d.value, d.std_error, f.value, f.std_error)
+
+
+class TestBlockFanOut:
+    """RNG blocks fan out over threads without changing a bit, and only by
+    default where the statistic's kernel calls LAPACK."""
+
+    def test_case_g_bitwise_equal_across_workers(self):
+        sys_ = table1_system("g")
+        runs = {
+            w: _estimates(sys_, 2, McConfig(samples=20000, seed=4, workers=w),
+                          McConfig(samples=10000, seed=4, workers=w))
+            for w in (None, 1, 2, 3)
+        }
+        assert len(set(runs.values())) == 1, runs
+
+    def test_chunked_blocks_bitwise_equal(self, monkeypatch):
+        # n = 100: 419-replicate blocks evaluated in 52-row chunks
+        sys_ = random_system(np.random.default_rng(100), 100, 1)
+
+        def run(w):
+            return _estimates(
+                sys_, 2, McConfig(samples=430, seed=6, antithetic=False, workers=w),
+                McConfig(samples=64, seed=6, antithetic=False, workers=w),
+            )
+
+        runs = {w: run(w) for w in (None, 1, 2, 3)}
+        assert len(set(runs.values())) == 1, runs
+        monkeypatch.setattr(slognorm_module, "_CHUNK_DOUBLES", 2**40)
+        assert run(1) == runs[1]
+
+    @staticmethod
+    def resolved(monkeypatch, module, call):
+        """Thread counts the auto rule picks for each engine call in ``call``."""
+        seen = []
+
+        def spy(run, nblocks, workers, lapack):
+            seen.append(matcore._block_workers(workers, nblocks, lapack))
+            matcore._run_blocks(run, nblocks, workers, lapack)
+
+        monkeypatch.setattr(module, "_run_blocks", spy)
+        call()
+        return seen
+
+    @pytest.mark.parametrize("dim, p", [(2, 2), (6, 1), (6, math.inf)])
+    def test_auto_is_serial_without_lapack(self, monkeypatch, dim, p):
+        sys_ = random_system(np.random.default_rng(dim), dim, 1, scale=0.1)
+        cfg = McConfig(samples=20000, seed=1, workers=None)
+
+        def call():
+            nu_direct(sys_, p, 2, cfg)
+            nu_definitional(sys_, p, 2, cfg=cfg)
+            if dim <= 2:
+                expected_max_re_perturbed(sys_, cfg)
+
+        assert self.resolved(monkeypatch, slognorm_module, call) == [1] * (3 if dim <= 2 else 2)
+
+    def test_auto_is_serial_without_blas_pinning(self, monkeypatch):
+        monkeypatch.setattr(matcore, "_openblas_controls", lambda: None)
+        sys_ = table1_system("g")
+        cfg = McConfig(samples=20000, seed=1, workers=None)
+        seen = self.resolved(monkeypatch, slognorm_module, lambda: (
+            nu_direct(sys_, 2, 2, cfg), expected_max_re_perturbed(sys_, cfg)))
+        assert seen == [1, 1]
+
+    def test_auto_uses_every_core_for_lapack_blocks(self, monkeypatch):
+        cores = matcore._available_cores()
+        if matcore._openblas_controls() is None or cores < 2:
+            pytest.skip("needs numpy's OpenBLAS thread controls and two cores")
+        sys_ = table1_system("g")
+        cfg = McConfig(samples=20000, seed=1, workers=None)  # 3 blocks
+        seen = self.resolved(monkeypatch, slognorm_module, lambda: (
+            nu_direct(sys_, 2, 2, cfg), expected_max_re_perturbed(sys_, cfg)))
+        assert seen == [min(cores, 3)] * 2
+
+    def test_blas_threads_restored_after_fan_out(self, monkeypatch):
+        controls = matcore._openblas_controls()
+        if controls is None:
+            pytest.skip("numpy's OpenBLAS thread controls are not available")
+        get, put = controls
+        original = get()
+        put(2)
+        try:
+            before = get()
+            if before == 1:
+                pytest.skip("OpenBLAS cannot run two threads here")
+            sys_ = table1_system("g")
+            cfg = McConfig(samples=20000, seed=1, workers=2)
+            inside = []
+            real_mu_batch = slognorm_module.mu_batch
+
+            def recording(M, p):
+                inside.append(get())
+                return real_mu_batch(M, p)
+
+            def failing(M, p):
+                inside.append(get())
+                raise EigenConvergenceError("injected failure")
+
+            monkeypatch.setattr(slognorm_module, "mu_batch", recording)
+            nu_direct(sys_, 2, 2, cfg)
+            assert get() == before
+            monkeypatch.setattr(slognorm_module, "mu_batch", failing)
+            with pytest.raises(EigenConvergenceError, match="while evaluating replicates"):
+                nu_direct(sys_, 2, 2, cfg)
+            assert get() == before
+            assert set(inside) == {1}
+        finally:
+            put(original)
 
 
 class TestEstimatorDichotomy:
