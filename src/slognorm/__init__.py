@@ -17,21 +17,9 @@ from .matcore import (
     ComplexMatrix,
     DimensionError,
     EigenConvergenceError,
-    MatrixLike,
     NonHermitianError,
-    Spectrum,
-    as_complex_matrix,
-    check_p,
-    hermitian_part,
-    lambda_max_hermitian,
-    lambda_max_hermitian_batch,
-    matrix_norm,
-    matrix_norm_batch,
-    max_re_eigvals_batch,
-    spectrum,
-    vector_norm,
 )
-from .lognorm import mu, mu_batch, mu_limit_check, ols_intercept_weights
+from .lognorm import mu, mu_limit_check
 from .slognorm import (
     BOUND_APPLICABILITY,
     BoundsReport,
@@ -43,10 +31,7 @@ from .slognorm import (
     StabilityClass,
     bounds_report,
     classify,
-    default_h_sequence,
-    default_samples,
     expected_max_re_perturbed,
-    iterated_integral_sampler,
     nu_definitional,
     nu_direct,
     scalar_stability,
@@ -54,15 +39,12 @@ from .slognorm import (
     twobytwo_inf_ms_stable,
 )
 from .sdesim import (
-    DIVERGENCE_THRESHOLD,
     MomentTrajectory,
     SimConfig,
     em_2x2_ms_stable,
-    em_step,
     growth_rate,
     milstein_R,
     milstein_ms_stable,
-    milstein_step,
     simulate_moments,
 )
 
@@ -70,28 +52,14 @@ __version__ = "0.1.0"
 
 __all__ = [
     "__version__",
-    # core matrix layer
+    # matrices and errors
     "ComplexMatrix",
-    "Spectrum",
-    "MatrixLike",
     "DimensionError",
     "NonHermitianError",
     "EigenConvergenceError",
-    "as_complex_matrix",
-    "check_p",
-    "hermitian_part",
-    "lambda_max_hermitian",
-    "lambda_max_hermitian_batch",
-    "max_re_eigvals_batch",
-    "spectrum",
-    "matrix_norm",
-    "matrix_norm_batch",
-    "vector_norm",
     # classical logarithmic norm
     "mu",
-    "mu_batch",
     "mu_limit_check",
-    "ols_intercept_weights",
     # stochastic logarithmic norm
     "SdeSystem",
     "McConfig",
@@ -101,11 +69,8 @@ __all__ = [
     "StabilityClass",
     "PerturbedSpectrumCheck",
     "ScalingCheck",
-    "default_samples",
-    "default_h_sequence",
     "nu_direct",
     "nu_definitional",
-    "iterated_integral_sampler",
     "bounds_report",
     "classify",
     "scalar_stability",
@@ -115,9 +80,6 @@ __all__ = [
     # ensemble simulation
     "SimConfig",
     "MomentTrajectory",
-    "DIVERGENCE_THRESHOLD",
-    "em_step",
-    "milstein_step",
     "simulate_moments",
     "growth_rate",
     "milstein_R",

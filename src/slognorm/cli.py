@@ -20,8 +20,10 @@ invocation reproduces the report byte for byte, and --workers can never
 change any numeric output, so execution knobs are left out of the
 invocation echo.  By default ("auto") Monte Carlo blocks whose kernel calls
 LAPACK (p = 2 at dimension > 2) run on every available core with numpy's
-OpenBLAS held to one thread; everything else runs on one thread, because
-the n <= 2 closed forms get slower on two.  The SLOGNORM_SEED environment
+OpenBLAS held to one thread; everything else runs on one thread.  That is
+the faster choice for the n <= 2 closed forms and scalar simulations, but
+not where the two-channel Levy-area sampler or the definitional h-loop
+dominates: there --workers 2 is faster.  The SLOGNORM_SEED environment
 variable overrides the default seed; an explicit --seed flag wins over
 both.  Non-finite numbers are serialized as the strings "inf", "-inf",
 "nan".
@@ -37,17 +39,24 @@ import click
 import numpy as np
 
 from . import __version__
+from .cases import (
+    TABLE1_ANNOTATIONS,
+    TABLE1_REFERENCE,
+    agrees,
+    nonnormal,
+    pendulum,
+    table1_row,
+    table1_system,
+)
 from .matcore import (
     ComplexMatrix,
     DimensionError,
     EigenConvergenceError,
     NonHermitianError,
-    check_p,
 )
 from .lognorm import mu
 from .slognorm import (
     BOUND_APPLICABILITY,
-    FP_FLOOR,
     McConfig,
     NuEstimate,
     SdeSystem,
@@ -58,7 +67,7 @@ from .slognorm import (
 )
 from .sdesim import SimConfig, growth_rate, simulate_moments
 
-__all__ = ["cli", "main", "TABLE1_CASES", "TABLE1_REFERENCE"]
+__all__ = ["cli", "main"]
 
 
 class InputError(click.ClickException):
@@ -190,7 +199,27 @@ def _jsonable(value):
     return str(value)
 
 
-def _emit(report: dict, summary: list[str]) -> None:
+def _emit(results: dict, summary: list[str], warnings: list[str] | None = None,
+          annotations: list[str] | None = None) -> None:
+    """Print the running command's report on stdout and its summary on stderr.
+
+    The invocation echo holds every parameter of the command in declaration
+    order except --workers, which can never change a number.
+    """
+    ctx = click.get_current_context()
+    report = {
+        "command": ctx.command.name,
+        "version": __version__,
+        "invocation": {
+            param.name: ctx.params[param.name]
+            for param in ctx.command.params
+            if param.name != "workers"
+        },
+        "results": results,
+    }
+    if annotations is not None:
+        report["annotations"] = annotations
+    report["warnings"] = warnings or []
     click.echo(json.dumps(_jsonable(report), indent=2))
     for line in summary:
         click.echo(line, err=True)
@@ -239,7 +268,6 @@ _ANTITHETIC_OPTION = click.option(
 )
 _P_OPTION = click.option(
     "--p",
-    "p_label",
     type=click.Choice(["1", "2", "inf"]),
     default="2",
     show_default=True,
@@ -268,26 +296,15 @@ def cli() -> None:
 @cli.command(name="lognorm")
 @click.argument("matrix_file", type=click.Path(exists=True, dir_okay=False))
 @_P_OPTION
-def cmd_lognorm(matrix_file: str, p_label: str) -> None:
+def cmd_lognorm(matrix_file: str, p: str) -> None:
     """Classical logarithmic norm mu_p of a square matrix."""
     matrix = _load_matrix(matrix_file)
     with _numeric_guard():
-        p = check_p(p_label)
         value = mu(matrix, p)
-    report = {
-        "command": "lognorm",
-        "version": __version__,
-        "invocation": {"matrix_file": matrix_file, "p": p_label},
-        "results": {
-            "mu": {
-                "identity": f"mu_p{p_label}_closed_form",
-                "value": value,
-                "p": p_label,
-            }
-        },
-        "warnings": [],
-    }
-    _emit(report, [f"mu_{p_label}(A) = {value:.10g}  ({matrix.rows}x{matrix.cols} matrix)"])
+    _emit(
+        {"mu": {"identity": f"mu_p{p}_closed_form", "value": value, "p": p}},
+        [f"mu_{p}(A) = {value:.10g}  ({matrix.rows}x{matrix.cols} matrix)"],
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -319,7 +336,7 @@ def cmd_lognorm(matrix_file: str, p_label: str) -> None:
 @_WORKERS_OPTION
 def cmd_slognorm(
     system_file: str,
-    p_label: str,
+    p: str,
     l: int,
     method: str,
     samples: int | None,
@@ -340,7 +357,6 @@ def cmd_slognorm(
     """
     system, meta = _load_system(system_file)
     with _numeric_guard():
-        p = check_p(p_label)
         cfg = McConfig(samples=samples, seed=seed, antithetic=antithetic, workers=workers)
         h_seq = None
         if h0 is not None:
@@ -365,9 +381,7 @@ def cmd_slognorm(
             )
     if len(estimates) == 2:
         d, f = estimates
-        gap = abs(d.value - f.value)
-        window = 3.0 * math.hypot(d.std_error, f.std_error) + FP_FLOOR
-        if gap > window:
+        if not agrees(d.value, f.value, math.hypot(d.std_error, f.std_error)):
             warnings.append(
                 "direct and definitional estimators disagree beyond 3 combined "
                 f"standard errors ({d.value:.6g} vs {f.value:.6g}); they measure "
@@ -385,30 +399,12 @@ def cmd_slognorm(
             name: BOUND_APPLICABILITY[name] for name in bounds.items()
         },
     }
-    report = {
-        "command": "slognorm",
-        "version": __version__,
-        "invocation": {
-            "system_file": system_file,
-            "p": p_label,
-            "l": l,
-            "method": method,
-            "samples": samples,
-            "seed": seed,
-            "h0": h0,
-            "hsteps": hsteps,
-            "tol": tol,
-            "antithetic": antithetic,
-        },
-        "results": results,
-        "warnings": warnings,
-    }
     summary = [
-        f"nu_p{p_label}_l{l} ({est.estimator}) = {est.value:.10g} "
+        f"nu_p{p}_l{l} ({est.estimator}) = {est.value:.10g} "
         f"+/- {est.std_error:.3g}  [{classify(est, tol).value}]"
         for est in estimates
     ] + [f"warning: {w}" for w in warnings]
-    _emit(report, summary)
+    _emit(results, summary, warnings)
 
 
 # ---------------------------------------------------------------------------
@@ -458,7 +454,7 @@ def cmd_simulate(
     paths: int,
     checkpoints: int,
     scheme: str,
-    p_label: str,
+    p: str,
     l: int,
     seed: int,
     out: str | None,
@@ -469,7 +465,7 @@ def cmd_simulate(
     with _numeric_guard():
         cfg = SimConfig(
             h=h, t_end=t_end, paths=paths, checkpoints=checkpoints,
-            scheme=scheme, seed=seed, p=check_p(p_label), l=l,
+            scheme=scheme, seed=seed, p=p, l=l,
         )
         start = _parse_x0(x0, system.dim)
         traj = simulate_moments(system, start, cfg, workers=workers)
@@ -498,7 +494,7 @@ def cmd_simulate(
     results = {
         "system": {"dimension": system.dim, "channels": system.m, **meta},
         "trajectory": {
-            "identity": f"mean_norm_p{p_label}_power{l}",
+            "identity": f"mean_norm_p{p}_power{l}",
             "times": list(traj.times),
             "moments": list(traj.moments),
             "std_errors": list(traj.std_errors),
@@ -507,136 +503,21 @@ def cmd_simulate(
         "growth_rate": rate_payload,
         "csv_path": out,
     }
-    report = {
-        "command": "simulate",
-        "version": __version__,
-        "invocation": {
-            "system_file": system_file,
-            "x0": x0,
-            "h": h,
-            "t_end": t_end,
-            "paths": paths,
-            "checkpoints": checkpoints,
-            "scheme": scheme,
-            "p": p_label,
-            "l": l,
-            "seed": seed,
-            "out": out,
-        },
-        "results": results,
-        "warnings": warnings,
-    }
     summary = []
     if rate_payload is not None:
         summary.append(
-            f"fitted growth rate of E||X||_{p_label}^{l}: "
+            f"fitted growth rate of E||X||_{p}^{l}: "
             f"{rate_payload['value']:.6g} +/- {rate_payload['std_error']:.3g}"
         )
     summary.extend(f"warning: {w}" for w in warnings)
     if out is not None:
         summary.append(f"trajectory written to {out}")
-    _emit(report, summary)
+    _emit(results, summary, warnings)
 
 
 # ---------------------------------------------------------------------------
 # table1
 # ---------------------------------------------------------------------------
-
-_I = 1j
-
-#: benchmark systems (drift, single diffusion) transcribed from the
-#: published comparison table; case (h) is regenerated randomly at run time.
-TABLE1_CASES: dict[str, dict] = {
-    "a": {
-        "A": [[-100, 0], [0, -200]],
-        "B": [[5, 0], [0, 6]],
-        "closed_form": -225.0,
-        "annotations": [
-            "the reference nu (-104.70) is not reproducible from the white-noise "
-            "statistic 2*max(-112.5+5z, -218+6z), which concentrates at -225 "
-            "because its second branch is active only for z > 105.5",
-        ],
-    },
-    "b": {"A": [[-100, 0], [200, -200]], "B": [[5, 2], [0, 6]]},
-    "c": {"A": [[-100, 20], [0, -200]], "B": [[5, 2], [0, 6]]},
-    "d": {
-        "A": [[-100 + 20 * _I, 0], [2, -200 + 1 * _I]],
-        "B": [[5 + 1 * _I, 0], [2 * _I, -6 - 10 * _I]],
-    },
-    "e": {"A": [[-100, 20], [7, -200]], "B": [[5, 2], [4, 6]]},
-    "f": {
-        "A": [[-100]],
-        "B": [[10]],
-        "closed_form": -300.0,
-        "annotations": [
-            "reference nu -300.26 reflects sampling error in the original benchmark "
-            "run; the statistic 2*(-150+10z) has exact mean -300",
-        ],
-    },
-    "g": {
-        "A": None,  # assembled below from the 3x3 blocks
-        "B": None,
-        "annotations": [
-            "neither estimator nor any closed-form bound reproduces this reference "
-            "row (+924.53 / -918.52 / +4839.8); the white-noise estimate is near "
-            "+747.6 and the tightest printed upper bound evaluates to +938.5",
-        ],
-    },
-    "i": {"A": [[-100, 0], [0, -1]], "B": [[0, 2], [2, 0]]},
-}
-
-#: printed reference rows (lower bound, nu, upper bound) per case
-TABLE1_REFERENCE: dict[str, tuple[float, float, float]] = {
-    "a": (-112.39, -104.70, -40.393),
-    "b": (-119.19, -114.68, -31.393),
-    "c": (-240.82, -224.15, -153.02),
-    "d": (-224.90, -223.54, -59.075),
-    "e": (-268.37, -232.32, -121.915),
-    "f": (-300.00, -300.26, -100.00),
-    "g": (-918.52, 924.53, 4839.8),
-    "h": (-2.5191e7, 1.2369e5, 2.5330e7),
-    "i": (-6.0000, -5.91409, -2.0000),
-}
-
-
-def _table1_case_g() -> tuple[np.ndarray, np.ndarray]:
-    a1 = np.array([[0.1, 4, 20], [0, 0.1, 5], [0, 0, 0.1]])
-    a2 = np.array([[-0.2, 3, 100], [0, -0.2, 50], [0, 0, -0.2]])
-    b1 = np.array([[2, 30, 10], [0, 2, 50], [0, 0, 2]])
-    b2 = np.array([[4, 6, 20], [0, 4, 40], [0, 0, 4]])
-    a12 = np.array([
-        [2.2857e-2, -2.3547e-2, -6.8279e-2],
-        [9.3914e-2, -9.6719e-2, -2.8049e-1],
-        [2.8585e-1, -2.9443e-1, -8.5382e-1],
-    ])
-    b12 = np.array([
-        [1.2606e-1, -4.6007e-1, 7.0963e-3],
-        [1.8156e-1, -6.6259e-1, 1.0235e-2],
-        [1.4481e-1, -5.2845e-1, 8.1625e-3],
-    ])
-    zero = np.zeros((3, 3))
-    a = np.block([[a1, a12], [zero, a2]])
-    b = np.block([[b1, b12], [zero, b2]])
-    return a, b
-
-
-def table1_system(case: str, seed: int = 42) -> SdeSystem:
-    """Build the benchmark system for one table row.
-
-    Case (h) has no published entries; it is regenerated as 100 * U(0, 1)
-    matrices from a child of ``seed``, so it serves as a deterministic
-    smoke case rather than a value check.
-    """
-    if case == "g":
-        a, b = _table1_case_g()
-    elif case == "h":
-        rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(1000,)))
-        a = 100.0 * rng.random((100, 100))
-        b = 100.0 * rng.random((100, 100))
-    else:
-        spec = TABLE1_CASES[case]
-        a, b = np.array(spec["A"]), np.array(spec["B"])
-    return SdeSystem(ComplexMatrix.from_array(a), (ComplexMatrix.from_array(b),))
 
 
 @cli.command(name="table1")
@@ -654,88 +535,37 @@ def cmd_table1(seed: int, samples: int | None, antithetic: bool, workers: int | 
     explanatory annotations; case (h) is a randomly regenerated smoke case
     excluded from value checks.
     """
-    cases = []
+    rows = []
     summary = []
     with _numeric_guard():
         cfg = McConfig(samples=samples, seed=seed, antithetic=antithetic, workers=workers)
-        for case in ("a", "b", "c", "d", "e", "f", "g", "h", "i"):
+        for case in TABLE1_REFERENCE:
             system = table1_system(case, seed=seed)
             est = nu_direct(system, 2, 2, cfg)
             bounds = bounds_report(system, 2, 2)
-            ref_lower, ref_nu, ref_upper = TABLE1_REFERENCE[case]
-            payload = {
+            row = table1_row(case, est, bounds)
+            rows.append({
                 "case": case,
                 "dimension": system.dim,
                 "nu": _estimate_payload(est),
                 "classification": classify(est).value,
                 "bounds": bounds.items(),
-                "reference": {"lower": ref_lower, "nu": ref_nu, "upper": ref_upper},
-            }
-            annotations = list(TABLE1_CASES.get(case, {}).get("annotations", []))
-            if case == "h":
-                payload["verdicts"] = None
-                annotations.append(
-                    "matrices are regenerated as 100*U(0,1) from the run seed; the "
-                    "reference row used unpublished draws, so values are not "
-                    "comparable (smoke case only)"
-                )
-                summary.append(
-                    f"case (h): nu = {est.value:.6g} +/- {est.std_error:.3g} "
-                    "(random regeneration; reference not comparable)"
-                )
+                **row,
+            })
+            if row["verdicts"] is None:
+                note = "(random regeneration; reference not comparable)"
             else:
-                tol = max(0.01 * abs(ref_nu), 3.0 * est.std_error) + FP_FLOOR
-                nu_ok = abs(est.value - ref_nu) <= tol
-                verdicts = {
-                    "nu_matches_reference": nu_ok,
-                    "nu_reference_tolerance": tol,
-                    "upper_matches_reference": (
-                        abs(bounds.mu_upper - ref_upper) <= 0.01 * abs(ref_upper)
-                    ),
-                    "lower_matches_reference": (
-                        abs(bounds.mu_lower - ref_lower) <= 0.01 * abs(ref_lower)
-                    ),
-                }
-                closed = TABLE1_CASES.get(case, {}).get("closed_form")
-                if closed is not None:
-                    payload["closed_form_value"] = closed
-                    verdicts["matches_closed_form"] = (
-                        abs(est.value - closed) <= 3.0 * est.std_error + FP_FLOOR
-                    )
-                payload["verdicts"] = verdicts
-                state = "OK" if nu_ok else "MISMATCH"
-                summary.append(
-                    f"case ({case}): nu = {est.value:.6g} +/- {est.std_error:.3g} "
-                    f"(reference {ref_nu:.6g}) {state}"
-                )
-            payload["annotations"] = annotations
-            cases.append(payload)
-
-    report = {
-        "command": "table1",
-        "version": __version__,
-        "invocation": {"seed": seed, "samples": samples, "antithetic": antithetic},
-        "results": {"cases": cases},
-        "annotations": [
-            "the reference Lbound/Ubound columns are not consistently reproduced by "
-            "any single printed bound formula; every computed bound is reported "
-            "under its own identifier for comparison",
-        ],
-        "warnings": [],
-    }
-    _emit(report, summary)
+                state = "OK" if row["verdicts"]["nu_matches_reference"] else "MISMATCH"
+                note = f"(reference {row['reference']['nu']:.6g}) {state}"
+            summary.append(
+                f"case ({case}): nu = {est.value:.6g} +/- {est.std_error:.3g} {note}"
+            )
+    _emit({"cases": rows}, summary, annotations=TABLE1_ANNOTATIONS)
 
 
 # ---------------------------------------------------------------------------
 # examples
 # ---------------------------------------------------------------------------
-
-
-def _folded_normal_mean(c: float, s: float) -> float:
-    """E|N(c, s^2)| for s > 0."""
-    return s * math.sqrt(2.0 / math.pi) * math.exp(-c * c / (2.0 * s * s)) + c * math.erf(
-        c / (s * math.sqrt(2.0))
-    )
 
 
 @cli.command(name="examples")
@@ -795,98 +625,67 @@ def cmd_examples(
             raise InputError(f"--eps must lie in (0, 1), got {eps}")
         if amplitude < 0:
             raise InputError(f"--b must be nonnegative, got {amplitude}")
-        c = 1.0 + g_over_l
-        s = amplitude + eps
-        closed = _folded_normal_mean(c, s) - eps * amplitude
-        threshold = c / eps
         with _numeric_guard():
-            system = SdeSystem(
-                ComplexMatrix.from_array([[0.0, 1.0], [g_over_l, 0.0]]),
-                (ComplexMatrix.from_array([[0.0, eps], [amplitude, 0.0]]),),
-            )
-            est = nu_direct(system, 2, 2, cfg)
-        agreement = abs(est.value - closed) <= 3.0 * est.std_error + FP_FLOOR
+            example = pendulum(g_over_l, eps, amplitude)
+            est = nu_direct(example.system, 2, 2, cfg)
         results = {
             "parameters": {"g_over_l": g_over_l, "eps": eps, "b": amplitude},
             "nu_closed_form": {
                 "identity": "pendulum_folded_normal_mean",
-                "value": closed,
+                "value": example.nu,
             },
             "nu_estimate": _estimate_payload(est),
             "classification": classify(est).value,
             "amplitude_threshold": {
                 "identity": "pendulum_necessary_amplitude",
-                "value": threshold,
+                "value": example.threshold,
                 "note": "mean-square stabilization is impossible for b below this value",
             },
-            "estimate_matches_closed_form": agreement,
+            "estimate_matches_closed_form": agrees(est.value, example.nu, est.std_error),
         }
         summary = [
-            f"pendulum: nu = {closed:.10g} (closed form), "
+            f"pendulum: nu = {example.nu:.10g} (closed form), "
             f"{est.value:.10g} +/- {est.std_error:.3g} (Monte Carlo)",
-            f"necessary amplitude b* = {threshold:.10g}; requested b = {amplitude:g}",
+            f"necessary amplitude b* = {example.threshold:.10g}; requested b = {amplitude:g}",
         ]
     else:
         coupling = 1.0 if b is None else b
-        closed = sigma2 - 2.0 + abs(coupling)
-        threshold = min(2.0 - coupling, 2.0 + coupling)
+        with _numeric_guard():
+            example = nonnormal(coupling, sigma2)
+            est = None if example.system is None else nu_direct(example.system, 2, 2, cfg)
         results = {
             "parameters": {"b": coupling, "sigma2": sigma2},
             "nu_closed_form": {
                 "identity": "nonnormal_direct_formula",
-                "value": closed,
+                "value": example.nu,
             },
             "stability_condition": {
                 "identity": "nonnormal_sigma2_threshold",
-                "value": threshold,
-                "satisfied": sigma2 <= threshold,
+                "value": example.threshold,
+                "satisfied": sigma2 <= example.threshold,
                 "note": "nu <= 0 exactly when sigma^2 <= min(2 - b, 2 + b)",
             },
-            "no_real_sigma_stabilizes": threshold < 0,
+            "no_real_sigma_stabilizes": example.threshold < 0,
         }
         summary = [
-            f"nonnormal: nu = {closed:.10g} (exact), "
-            f"stable iff sigma^2 <= {threshold:.10g}",
+            f"nonnormal: nu = {example.nu:.10g} (exact), "
+            f"stable iff sigma^2 <= {example.threshold:.10g}",
         ]
-        if threshold < 0:
+        if example.threshold < 0:
             summary.append(
                 "no real sigma stabilizes this coupling (threshold below zero); "
                 "only the signed-sigma2 regime can"
             )
-        if sigma2 >= 0:
-            sigma = math.sqrt(sigma2)
-            with _numeric_guard():
-                system = SdeSystem(
-                    ComplexMatrix.from_array([[-1.0, coupling], [0.0, -1.0]]),
-                    (ComplexMatrix.from_array([[0.0, sigma], [-sigma, 0.0]]),),
-                )
-                est = nu_direct(system, 2, 2, cfg)
+        if est is not None:
             results["nu_estimate"] = _estimate_payload(est)
             results["classification"] = classify(est).value
-            results["estimate_matches_closed_form"] = (
-                abs(est.value - closed) <= 3.0 * est.std_error + FP_FLOOR
+            results["estimate_matches_closed_form"] = agrees(
+                est.value, example.nu, est.std_error
             )
             summary.append(
                 f"Monte Carlo cross-check: {est.value:.10g} +/- {est.std_error:.3g}"
             )
-
-    report = {
-        "command": "examples",
-        "version": __version__,
-        "invocation": {
-            "which": which,
-            "g_over_l": g_over_l,
-            "eps": eps,
-            "b": b,
-            "sigma2": sigma2,
-            "samples": samples,
-            "seed": seed,
-            "antithetic": antithetic,
-        },
-        "results": results,
-        "warnings": [],
-    }
-    _emit(report, summary)
+    _emit(results, summary)
 
 
 def main() -> None:

@@ -107,6 +107,8 @@ def mu_limit_check(A: MatrixLike, p, h_seq=None) -> float:
     h = np.asarray(list(h_seq), dtype=np.float64)
     if h.size < 2:
         raise ValueError("h_seq must contain at least two step sizes")
+    if not np.all(np.isfinite(h)):
+        raise ValueError("step sizes must be finite")
     if np.any(h <= 1e-10):
         raise ValueError("step sizes must be greater than 1e-10")
     if np.any(np.diff(h) >= 0):

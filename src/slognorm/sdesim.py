@@ -73,10 +73,10 @@ class SimConfig:
     l: int = 2
 
     def __post_init__(self):
-        if self.h <= 0:
-            raise ValueError(f"step size must be positive, got {self.h}")
-        if self.t_end <= 0:
-            raise ValueError(f"t_end must be positive, got {self.t_end}")
+        if not (math.isfinite(self.h) and self.h > 0):
+            raise ValueError(f"step size h must be finite and positive, got {self.h}")
+        if not (math.isfinite(self.t_end) and self.t_end > 0):
+            raise ValueError(f"t_end must be finite and positive, got {self.t_end}")
         if self.paths < 1:
             raise ValueError(f"paths must be positive, got {self.paths}")
         if self.scheme not in _SCHEMES:
@@ -95,6 +95,11 @@ class SimConfig:
     def steps(self) -> int:
         """Total step count t_end / h, validated to be a whole number."""
         ratio = self.t_end / self.h
+        if not math.isfinite(ratio):
+            raise ValueError(
+                f"t_end/h overflows: step size h = {self.h!r} is too small for "
+                f"t_end = {self.t_end!r}"
+            )
         steps = int(round(ratio))
         if steps < 1 or abs(ratio - steps) > 1e-9 * max(1.0, ratio):
             raise ValueError(

@@ -62,7 +62,6 @@ __all__ = [
     "default_h_sequence",
     "nu_direct",
     "nu_definitional",
-    "iterated_integral_sampler",
     "bounds_report",
     "classify",
     "scalar_stability",
@@ -181,9 +180,12 @@ class McConfig:
     (the CLI's default, "auto") uses every available core when the
     statistic's kernel calls LAPACK (p = 2 or the general eigensolver at
     n > 2) and numpy's OpenBLAS can be held to one thread meanwhile, and
-    one thread otherwise: n <= 2 closed forms run slower on two threads
-    (108 ms -> 193 ms for a 2x2 system at 10^6 samples).  Any fan-out holds
-    OpenBLAS to one thread and restores its thread count afterwards.
+    one thread otherwise.  One thread suits the n <= 2 closed forms (a 2x2
+    ``nu_direct`` at 10^6 samples takes 108 ms on one thread, 193 ms on
+    two) but not blocks dominated by the two-channel Levy-area sampler or
+    the definitional h-loop, which an explicit ``workers=2`` speeds up.
+    Any fan-out holds OpenBLAS to one thread and restores its thread count
+    afterwards.
     """
 
     samples: int | None = None
@@ -476,12 +478,7 @@ def nu_definitional(
         return rows
 
     def rep(rng: np.random.Generator, count: int) -> np.ndarray:
-        if m == 0:
-            xi = np.empty((count, 0))
-        elif m == 1:
-            xi = rng.standard_normal((count, 1))
-        else:
-            xi = rng.standard_normal((count, LEVY_SUBDIVISIONS, m))
+        xi = _unit_normals(rng, count, m)
         rows = _pair_mean(quotient_rows, xi, n, cfg.antithetic and m > 0)
         return np.column_stack([rows @ weights, rows])
 
@@ -520,6 +517,13 @@ def _intercept_residual_error(h: np.ndarray, qbar: np.ndarray) -> float:
     return math.sqrt(s2 * (1.0 / k + hbar**2 / shh))
 
 
+def _unit_normals(rng: np.random.Generator, count: int, m: int) -> np.ndarray:
+    """The unit normals behind ``count`` joint samples of m-channel Wiener
+    increments: shape (count, m) for m <= 1, else (count, LEVY_SUBDIVISIONS, m)."""
+    shape = (count, m) if m <= 1 else (count, LEVY_SUBDIVISIONS, m)
+    return rng.standard_normal(shape)
+
+
 def _increments_from_normals(xi: np.ndarray, h: float) -> tuple[np.ndarray, np.ndarray]:
     """Wiener increments and iterated integrals from unit normals.
 
@@ -551,7 +555,8 @@ def _increments_from_normals(xi: np.ndarray, h: float) -> tuple[np.ndarray, np.n
 def sample_wiener_increments(
     rng: np.random.Generator, count: int, m: int, h: float
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Draw ``count`` joint samples of (dW, iterated integrals) for m channels.
+    """Draw ``count`` joint samples of dW ~ N(0, h I_m) and the iterated
+    integrals I_(i,j) = int_0^h int_0^s dW(i) dW(j) for m channels.
 
     Returns arrays of shape (count, m) and (count, m, m).  Single-channel
     integrals are exact; multi-channel off-diagonals use the subinterval
@@ -561,26 +566,7 @@ def sample_wiener_increments(
         raise ValueError(f"need at least one channel, got m={m}")
     if h <= 0:
         raise ValueError(f"step size must be positive, got {h}")
-    if m == 1:
-        xi = rng.standard_normal((count, 1))
-    else:
-        xi = rng.standard_normal((count, LEVY_SUBDIVISIONS, m))
-    return _increments_from_normals(xi, h)
-
-
-def iterated_integral_sampler(
-    m: int, h: float, rng: np.random.Generator
-) -> tuple[np.ndarray, np.ndarray]:
-    """One joint sample of the Wiener increment vector dW ~ N(0, h I_m) and
-    the iterated-integral matrix I_(i,j) = int_0^h int_0^s dW(i) dW(j).
-
-    Diagonal entries are exact, I_(j,j) = ((dW(j))^2 - h) / 2; off-diagonal
-    entries are accumulated over ``LEVY_SUBDIVISIONS`` subintervals with the
-    symmetry identity I_(i,j) + I_(j,i) = dW(i) dW(j) - delta_ij h enforced
-    exactly.
-    """
-    dw, imat = sample_wiener_increments(rng, 1, m, h)
-    return dw[0], imat[0]
+    return _increments_from_normals(_unit_normals(rng, count, m), h)
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,8 @@ import pytest
 from click.testing import CliRunner
 from numpy.polynomial.hermite_e import hermegauss
 
-from slognorm.cli import TABLE1_CASES, TABLE1_REFERENCE, cli, table1_system
+from slognorm.cases import TABLE1_CASES, TABLE1_REFERENCE, table1_system
+from slognorm.cli import cli
 from slognorm.lognorm import mu, mu_limit_check
 from slognorm.matcore import ComplexMatrix, max_re_eigvals_batch
 from slognorm.sdesim import (

@@ -10,7 +10,8 @@ import pytest
 from click.testing import CliRunner
 
 import slognorm.cli as cli_module
-from slognorm.cli import TABLE1_CASES, TABLE1_REFERENCE, cli, table1_system
+from slognorm.cases import TABLE1_CASES, TABLE1_REFERENCE, table1_system
+from slognorm.cli import cli
 from slognorm.matcore import EigenConvergenceError
 
 runner = CliRunner()
@@ -307,6 +308,19 @@ class TestSimulateCommand:
                       "--paths", "1", "--checkpoints", "7"])
         assert result.exit_code == 2
         assert "checkpoints" in result.stderr
+
+    @pytest.mark.parametrize("extra, field", [
+        (["--h", "1e-320", "--t-end", "1"], "step size h"),   # t_end/h overflows
+        (["--t-end", "inf"], "t_end must be finite"),
+        (["--h", "nan"], "step size h must be finite"),
+    ])
+    def test_nonfinite_or_overflowing_steps_exit_two(self, tmp_path, extra, field):
+        # these used to exit 1 with an OverflowError traceback, or 2 with a
+        # message naming no field
+        path = write_system(tmp_path, [[-1.0]], [[[0.5]]])
+        result = run(["simulate", path, "--paths", "10", *extra])
+        assert result.exit_code == 2
+        assert field in result.stderr
 
 
 class TestTable1Command:

@@ -144,3 +144,10 @@ class TestMuLimitCheck:
             mu_limit_check(a, 2, [1e-4, 1e-4])  # not decreasing
         with pytest.raises(ValueError):
             mu_limit_check(a, 2, [1e-4, 1e-11])  # below the floor
+
+    @pytest.mark.parametrize("h_seq", [[math.nan, math.nan], [math.inf, 1e-3]])
+    def test_nonfinite_steps_rejected(self, h_seq):
+        # NaN fails both the floor and the ordering comparison; it used to
+        # return nan
+        with pytest.raises(ValueError, match="finite"):
+            mu_limit_check([[-1.0]], 2, h_seq)

@@ -23,7 +23,7 @@ from slognorm.sdesim import (
     milstein_step,
     simulate_moments,
 )
-from slognorm.slognorm import SdeSystem, iterated_integral_sampler
+from slognorm.slognorm import SdeSystem, sample_wiener_increments
 
 
 def scalar_system(alpha: float, beta: float) -> SdeSystem:
@@ -125,7 +125,7 @@ class TestSteppers:
         b1, b2 = rng.normal(size=(2, 2)), rng.normal(size=(2, 2))
         sys_ = SdeSystem(a, (b1, b2))
         x = rng.normal(size=2)
-        dw, imat = iterated_integral_sampler(2, 0.02, rng)
+        dw, imat = (a[0] for a in sample_wiener_increments(rng, 1, 2, 0.02))
         out = milstein_step(sys_, x, dw, imat, 0.02)
         bs = [b1, b2]
         update = 0.02 * a + dw[0] * b1 + dw[1] * b2

@@ -9,7 +9,7 @@ import pytest
 
 import slognorm.matcore as matcore
 import slognorm.slognorm as slognorm_module
-from slognorm.cli import table1_system
+from slognorm.cases import table1_system
 from slognorm.lognorm import mu
 from slognorm.matcore import ComplexMatrix, EigenConvergenceError, matrix_norm
 from slognorm.slognorm import (
@@ -25,7 +25,6 @@ from slognorm.slognorm import (
     default_h_sequence,
     default_samples,
     expected_max_re_perturbed,
-    iterated_integral_sampler,
     nu_definitional,
     nu_direct,
     sample_wiener_increments,
@@ -408,7 +407,7 @@ class TestEstimatorDichotomy:
 class TestIteratedIntegrals:
     def test_single_channel_exact(self):
         rng = np.random.default_rng(41)
-        dw, imat = iterated_integral_sampler(1, 0.25, rng)
+        dw, imat = (a[0] for a in sample_wiener_increments(rng, 1, 1, 0.25))
         assert dw.shape == (1,) and imat.shape == (1, 1)
         assert imat[0, 0] == 0.5 * (dw[0] ** 2 - 0.25)
 
@@ -650,3 +649,22 @@ class TestPerturbationInequalities:
         r2 = nu_definitional(SdeSystem(da, (mid,)), 2, l, cfg=cfg)
         window = 3 * math.hypot(lhs.std_error, r1.std_error, r2.std_error) + FP_FLOOR
         assert lhs.value <= r1.value + r2.value + window
+
+
+def test_package_root_exports_only_the_user_api():
+    import slognorm
+
+    assert slognorm.__all__ == [
+        "__version__",
+        "ComplexMatrix", "DimensionError", "NonHermitianError", "EigenConvergenceError",
+        "mu", "mu_limit_check",
+        "SdeSystem", "McConfig", "NuEstimate", "BoundsReport", "BOUND_APPLICABILITY",
+        "StabilityClass", "PerturbedSpectrumCheck", "ScalingCheck",
+        "nu_direct", "nu_definitional", "bounds_report", "classify",
+        "scalar_stability", "twobytwo_inf_ms_stable", "expected_max_re_perturbed",
+        "scaling_check",
+        "SimConfig", "MomentTrajectory", "simulate_moments", "growth_rate",
+        "milstein_R", "milstein_ms_stable", "em_2x2_ms_stable",
+    ]
+    for name in slognorm.__all__:
+        assert hasattr(slognorm, name), name
