@@ -151,13 +151,34 @@ def _step_matrices(system: SdeSystem, milstein: bool):
     return a, bs, pairs
 
 
-def _apply_step(x, a, bs, pairs, dw, imat, h: float):
+def _step_buffers(x, a, bs, pairs):
+    """Work arrays (update, second, dx) for `_apply_step` with float64 dW
+    and I; ``second`` is None without a Milstein term."""
+    milstein = pairs is not None and pairs.size
+    dtype = np.result_type(a, bs, np.float64, *((pairs,) if milstein else ()))
+    update = np.empty(x.shape[:-1] + a.shape, dtype=dtype)
+    second = np.empty_like(update) if milstein else None
+    return update, second, np.empty(x.shape, dtype=np.result_type(update, x))
+
+
+def _apply_step(x, a, bs, pairs, dw, imat, h: float, work=None):
     """One explicit step x + (hA + sum dW B + sum I BB) x, batched over
-    any leading axes shared by x, dw, and imat."""
-    update = h * a + np.tensordot(dw, bs, axes=(-1, 0))
-    if pairs is not None and imat is not None and pairs.size:
-        update = update + np.einsum("...ij,ijab->...ab", imat, pairs)
-    return x + np.einsum("...ab,...b->...a", update, x)
+    any leading axes shared by x, dw, and imat.
+
+    ``work`` (from :func:`_step_buffers`) makes the step allocate nothing
+    and write the new state into x; the arithmetic, and with it every bit,
+    is the same.
+    """
+    update, second, dx = work or _step_buffers(x, a, bs, pairs)
+    n2 = a.size
+    # np.tensordot(dw, bs, axes=(-1, 0)) as the 2-d product it reduces to
+    flat = update.reshape(-1, n2)
+    np.dot(dw.reshape(flat.shape[0], len(bs)), bs.reshape(len(bs), n2), out=flat)
+    np.add(h * a, update, out=update)
+    if second is not None:
+        np.add(update, np.einsum("...ij,ijab->...ab", imat, pairs, out=second), out=update)
+    np.einsum("...ab,...b->...a", update, x, out=dx)
+    return np.add(x, dx, out=x if work else None)
 
 
 def em_step(system: SdeSystem, x, dw, h: float) -> np.ndarray:
@@ -220,6 +241,8 @@ def simulate_moments(
     stride = steps // ncheck
     m = system.m
     use_milstein = cfg.scheme == "milstein"
+    sampled = use_milstein and m > 0  # dW and I from the sampler, else dW only
+    root_h = math.sqrt(cfg.h)
     a, bs, pairs = _step_matrices(system, milstein=use_milstein)
     dtype = np.complex128 if (np.iscomplexobj(a) or np.iscomplexobj(x0)) else np.float64
     x0 = x0.astype(dtype)
@@ -239,15 +262,18 @@ def simulate_moments(
         rng = np.random.default_rng(np.random.SeedSequence(cfg.seed, spawn_key=(b,)))
         x = np.tile(x0, (count, 1))
         alive = np.ones(count, dtype=bool)
+        # per-block buffers, so the step loop allocates only inside the sampler
+        noise = np.empty((count, m))
+        work = _step_buffers(x, a, bs, pairs)
         c = 0
         with np.errstate(over="ignore", invalid="ignore"):
             for step in range(1, steps + 1):
-                if use_milstein and m:
+                if sampled:
                     dw, imat = sample_wiener_increments(rng, count, m, cfg.h)
                 else:
-                    dw = math.sqrt(cfg.h) * rng.standard_normal((count, m))
+                    dw = np.multiply(rng.standard_normal(out=noise), root_h, out=noise)
                     imat = None
-                x = _apply_step(x, a, bs, pairs, dw, imat, cfg.h)
+                _apply_step(x, a, bs, pairs, dw, imat, cfg.h, work)
                 if step % stride == 0:
                     norms = _norm_rows(x, cfg.p)
                     vals = norms**cfg.l

@@ -180,12 +180,13 @@ class McConfig:
     (the CLI's default, "auto") uses every available core when the
     statistic's kernel calls LAPACK (p = 2 or the general eigensolver at
     n > 2) and numpy's OpenBLAS can be held to one thread meanwhile, and
-    one thread otherwise.  One thread suits the n <= 2 closed forms (a 2x2
-    ``nu_direct`` at 10^6 samples takes 108 ms on one thread, 193 ms on
-    two) but not blocks dominated by the two-channel Levy-area sampler or
-    the definitional h-loop, which an explicit ``workers=2`` speeds up.
-    Any fan-out holds OpenBLAS to one thread and restores its thread count
-    afterwards.
+    one thread otherwise.  An explicit ``workers=2`` speeds up blocks
+    dominated by the two-channel Levy-area sampler or the definitional
+    h-loop (``slognorm --method both --samples 200000`` on a two-channel
+    2x2 system: 0.96 s automatically, 0.69 s with two workers on a 2-core
+    host), and on that host also a 2x2 ``nu_direct`` at 10^6 samples
+    (72 ms on one thread, 53 ms on two).  Any fan-out holds OpenBLAS to one
+    thread and restores its thread count afterwards.
     """
 
     samples: int | None = None
@@ -301,21 +302,23 @@ def _collect_blocks(
 def _pair_mean(
     stat: Callable[[np.ndarray], np.ndarray], x: np.ndarray, dim: int, antithetic: bool
 ) -> np.ndarray:
-    """stat(x), or 0.5 (stat(x) + stat(-x)) with antithetic pairing.
-
-    x holds one block's draws, one row per replicate.  It is evaluated in
-    row chunks that keep each (rows, dim, dim) temporary near
-    ``_CHUNK_DOUBLES``; statistics are row-wise, so the chunking changes no
-    number.
-    """
-    rows = max(1, _CHUNK_DOUBLES // (dim * dim))
+    """stat(x), or 0.5 (stat(x) + stat(-x)) with antithetic pairing, over
+    one block's draws x (one row per replicate) in :func:`_chunked` rows."""
 
     def pair(c: np.ndarray) -> np.ndarray:
         return 0.5 * (stat(c) + stat(-c)) if antithetic else stat(c)
 
+    return _chunked(pair, x, dim)
+
+
+def _chunked(fn: Callable[[np.ndarray], np.ndarray], x: np.ndarray, dim: int) -> np.ndarray:
+    """fn(x) for a row-wise fn, evaluated in row chunks that keep each
+    (rows, dim, dim) temporary near ``_CHUNK_DOUBLES``; as fn is row-wise,
+    the chunking changes no number."""
+    rows = max(1, _CHUNK_DOUBLES // (dim * dim))
     if len(x) <= rows:
-        return pair(x)
-    return np.concatenate([pair(x[i:i + rows]) for i in range(0, len(x), rows)])
+        return fn(x)
+    return np.concatenate([fn(x[i:i + rows]) for i in range(0, len(x), rows)])
 
 
 def _replicate_plan(samples: int, antithetic: bool) -> tuple[int, int]:
@@ -459,27 +462,32 @@ def nu_definitional(
         else np.zeros((0, 0, n, n), dtype=a.dtype)
     )
 
+    def quotient(g: np.ndarray, hk: float) -> np.ndarray:
+        return (matrix_norm_batch(g, p) ** l - 1.0) / hk
+
     def quotient_rows(xi: np.ndarray) -> np.ndarray:
-        """Quotients for every h from one batch of unit normals (count, ...)."""
+        """Quotients for every h from one batch of unit normals (count, ...),
+        averaged over the pair (xi, -xi) under antithetic pairing."""
         count = xi.shape[0]
         rows = np.empty((count, nh), dtype=np.float64)
         for k in range(nh):
             hk = float(h[k])
             if m == 0:
-                g = np.broadcast_to(deterministic[k], (count, n, n))
-            else:
-                dw, imat = _increments_from_normals(xi, hk)
-                g = (
-                    deterministic[k]
-                    + np.tensordot(dw, bs, axes=(1, 0))
-                    + np.einsum("sij,ijab->sab", imat, pairs)
-                )
-            rows[:, k] = (matrix_norm_batch(g, p) ** l - 1.0) / hk
+                rows[:, k] = quotient(np.broadcast_to(deterministic[k], (count, n, n)), hk)
+                continue
+            # -xi gives exactly -dW and the same I (negation is exact), so
+            # one transform serves both members of the pair
+            dw, imat = _increments_from_normals(xi, hk)
+            noise = np.tensordot(dw, bs, axes=(1, 0))
+            second = np.einsum("sij,ijab->sab", imat, pairs)
+            q = quotient(deterministic[k] + noise + second, hk)
+            if cfg.antithetic:
+                q = 0.5 * (q + quotient(deterministic[k] - noise + second, hk))
+            rows[:, k] = q
         return rows
 
     def rep(rng: np.random.Generator, count: int) -> np.ndarray:
-        xi = _unit_normals(rng, count, m)
-        rows = _pair_mean(quotient_rows, xi, n, cfg.antithetic and m > 0)
+        rows = _chunked(quotient_rows, _unit_normals(rng, count, m), n)
         return np.column_stack([rows @ weights, rows])
 
     arr = _collect_blocks(rep, reps, 1 + nh, cfg, n, _calls_lapack(n, p))
@@ -524,23 +532,32 @@ def _unit_normals(rng: np.random.Generator, count: int, m: int) -> np.ndarray:
     return rng.standard_normal(shape)
 
 
-def _increments_from_normals(xi: np.ndarray, h: float) -> tuple[np.ndarray, np.ndarray]:
+def _increments_from_normals(
+    xi: np.ndarray, h: float, overwrite: bool = False
+) -> tuple[np.ndarray, np.ndarray]:
     """Wiener increments and iterated integrals from unit normals.
 
     ``xi`` has shape (count, 1) for one channel (the iterated integral is
-    then exact) or (count, K, m) for m >= 2 channels, in which case the
-    off-diagonal integrals accumulate over the K subintervals and the
-    symmetry identity I_(i,j) + I_(j,i) = dW(i) dW(j) - delta_ij h fixes
-    the lower triangle.
+    then exact) or (count, K, m) for m >= 2 channels.  There the K
+    subinterval increments delta are summed once into the walk W; its last
+    row is dW (a sequential sum along the subintervals, so it carries the
+    same bits as ``delta.sum(axis=1)``).  The upper off-diagonal integrals
+    accumulate sum_k W(i)_(k-1) delta(j)_k, which reads the walk at the
+    subinterval starts only for channels i < m - 1, and the symmetry
+    identity I_(i,j) + I_(j,i) = dW(i) dW(j) - delta_ij h fixes the lower
+    triangle.  The transform is odd in xi: -xi gives exactly -dW and the
+    same I.  ``overwrite`` lets the scaling reuse xi's memory.
     """
     if xi.ndim == 2:  # single channel
         dw = math.sqrt(h) * xi
         imat = (0.5 * (dw[:, 0] ** 2 - h))[:, np.newaxis, np.newaxis]
         return dw, imat
     count, k_sub, m = xi.shape
-    delta = math.sqrt(h / k_sub) * xi
-    dw = delta.sum(axis=1)
-    pre = np.cumsum(delta, axis=1) - delta  # W at the start of each subinterval
+    delta = np.multiply(xi, math.sqrt(h / k_sub), out=xi if overwrite else None)
+    walk = np.cumsum(delta, axis=1)
+    dw = walk[:, -1].copy()
+    pre = walk[:, :, :-1]  # W at the start of each subinterval, channels < m - 1
+    pre -= delta[:, :, :-1]
     imat = np.empty((count, m, m), dtype=np.float64)
     for j in range(m):
         imat[:, j, j] = 0.5 * (dw[:, j] ** 2 - h)
@@ -564,9 +581,11 @@ def sample_wiener_increments(
     """
     if m < 1:
         raise ValueError(f"need at least one channel, got m={m}")
-    if h <= 0:
-        raise ValueError(f"step size must be positive, got {h}")
-    return _increments_from_normals(_unit_normals(rng, count, m), h)
+    if count < 0:
+        raise ValueError(f"count must be nonnegative, got count={count}")
+    if not (math.isfinite(h) and h > 0):
+        raise ValueError(f"step size must be finite and positive, got h={h}")
+    return _increments_from_normals(_unit_normals(rng, count, m), h, overwrite=True)
 
 
 # ---------------------------------------------------------------------------

@@ -135,6 +135,70 @@ class TestSteppers:
         np.testing.assert_allclose(out, x + update @ x, rtol=1e-13)
 
 
+def _reference_step(x, a, bs, pairs, dw, imat, h):
+    """The step kernel as first written, allocating every temporary."""
+    update = h * a + np.tensordot(dw, bs, axes=(-1, 0))
+    if pairs is not None:
+        update = update + np.einsum("...ij,ijab->...ab", imat, pairs)
+    return x + np.einsum("...ab,...b->...a", update, x)
+
+
+def _two_channel_system(seed: int, complex_: bool = False) -> SdeSystem:
+    rng = np.random.default_rng(seed)
+    a = rng.normal(size=(2, 2)) - 2 * np.eye(2)
+    bs = [0.3 * rng.normal(size=(2, 2)) for _ in range(2)]
+    if complex_:
+        a = a + 1j * rng.normal(size=(2, 2))
+        bs = [b + 0.2j * rng.normal(size=(2, 2)) for b in bs]
+    return SdeSystem(a, tuple(bs))
+
+
+class TestBufferedStep:
+    """The ensemble loop steps in per-block buffers; the bits are those of
+    the allocating kernel it replaced."""
+
+    @pytest.mark.parametrize("m", [0, 1, 2, 3])
+    @pytest.mark.parametrize("complex_", [False, True])
+    @pytest.mark.parametrize("milstein", [False, True])
+    def test_buffered_step_matches_reference(self, m, complex_, milstein):
+        rng = np.random.default_rng(m)
+        n = 3
+        dtype = np.complex128 if complex_ else np.float64
+        a = rng.normal(size=(n, n)).astype(dtype)
+        bs = rng.normal(size=(m, n, n)).astype(dtype)
+        pairs = np.einsum("iab,jbc->ijac", bs, bs) if milstein and m else None
+        x = rng.normal(size=(4096, n)).astype(dtype)
+        dw = rng.normal(size=(4096, m))
+        imat = rng.normal(size=(4096, m, m)) if pairs is not None else None
+        expected = _reference_step(x, a, bs, pairs, dw, imat, 0.01)
+        fresh = sdesim._apply_step(x, a, bs, pairs, dw, imat, 0.01)
+        np.testing.assert_array_equal(fresh, expected)
+        work = sdesim._step_buffers(x, a, bs, pairs)
+        state = x.copy()
+        assert sdesim._apply_step(state, a, bs, pairs, dw, imat, 0.01, work) is state
+        np.testing.assert_array_equal(state, expected)
+
+    @pytest.mark.parametrize("scheme", ["milstein", "euler_maruyama"])
+    @pytest.mark.parametrize("complex_", [False, True])
+    def test_simulation_matches_reference_loop(self, scheme, complex_):
+        sys_ = _two_channel_system(5, complex_)
+        cfg = SimConfig(h=0.02, t_end=0.4, paths=700, checkpoints=4, seed=9, scheme=scheme)
+        a, bs, pairs = sdesim._step_matrices(sys_, scheme == "milstein")
+        rng = np.random.default_rng(np.random.SeedSequence(cfg.seed, spawn_key=(0,)))
+        x = np.tile(np.array([1.0, -0.5], dtype=a.dtype), (cfg.paths, 1))
+        expected = []
+        for step in range(1, cfg.steps + 1):
+            if pairs is not None:
+                dw, imat = sample_wiener_increments(rng, cfg.paths, 2, cfg.h)
+            else:
+                dw, imat = math.sqrt(cfg.h) * rng.standard_normal((cfg.paths, 2)), None
+            x = _reference_step(x, a, bs, pairs, dw, imat, cfg.h)
+            if step % (cfg.steps // cfg.checkpoints) == 0:
+                expected.append((sdesim._norm_rows(x, 2) ** 2).sum() / cfg.paths)
+        traj = simulate_moments(sys_, [1.0, -0.5], cfg)
+        np.testing.assert_array_equal(traj.moments[1:], expected)
+
+
 class TestSimulateMoments:
     def test_deterministic_scalar_matches_manual_iteration(self):
         sys_ = SdeSystem(np.array([[-1.0]]))

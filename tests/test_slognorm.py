@@ -10,8 +10,8 @@ import pytest
 import slognorm.matcore as matcore
 import slognorm.slognorm as slognorm_module
 from slognorm.cases import table1_system
-from slognorm.lognorm import mu
-from slognorm.matcore import ComplexMatrix, EigenConvergenceError, matrix_norm
+from slognorm.lognorm import mu, ols_intercept_weights
+from slognorm.matcore import ComplexMatrix, EigenConvergenceError, matrix_norm, matrix_norm_batch
 from slognorm.slognorm import (
     BOUND_APPLICABILITY,
     FP_FLOOR,
@@ -20,6 +20,7 @@ from slognorm.slognorm import (
     NuEstimate,
     SdeSystem,
     StabilityClass,
+    _increments_from_normals,
     bounds_report,
     classify,
     default_h_sequence,
@@ -442,6 +443,116 @@ class TestIteratedIntegrals:
 
     def test_subdivision_constant(self):
         assert LEVY_SUBDIVISIONS == 32
+
+    @pytest.mark.parametrize("h", [math.nan, math.inf, -math.inf, -0.5])
+    def test_nonfinite_or_negative_step_rejected(self, h):
+        with pytest.raises(ValueError, match=r"finite and positive, got h="):
+            sample_wiener_increments(np.random.default_rng(0), 2, 2, h)
+
+    def test_negative_count_rejected(self):
+        with pytest.raises(ValueError, match=r"count=-1"):
+            sample_wiener_increments(np.random.default_rng(0), -1, 2, 0.1)
+
+    def test_zero_count_is_empty(self):
+        dw, imat = sample_wiener_increments(np.random.default_rng(0), 0, 2, 0.1)
+        assert dw.shape == (0, 2) and imat.shape == (0, 2, 2)
+
+
+def _reference_increments(xi: np.ndarray, h: float) -> tuple[np.ndarray, np.ndarray]:
+    """The two-channel transform as first written: dW from a second sum
+    over the subintervals and the walk's starting values for every channel."""
+    if xi.ndim == 2:
+        dw = math.sqrt(h) * xi
+        return dw, (0.5 * (dw[:, 0] ** 2 - h))[:, np.newaxis, np.newaxis]
+    count, k_sub, m = xi.shape
+    delta = math.sqrt(h / k_sub) * xi
+    dw = delta.sum(axis=1)
+    pre = np.cumsum(delta, axis=1) - delta
+    imat = np.empty((count, m, m), dtype=np.float64)
+    for j in range(m):
+        imat[:, j, j] = 0.5 * (dw[:, j] ** 2 - h)
+    for i in range(m):
+        for j in range(i + 1, m):
+            upper = np.einsum("sk,sk->s", pre[:, :, i], delta[:, :, j])
+            imat[:, i, j] = upper
+            imat[:, j, i] = dw[:, i] * dw[:, j] - upper
+    return dw, imat
+
+
+def _reference_definitional(system: SdeSystem, p, l: int, cfg: McConfig) -> tuple[float, float]:
+    """(value, std_error) of nu_definitional as first written: the transform
+    runs once per sign and step, and _pair_mean averages the pair."""
+    sm = slognorm_module
+    a, bs = system.arrays()
+    n, m = system.dim, system.m
+    h = sm._validate_h_sequence(default_h_sequence(system, p), matrix_norm(system.A, p))
+    weights = ols_intercept_weights(h)
+    reps, _ = sm._replicate_plan(cfg.resolve_samples(n), cfg.antithetic)
+    deterministic = np.eye(n, dtype=a.dtype)[np.newaxis] + h[:, np.newaxis, np.newaxis] * a
+    pairs = np.einsum("iab,jbc->ijac", bs, bs)
+
+    def quotient_rows(xi):
+        rows = np.empty((xi.shape[0], h.size), dtype=np.float64)
+        for k in range(h.size):
+            hk = float(h[k])
+            dw, imat = _reference_increments(xi, hk)
+            g = (deterministic[k] + np.tensordot(dw, bs, axes=(1, 0))
+                 + np.einsum("sij,ijab->sab", imat, pairs))
+            rows[:, k] = (matrix_norm_batch(g, p) ** l - 1.0) / hk
+        return rows
+
+    def rep(rng, count):
+        xi = sm._unit_normals(rng, count, m)
+        rows = sm._pair_mean(quotient_rows, xi, n, cfg.antithetic)
+        return np.column_stack([rows @ weights, rows])
+
+    arr = sm._collect_blocks(rep, reps, 1 + h.size, cfg, n, sm._calls_lapack(n, p))
+    mc_se = float(arr[:, 0].std(ddof=1) / math.sqrt(reps))
+    extrap_se = sm._intercept_residual_error(h, arr[:, 1:].mean(axis=0))
+    return float(arr[:, 0].mean()), math.hypot(mc_se, extrap_se)
+
+
+class TestTransformOnce:
+    """The transform runs once per (block, h) and serves both members of an
+    antithetic pair; every bit matches the algorithm it replaced."""
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_transform_is_odd_bit_for_bit(self, m):
+        xi = slognorm_module._unit_normals(np.random.default_rng(m), 1500, m)
+        kept = xi.copy()
+        dw, imat = _increments_from_normals(xi, 0.013)
+        neg_dw, neg_imat = _increments_from_normals(-xi, 0.013)
+        assert np.array_equal(neg_dw, -dw)
+        assert np.array_equal(neg_imat, imat)
+        assert np.array_equal(xi, kept)  # the caller's draws are left alone
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 5])
+    @pytest.mark.parametrize("h", [0.05, 3.1e-6])
+    def test_transform_matches_reference(self, m, h):
+        xi = slognorm_module._unit_normals(np.random.default_rng(10 + m), 4096, m)
+        dw, imat = _increments_from_normals(xi, h)
+        ref_dw, ref_imat = _reference_increments(xi, h)
+        assert np.array_equal(dw, ref_dw)
+        assert np.array_equal(imat, ref_imat)
+        own_dw, own_imat = _increments_from_normals(xi.copy(), h, overwrite=True)
+        assert np.array_equal(own_dw, ref_dw) and np.array_equal(own_imat, ref_imat)
+
+    @pytest.mark.parametrize("antithetic", [True, False])
+    @pytest.mark.parametrize("p", P_VALUES)
+    def test_definitional_matches_reference_two_channels(self, antithetic, p):
+        sys_ = random_system(np.random.default_rng(31), 3, 2, scale=0.5)
+        cfg = McConfig(samples=9000, seed=8, antithetic=antithetic)
+        est = nu_definitional(sys_, p, 2, cfg=cfg)
+        assert (est.value, est.std_error) == _reference_definitional(sys_, p, 2, cfg)
+
+    @pytest.mark.parametrize("p, antithetic", [(2, False), (math.inf, True)])
+    def test_definitional_matches_reference_chunked(self, p, antithetic):
+        # n = 100: blocks evaluated in 52-row chunks; (2, False) is the case
+        # of the fan-out test, p = inf keeps the paired run cheap
+        sys_ = random_system(np.random.default_rng(100), 100, 1)
+        cfg = McConfig(samples=128 if antithetic else 64, seed=6, antithetic=antithetic)
+        est = nu_definitional(sys_, p, 2, cfg=cfg)
+        assert (est.value, est.std_error) == _reference_definitional(sys_, p, 2, cfg)
 
 
 class TestBoundsReport:
