@@ -22,8 +22,8 @@ invocation echo.  By default ("auto") Monte Carlo blocks whose kernel calls
 LAPACK (p = 2 at dimension > 2) run on every available core with numpy's
 OpenBLAS held to one thread; everything else runs on one thread.  Where
 the two-channel Levy-area sampler or the definitional h-loop dominates,
---workers 2 is faster (an m = 2 Milstein simulate of 2e4 paths: 3.71 s
-automatically, 1.87 s with --workers 2 on a 2-core host); it was also
+--workers 2 is faster (an m = 2 Milstein simulate of 2e4 paths: 3.55 s
+automatically, 2.10 s with --workers 2 on a 2-core host); it was also
 faster for the n <= 2 closed forms and a scalar simulation when last
 measured.  The SLOGNORM_SEED environment
 variable overrides the default seed; an explicit --seed flag wins over

@@ -161,15 +161,14 @@ def _step_buffers(x, a, bs, pairs):
     return update, second, np.empty(x.shape, dtype=np.result_type(update, x))
 
 
-def _apply_step(x, a, bs, pairs, dw, imat, h: float, work=None):
-    """One explicit step x + (hA + sum dW B + sum I BB) x, batched over
+def _apply_step(x, a, bs, pairs, dw, imat, h: float, work) -> None:
+    """One explicit step x <- x + (hA + sum dW B + sum I BB) x, batched over
     any leading axes shared by x, dw, and imat.
 
-    ``work`` (from :func:`_step_buffers`) makes the step allocate nothing
-    and write the new state into x; the arithmetic, and with it every bit,
-    is the same.
+    The new state is written into x, in the work arrays from
+    :func:`_step_buffers`, so the step allocates nothing.
     """
-    update, second, dx = work or _step_buffers(x, a, bs, pairs)
+    update, second, dx = work
     n2 = a.size
     # np.tensordot(dw, bs, axes=(-1, 0)) as the 2-d product it reduces to
     flat = update.reshape(-1, n2)
@@ -178,7 +177,7 @@ def _apply_step(x, a, bs, pairs, dw, imat, h: float, work=None):
     if second is not None:
         np.add(update, np.einsum("...ij,ijab->...ab", imat, pairs, out=second), out=update)
     np.einsum("...ab,...b->...a", update, x, out=dx)
-    return np.add(x, dx, out=x if work else None)
+    np.add(x, dx, out=x)
 
 
 def em_step(system: SdeSystem, x, dw, h: float) -> np.ndarray:
@@ -190,7 +189,10 @@ def em_step(system: SdeSystem, x, dw, h: float) -> np.ndarray:
     a, bs, _ = _step_matrices(system, milstein=False)
     x = np.asarray(x)
     dw = np.asarray(dw, dtype=np.float64).reshape(x.shape[:-1] + (system.m,))
-    return _apply_step(x, a, bs, None, dw, None, float(h))
+    work = _step_buffers(x, a, bs, None)
+    out = x.astype(work[2].dtype)  # a copy: x is left alone
+    _apply_step(out, a, bs, None, dw, None, float(h), work)
+    return out
 
 
 def milstein_step(system: SdeSystem, x, dw, iter_ints, h: float) -> np.ndarray:
@@ -205,7 +207,10 @@ def milstein_step(system: SdeSystem, x, dw, iter_ints, h: float) -> np.ndarray:
     m = system.m
     dw = np.asarray(dw, dtype=np.float64).reshape(x.shape[:-1] + (m,))
     imat = np.asarray(iter_ints, dtype=np.float64).reshape(x.shape[:-1] + (m, m))
-    return _apply_step(x, a, bs, pairs, dw, imat, float(h))
+    work = _step_buffers(x, a, bs, pairs)
+    out = x.astype(work[2].dtype)  # a copy: x is left alone
+    _apply_step(out, a, bs, pairs, dw, imat, float(h), work)
+    return out
 
 
 def _norm_rows(x: np.ndarray, p) -> np.ndarray:

@@ -532,9 +532,7 @@ def _unit_normals(rng: np.random.Generator, count: int, m: int) -> np.ndarray:
     return rng.standard_normal(shape)
 
 
-def _increments_from_normals(
-    xi: np.ndarray, h: float, overwrite: bool = False
-) -> tuple[np.ndarray, np.ndarray]:
+def _increments_from_normals(xi: np.ndarray, h: float) -> tuple[np.ndarray, np.ndarray]:
     """Wiener increments and iterated integrals from unit normals.
 
     ``xi`` has shape (count, 1) for one channel (the iterated integral is
@@ -546,14 +544,14 @@ def _increments_from_normals(
     subinterval starts only for channels i < m - 1, and the symmetry
     identity I_(i,j) + I_(j,i) = dW(i) dW(j) - delta_ij h fixes the lower
     triangle.  The transform is odd in xi: -xi gives exactly -dW and the
-    same I.  ``overwrite`` lets the scaling reuse xi's memory.
+    same I.
     """
     if xi.ndim == 2:  # single channel
         dw = math.sqrt(h) * xi
         imat = (0.5 * (dw[:, 0] ** 2 - h))[:, np.newaxis, np.newaxis]
         return dw, imat
     count, k_sub, m = xi.shape
-    delta = np.multiply(xi, math.sqrt(h / k_sub), out=xi if overwrite else None)
+    delta = math.sqrt(h / k_sub) * xi
     walk = np.cumsum(delta, axis=1)
     dw = walk[:, -1].copy()
     pre = walk[:, :, :-1]  # W at the start of each subinterval, channels < m - 1
@@ -585,7 +583,7 @@ def sample_wiener_increments(
         raise ValueError(f"count must be nonnegative, got count={count}")
     if not (math.isfinite(h) and h > 0):
         raise ValueError(f"step size must be finite and positive, got h={h}")
-    return _increments_from_normals(_unit_normals(rng, count, m), h, overwrite=True)
+    return _increments_from_normals(_unit_normals(rng, count, m), h)
 
 
 # ---------------------------------------------------------------------------

@@ -171,12 +171,25 @@ class TestBufferedStep:
         dw = rng.normal(size=(4096, m))
         imat = rng.normal(size=(4096, m, m)) if pairs is not None else None
         expected = _reference_step(x, a, bs, pairs, dw, imat, 0.01)
-        fresh = sdesim._apply_step(x, a, bs, pairs, dw, imat, 0.01)
-        np.testing.assert_array_equal(fresh, expected)
         work = sdesim._step_buffers(x, a, bs, pairs)
         state = x.copy()
-        assert sdesim._apply_step(state, a, bs, pairs, dw, imat, 0.01, work) is state
+        sdesim._apply_step(state, a, bs, pairs, dw, imat, 0.01, work)
         np.testing.assert_array_equal(state, expected)
+
+    @pytest.mark.parametrize("complex_", [False, True])
+    def test_public_steppers_match_reference_and_copy(self, complex_):
+        sys_ = _two_channel_system(3, complex_)
+        rng = np.random.default_rng(4)
+        x = rng.normal(size=(50, 2))
+        kept = x.copy()
+        dw = rng.normal(size=(50, 2))
+        imat = rng.normal(size=(50, 2, 2))
+        a, bs, pairs = sdesim._step_matrices(sys_, True)
+        np.testing.assert_array_equal(
+            em_step(sys_, x, dw, 0.01), _reference_step(x, a, bs, None, dw, None, 0.01))
+        np.testing.assert_array_equal(
+            milstein_step(sys_, x, dw, imat, 0.01), _reference_step(x, a, bs, pairs, dw, imat, 0.01))
+        np.testing.assert_array_equal(x, kept)
 
     @pytest.mark.parametrize("scheme", ["milstein", "euler_maruyama"])
     @pytest.mark.parametrize("complex_", [False, True])
