@@ -13,12 +13,7 @@ independent of worker count.
 
 from __future__ import annotations
 
-from .matcore import (
-    ComplexMatrix,
-    DimensionError,
-    EigenConvergenceError,
-    NonHermitianError,
-)
+from .matcore import DimensionError, EigenConvergenceError, NonHermitianError
 from .lognorm import mu, mu_limit_check
 from .slognorm import (
     BOUND_APPLICABILITY,
@@ -52,8 +47,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "__version__",
-    # matrices and errors
-    "ComplexMatrix",
+    # errors
     "DimensionError",
     "NonHermitianError",
     "EigenConvergenceError",

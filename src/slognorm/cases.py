@@ -17,7 +17,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .matcore import ComplexMatrix
 from .slognorm import FP_FLOOR, BoundsReport, NuEstimate, SdeSystem
 
 __all__ = [
@@ -137,7 +136,7 @@ def table1_system(case: str, seed: int = 42) -> SdeSystem:
     else:
         spec = TABLE1_CASES[case]
         a, b = np.array(spec["A"]), np.array(spec["B"])
-    return SdeSystem(ComplexMatrix.from_array(a), (ComplexMatrix.from_array(b),))
+    return SdeSystem(a, (b,))
 
 
 def agrees(value: float, target: float, std_error: float) -> bool:
@@ -196,10 +195,7 @@ def pendulum(g_over_l: float, eps: float, b: float) -> WorkedExample:
     threshold is the amplitude c/eps that mean-square stabilization needs.
     """
     c = 1.0 + g_over_l
-    system = SdeSystem(
-        ComplexMatrix.from_array([[0.0, 1.0], [g_over_l, 0.0]]),
-        (ComplexMatrix.from_array([[0.0, eps], [b, 0.0]]),),
-    )
+    system = SdeSystem([[0.0, 1.0], [g_over_l, 0.0]], ([[0.0, eps], [b, 0.0]],))
     return WorkedExample(system, _folded_normal_mean(c, b + eps) - eps * b, c / eps)
 
 
@@ -213,8 +209,5 @@ def nonnormal(b: float, sigma2: float) -> WorkedExample:
     system = None
     if sigma2 >= 0:
         sigma = math.sqrt(sigma2)
-        system = SdeSystem(
-            ComplexMatrix.from_array([[-1.0, b], [0.0, -1.0]]),
-            (ComplexMatrix.from_array([[0.0, sigma], [-sigma, 0.0]]),),
-        )
+        system = SdeSystem([[-1.0, b], [0.0, -1.0]], ([[0.0, sigma], [-sigma, 0.0]],))
     return WorkedExample(system, sigma2 - 2.0 + abs(b), min(2.0 - b, 2.0 + b))

@@ -33,6 +33,7 @@ both.  Non-finite numbers are serialized as the strings "inf", "-inf",
 
 from __future__ import annotations
 
+import cmath
 import json
 import math
 from contextlib import contextmanager
@@ -50,12 +51,7 @@ from .cases import (
     table1_row,
     table1_system,
 )
-from .matcore import (
-    ComplexMatrix,
-    DimensionError,
-    EigenConvergenceError,
-    NonHermitianError,
-)
+from .matcore import DimensionError, EigenConvergenceError, NonHermitianError
 from .lognorm import mu
 from .slognorm import (
     BOUND_APPLICABILITY,
@@ -114,27 +110,40 @@ def _load_json(path: str):
         ) from exc
 
 
+def _is_number(value) -> bool:
+    """Whether a parsed JSON value is an int or float; bool is an int subclass."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def _entry_to_complex(entry, where: str) -> complex:
     if isinstance(entry, bool):
         raise InputError(f"{where}: expected a number or [re, im] pair, got a boolean")
-    if isinstance(entry, (int, float)):
-        return complex(entry, 0.0)
-    if isinstance(entry, list) and len(entry) == 2 and all(
-        isinstance(v, (int, float)) and not isinstance(v, bool) for v in entry
-    ):
-        return complex(entry[0], entry[1])
-    raise InputError(f"{where}: expected a number or [re, im] pair, got {entry!r}")
+    if _is_number(entry):
+        parts = (entry, 0.0)
+    elif isinstance(entry, list) and len(entry) == 2 and all(map(_is_number, entry)):
+        parts = entry
+    else:
+        raise InputError(f"{where}: expected a number or [re, im] pair, got {entry!r}")
+    try:
+        value = complex(*parts)
+    except OverflowError:  # an integer beyond the binary64 range
+        value = complex(math.inf)
+    if not cmath.isfinite(value):
+        raise InputError(f"{where}: matrix entries must be finite (no NaN/Inf)")
+    return value
 
 
-def _matrix_from_obj(obj, where: str) -> ComplexMatrix:
+def _matrix_from_obj(obj, where: str) -> np.ndarray:
     if not isinstance(obj, dict):
         raise InputError(f"{where}: expected an object with rows/cols/data")
     for key in ("rows", "cols", "data"):
         if key not in obj:
             raise InputError(f"{where}: missing required field {key!r}")
     rows, cols, data = obj["rows"], obj["cols"], obj["data"]
-    if not isinstance(rows, int) or not isinstance(cols, int):
+    if not all(isinstance(v, int) and not isinstance(v, bool) for v in (rows, cols)):
         raise InputError(f"{where}: rows/cols must be integers")
+    if rows < 1 or cols < 1:
+        raise InputError(f"{where}: matrix dimensions must be positive, got {rows}x{cols}")
     if not isinstance(data, list):
         raise InputError(f"{where}.data: expected a list of entries")
     if len(data) != rows * cols:
@@ -144,13 +153,10 @@ def _matrix_from_obj(obj, where: str) -> ComplexMatrix:
     entries = [
         _entry_to_complex(entry, f"{where}.data[{i}]") for i, entry in enumerate(data)
     ]
-    try:
-        return ComplexMatrix(rows, cols, entries)
-    except ValueError as exc:
-        raise InputError(f"{where}: {exc}") from exc
+    return np.array(entries, dtype=np.complex128).reshape(rows, cols)
 
 
-def _load_matrix(path: str) -> ComplexMatrix:
+def _load_matrix(path: str) -> np.ndarray:
     return _matrix_from_obj(_load_json(path), "matrix")
 
 
@@ -305,7 +311,7 @@ def cmd_lognorm(matrix_file: str, p: str) -> None:
         value = mu(matrix, p)
     _emit(
         {"mu": {"identity": f"mu_p{p}_closed_form", "value": value, "p": p}},
-        [f"mu_{p}(A) = {value:.10g}  ({matrix.rows}x{matrix.cols} matrix)"],
+        [f"mu_{p}(A) = {value:.10g}  ({matrix.shape[0]}x{matrix.shape[1]} matrix)"],
     )
 
 

@@ -18,27 +18,17 @@ from __future__ import annotations
 import math
 
 import numpy as np
+from numpy.typing import ArrayLike
 
-from .matcore import (
-    MatrixLike,
-    check_p,
-    hermitian_part,
-    lambda_max_hermitian,
-    lambda_max_hermitian_batch,
-    matrix_norm_batch,
-    as_complex_matrix,
-)
+from .matcore import _square_matrix, check_p, lambda_max_hermitian_batch, matrix_norm_batch
 
 __all__ = ["mu", "mu_batch", "mu_limit_check", "ols_intercept_weights"]
 
 
-def mu(A: MatrixLike, p) -> float:
+def mu(A: ArrayLike, p) -> float:
     """Logarithmic norm mu_p(A) for p in {1, 2, inf} via closed forms."""
     p = check_p(p)
-    cm = as_complex_matrix(A, square=True, name="A")
-    if p == 2:
-        return lambda_max_hermitian(hermitian_part(cm))
-    return float(mu_batch(cm.array[np.newaxis], p)[0])
+    return float(mu_batch(_square_matrix(A, "A")[np.newaxis], p)[0])
 
 
 def mu_batch(M: np.ndarray, p) -> np.ndarray:
@@ -79,20 +69,20 @@ def ols_intercept_weights(x: np.ndarray) -> np.ndarray:
     return 1.0 / k - xbar * (x - xbar) / sxx
 
 
-def default_mu_h_sequence(A: MatrixLike, p, *, count: int = 8) -> tuple[float, ...]:
+def default_mu_h_sequence(A: ArrayLike, p, *, count: int = 8) -> tuple[float, ...]:
     """Geometric step sequence h_k = h0 / 2^k used by :func:`mu_limit_check`.
 
     h0 is scaled by the matrix norm so the quotients sit in the regime where
     the curvature of h -> norm(I + h A, p) is negligible after the linear
     term is removed by the fit.
     """
-    a = as_complex_matrix(A, square=True, name="A").array
+    a = _square_matrix(A, "A")
     scale = float(matrix_norm_batch(a[np.newaxis], p)[0])
     h0 = 1e-5 / max(1.0, scale)
     return tuple(h0 * 0.5**k for k in range(count))
 
 
-def mu_limit_check(A: MatrixLike, p, h_seq=None) -> float:
+def mu_limit_check(A: ArrayLike, p, h_seq=None) -> float:
     """Estimate mu_p(A) from its defining limit.
 
     Computes the difference quotient (norm(I + h A, p) - 1) / h for each h
@@ -101,7 +91,7 @@ def mu_limit_check(A: MatrixLike, p, h_seq=None) -> float:
     i.e. the extrapolation to h = 0.
     """
     p = check_p(p)
-    a = as_complex_matrix(A, square=True, name="A").array
+    a = _square_matrix(A, "A")
     if h_seq is None:
         h_seq = default_mu_h_sequence(a, p)
     h = np.asarray(list(h_seq), dtype=np.float64)

@@ -1,18 +1,19 @@
 """Dense complex matrix arithmetic and eigenvalue kernels.
 
 Everything else in the package reduces to a handful of primitives defined
-here: the Hermitian part of a matrix, the largest eigenvalue of a Hermitian
-matrix, the full spectrum of a general complex matrix, and induced matrix
-p-norms for p in {1, 2, inf}.  All operations are pure functions on
-immutable inputs and are safe to call from many threads.
+here: the largest eigenvalue of a Hermitian matrix, the largest real part
+of the spectrum of a general matrix, and induced matrix p-norms for p in
+{1, 2, inf}.  All operations are pure functions that never write to their
+inputs and are safe to call from many threads.
 
 Batched variants (suffix ``_batch``) operate on stacks of matrices with
 shape ``(..., n, n)`` and exist so that Monte Carlo loops elsewhere in the
 package can stay vectorized; they share the same numerics as the scalar
-entry points.  The Monte Carlo engines fan their independent blocks out
-over threads through :func:`_run_blocks`, which decides the thread count
-from whether the kernels call LAPACK and holds OpenBLAS to one thread
-meanwhile; nothing here changes BLAS threading at import.
+entry points, which validate their input and compute in complex128.  The
+Monte Carlo engines fan their independent blocks out over threads through
+:func:`_run_blocks`, which decides the thread count from whether the
+kernels call LAPACK and holds OpenBLAS to one thread meanwhile; nothing
+here changes BLAS threading at import.
 """
 
 from __future__ import annotations
@@ -23,32 +24,23 @@ import math
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence, Union
+from typing import Callable
 
 import numpy as np
+from numpy.typing import ArrayLike
 
 __all__ = [
-    "ComplexMatrix",
-    "Spectrum",
-    "MatrixLike",
     "DimensionError",
     "NonHermitianError",
     "EigenConvergenceError",
-    "as_complex_matrix",
     "check_p",
-    "hermitian_part",
     "lambda_max_hermitian",
     "lambda_max_hermitian_batch",
     "max_re_eigvals_batch",
-    "spectrum",
     "matrix_norm",
     "matrix_norm_batch",
     "vector_norm",
 ]
-
-#: machine epsilon for binary64, the only precision used in this package
-_EPS = float(np.finfo(np.float64).eps)
 
 #: largest dimension the eigenvalue kernels solve in closed form; LAPACK above it
 _CLOSED_FORM_MAX_N = 2
@@ -64,116 +56,21 @@ class NonHermitianError(ValueError):
 
 
 class EigenConvergenceError(RuntimeError):
-    """Raised when an iterative eigensolver fails to converge.
+    """Raised when an eigensolver fails to converge."""
 
-    ``partial`` carries whatever eigenvalues were obtained before the
-    failure (possibly an empty tuple).
+
+def _square_matrix(M: ArrayLike, name: str = "matrix") -> np.ndarray:
+    """A fresh complex128 copy of ``M``, checked to be a nonempty square
+    matrix with finite entries; error messages call it ``name``.
+
+    Every matrix that enters the package from a caller passes through here.
     """
-
-    def __init__(self, message: str, partial: tuple[complex, ...] = ()):
-        super().__init__(message)
-        self.partial = partial
-
-
-class ComplexMatrix:
-    """Immutable dense n-by-m complex matrix with validated finite entries.
-
-    Stores entries row-major as pairs of binary64 (complex128).  Instances
-    interoperate with numpy via ``__array__``/``.array``; the backing array
-    is read-only.
-    """
-
-    __slots__ = ("_a",)
-
-    def __init__(self, rows: int, cols: int, entries: Iterable[complex]):
-        rows = int(rows)
-        cols = int(cols)
-        if rows <= 0 or cols <= 0:
-            raise DimensionError(f"matrix dimensions must be positive, got {rows}x{cols}")
-        a = np.asarray(list(entries), dtype=np.complex128)
-        if a.ndim != 1 or a.size != rows * cols:
-            raise DimensionError(
-                f"expected {rows * cols} entries for a {rows}x{cols} matrix, got {a.size}"
-            )
-        a = a.reshape(rows, cols)
-        if not np.all(np.isfinite(a.real)) or not np.all(np.isfinite(a.imag)):
-            raise ValueError("matrix entries must be finite (no NaN/Inf)")
-        a.flags.writeable = False
-        self._a = a
-
-    @classmethod
-    def from_array(cls, array: "MatrixLike") -> "ComplexMatrix":
-        """Build from a 2-D array-like (nested sequences or ndarray)."""
-        if isinstance(array, ComplexMatrix):
-            return array
-        a = np.asarray(array, dtype=np.complex128)
-        if a.ndim != 2:
-            raise DimensionError(f"expected a 2-D array, got shape {a.shape}")
-        return cls(a.shape[0], a.shape[1], a.ravel())
-
-    @classmethod
-    def identity(cls, n: int) -> "ComplexMatrix":
-        return cls.from_array(np.eye(n))
-
-    @property
-    def rows(self) -> int:
-        return self._a.shape[0]
-
-    @property
-    def cols(self) -> int:
-        return self._a.shape[1]
-
-    @property
-    def entries(self) -> tuple[complex, ...]:
-        """Row-major entries as built-in complex numbers."""
-        return tuple(complex(v) for v in self._a.ravel())
-
-    @property
-    def array(self) -> np.ndarray:
-        """Read-only complex128 view of the matrix."""
-        return self._a
-
-    @property
-    def is_square(self) -> bool:
-        return self.rows == self.cols
-
-    def __array__(self, dtype=None, copy=None):
-        if dtype is None and not copy:
-            return self._a
-        return np.array(self._a, dtype=dtype or np.complex128)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, ComplexMatrix):
-            return NotImplemented
-        return self._a.shape == other._a.shape and bool(np.array_equal(self._a, other._a))
-
-    def __repr__(self) -> str:
-        return f"ComplexMatrix({self.rows}x{self.cols})"
-
-
-MatrixLike = Union[ComplexMatrix, np.ndarray, Sequence[Sequence[complex]]]
-
-
-@dataclass(frozen=True)
-class Spectrum:
-    """All eigenvalues of a square matrix (unordered multiset) together
-    with an upper estimate of the solver's backward error."""
-
-    eigenvalues: tuple[complex, ...]
-    residual_bound: float
-
-
-def as_complex_matrix(M: MatrixLike, *, square: bool = False, name: str = "matrix") -> ComplexMatrix:
-    """Coerce array-likes to :class:`ComplexMatrix`, optionally requiring squareness."""
-    cm = ComplexMatrix.from_array(M)
-    if square and not cm.is_square:
-        raise DimensionError(f"{name} must be square, got {cm.rows}x{cm.cols}")
-    return cm
-
-
-def _square_array(M: MatrixLike, name: str = "matrix") -> np.ndarray:
-    """Internal: coerce to a validated square complex ndarray."""
-    return as_complex_matrix(M, square=True, name=name).array
+    a = np.array(M, dtype=np.complex128)
+    if a.ndim != 2 or a.shape[0] != a.shape[1] or a.size == 0:
+        raise DimensionError(f"{name} must be a nonempty square matrix, got shape {a.shape}")
+    if not np.isfinite(a).all():
+        raise ValueError(f"{name} entries must be finite (no NaN/Inf)")
+    return a
 
 
 def check_p(p) -> float:
@@ -198,27 +95,16 @@ def check_p(p) -> float:
     raise ValueError(f"unsupported p-norm {p!r}; expected 1, 2 or inf")
 
 
-def hermitian_part(M: MatrixLike) -> ComplexMatrix:
-    """Return (M + M^H) / 2.
-
-    The result is Hermitian to the last bit: conjugate pairs are averaged,
-    which in IEEE arithmetic lands the (i, j) and (j, i) entries on exact
-    conjugates and zeroes the imaginary part of the diagonal.
-    """
-    a = _square_array(M)
-    return ComplexMatrix.from_array(0.5 * (a + a.conj().T))
-
-
-def lambda_max_hermitian(H: MatrixLike, *, rtol: float = 1e-12) -> float:
+def lambda_max_hermitian(H: ArrayLike, *, rtol: float = 1e-12) -> float:
     """Largest eigenvalue of a Hermitian matrix, as a real number.
 
     The input must be Hermitian within ``rtol * norm(H, inf)``; it is then
     symmetrized exactly before the solve, so tiny asymmetries cannot leak
     into the result.
     """
-    a = _square_array(H)
+    a = _square_matrix(H)
     scale = float(np.max(np.sum(np.abs(a), axis=1)))  # row-sum norm
-    dev = float(np.max(np.abs(a - a.conj().T))) if a.size else 0.0
+    dev = float(np.max(np.abs(a - a.conj().T)))
     if dev > rtol * max(scale, 1e-300):
         raise NonHermitianError(
             f"matrix is not Hermitian within tolerance (deviation {dev:.3e}, "
@@ -395,32 +281,13 @@ def _run_blocks(
             future.result()
 
 
-def spectrum(M: MatrixLike) -> Spectrum:
-    """All eigenvalues of a general square complex matrix.
-
-    Uses a backward-stable general eigensolver (Hessenberg + shifted QR);
-    ``residual_bound`` is a conservative upper estimate of the backward
-    error, proportional to n * eps * norm(M, 2).
-    """
-    a = _square_array(M)
-    n = a.shape[0]
-    try:
-        vals = np.linalg.eigvals(a)
-    except np.linalg.LinAlgError as exc:
-        raise EigenConvergenceError(
-            f"eigenvalue iteration failed to converge for {n}x{n} matrix: {exc}"
-        ) from exc
-    bound = 20.0 * n * _EPS * matrix_norm(a, 2)
-    return Spectrum(eigenvalues=tuple(complex(v) for v in vals), residual_bound=bound)
-
-
-def matrix_norm(M: MatrixLike, p) -> float:
+def matrix_norm(M: ArrayLike, p) -> float:
     """Induced matrix p-norm for p in {1, 2, inf}.
 
     p = 1 is the maximum column absolute sum, p = inf the maximum row
     absolute sum, and p = 2 is sqrt(lambda_max(M^H M)).
     """
-    a = _square_array(M)
+    a = _square_matrix(M)
     return float(matrix_norm_batch(a[np.newaxis], p)[0])
 
 

@@ -146,9 +146,9 @@ class MomentTrajectory:
 
 def _step_matrices(system: SdeSystem, milstein: bool):
     """(A, stacked B, stacked B(i)B(j) or None) ready for `_apply_step`."""
-    a, bs = system.arrays()
+    bs = system.diffusions
     pairs = np.einsum("iab,jbc->ijac", bs, bs) if milstein and system.m else None
-    return a, bs, pairs
+    return system.A, bs, pairs
 
 
 def _step_buffers(x, a, bs, pairs):

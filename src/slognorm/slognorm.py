@@ -33,15 +33,15 @@ from enum import Enum
 from typing import Callable, Sequence
 
 import numpy as np
+from numpy.typing import ArrayLike
 
 from .lognorm import mu, mu_batch, ols_intercept_weights
 from .matcore import (
-    ComplexMatrix,
+    DimensionError,
     EigenConvergenceError,
-    MatrixLike,
     _calls_lapack,
     _run_blocks,
-    as_complex_matrix,
+    _square_matrix,
     check_p,
     lambda_max_hermitian,
     matrix_norm,
@@ -97,65 +97,50 @@ LEVY_SUBDIVISIONS = 32
 FP_FLOOR = 1e-9
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SdeSystem:
     """Coefficients (A, B(1)..B(m)) of a linear SDE with m noise channels.
 
     ``A`` is the drift (units 1/time), ``diffusions`` the ordered noise
-    coefficients (units 1/sqrt(time)); all must be square and of identical
-    dimension.  m = 0 denotes a deterministic ODE.
+    coefficients (units 1/sqrt(time)), each given as a 2-D array-like; all
+    must be nonempty, square, finite and of identical dimension.  m = 0
+    denotes a deterministic ODE.  They are stored as read-only arrays, ``A``
+    of shape (n, n) and ``diffusions`` stacked as (m, n, n), in float64 when
+    every entry of the system is real (so the Hermitian eigenvalue kernels
+    take the faster real-symmetric path) and in complex128 otherwise.
+    Systems compare by identity: ``==`` on arrays is elementwise.
     """
 
-    A: ComplexMatrix
-    diffusions: tuple[ComplexMatrix, ...] = ()
+    A: np.ndarray
+    diffusions: np.ndarray = ()
 
     def __post_init__(self):
-        a = as_complex_matrix(self.A, square=True, name="A")
-        bs = tuple(
-            as_complex_matrix(b, square=True, name=f"B({j + 1})")
-            for j, b in enumerate(self.diffusions)
-        )
+        a = _square_matrix(self.A, "A")
+        bs = [_square_matrix(b, f"B({j + 1})") for j, b in enumerate(self.diffusions)]
         for j, b in enumerate(bs):
-            if b.rows != a.rows:
-                raise ValueError(
-                    f"B({j + 1}) is {b.rows}x{b.cols} but A is {a.rows}x{a.cols}"
-                )
+            if b.shape != a.shape:
+                raise DimensionError(f"B({j + 1}) has shape {b.shape} but A has {a.shape}")
+        bs = np.stack(bs) if bs else np.zeros((0,) + a.shape, dtype=np.complex128)
+        if not np.any(a.imag) and not np.any(bs.imag):
+            a, bs = a.real.copy(), bs.real.copy()
+        a.flags.writeable = False
+        bs.flags.writeable = False
         object.__setattr__(self, "A", a)
         object.__setattr__(self, "diffusions", bs)
 
     @property
     def dim(self) -> int:
-        return self.A.rows
+        return self.A.shape[0]
 
     @property
     def m(self) -> int:
         return len(self.diffusions)
 
-    def arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        """Return (A, stacked B) as ndarrays, downcast to real when possible.
-
-        Real inputs keep real dtype so the Hermitian eigenvalue kernels can
-        take the faster real-symmetric path.
-        """
-        a = self.A.array
-        bs = (
-            np.stack([b.array for b in self.diffusions])
-            if self.diffusions
-            else np.zeros((0, self.dim, self.dim), dtype=np.complex128)
-        )
-        if not np.any(a.imag) and not np.any(bs.imag):
-            return a.real.copy(), bs.real.copy()
-        return a.copy(), bs.copy()
-
     def scaled(self, alpha: float) -> "SdeSystem":
         """The system (alpha A, sqrt(alpha) B(1:m)) for alpha > 0."""
         if alpha <= 0:
             raise ValueError(f"scaling factor must be positive, got {alpha}")
-        root = math.sqrt(alpha)
-        return SdeSystem(
-            ComplexMatrix.from_array(alpha * self.A.array),
-            tuple(ComplexMatrix.from_array(root * b.array) for b in self.diffusions),
-        )
+        return SdeSystem(alpha * self.A, math.sqrt(alpha) * self.diffusions)
 
 
 def default_samples(n: int) -> int:
@@ -292,7 +277,7 @@ def _collect_blocks(
             out[start:stop] = rep_fn(rng, stop - start)
         except EigenConvergenceError as exc:
             raise EigenConvergenceError(
-                f"{exc} (while evaluating replicates {start}..{stop})", exc.partial
+                f"{exc} (while evaluating replicates {start}..{stop})"
             ) from exc
 
     _run_blocks(run, -(-reps // block), cfg.workers, lapack)
@@ -347,8 +332,7 @@ def nu_direct(system: SdeSystem, p=2, l: int = 2, cfg: McConfig | None = None) -
     p = check_p(p)
     l = _check_l(l)
     cfg = cfg or McConfig()
-    a, bs = system.arrays()
-    m = system.m
+    a, bs, m = system.A, system.diffusions, system.m
     if m == 0:
         return NuEstimate(
             value=l * mu(system.A, p), std_error=0.0, samples=1,
@@ -394,7 +378,7 @@ def _sum_squares(bs: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def default_h_sequence(system: SdeSystem | MatrixLike, p=2, *, count: int = 7) -> tuple[float, ...]:
+def default_h_sequence(system: SdeSystem | ArrayLike, p=2, *, count: int = 7) -> tuple[float, ...]:
     """Step sizes h0 * 2^-k, k = 0..count-1, with h0 = 0.05 / max(1, norm(A, p))."""
     a = system.A if isinstance(system, SdeSystem) else system
     h0 = 0.05 / max(1.0, matrix_norm(a, p))
@@ -444,7 +428,7 @@ def nu_definitional(
     p = check_p(p)
     l = _check_l(l)
     cfg = cfg or McConfig()
-    a, bs = system.arrays()
+    a, bs = system.A, system.diffusions
     n, m = system.dim, system.m
     if h_seq is None:
         h_seq = default_h_sequence(system, p)
@@ -639,16 +623,14 @@ class BoundsReport:
         }
 
 
-def _is_identity(b: ComplexMatrix) -> bool:
-    return bool(np.array_equal(b.array, np.eye(b.rows)))
-
-
 def bounds_report(system: SdeSystem, p=2, l: int = 2) -> BoundsReport:
     """Evaluate every closed-form bound applicable to (system, p, l)."""
     p = check_p(p)
     l = _check_l(l)
-    a = system.A.array
-    bs = [b.array for b in system.diffusions]
+    # complex128 as the scalar entry points compute: a real product sums in
+    # another order than a complex one, which moves case (h)'s last digits
+    a = system.A.astype(np.complex128)
+    bs = system.diffusions.astype(np.complex128)
     m = system.m
     mu_a = mu(a, p)
     out: dict[str, float | None] = {}
@@ -693,7 +675,7 @@ def bounds_report(system: SdeSystem, p=2, l: int = 2) -> BoundsReport:
             if l > 2:
                 ms += (l - 2) / 2.0 * mu_b**2
             out["msest_upper"] = l * ms
-            if _is_identity(system.diffusions[0]):
+            if np.array_equal(b, np.eye(system.dim)):
                 out["main12_exact_B_eq_I"] = 0.5 * l * lam_a + 0.5 * l + l * (l - 2) / 2.0
                 if l == 1:
                     out["beq1_identities"] = mu(a, 2)
@@ -782,8 +764,7 @@ def expected_max_re_perturbed(
     it hold with margin for any system.
     """
     cfg = cfg or McConfig()
-    a, bs = system.arrays()
-    m = system.m
+    a, bs, m = system.A, system.diffusions, system.m
     base = a - 0.5 * _sum_squares(bs)
     samples = cfg.resolve_samples(system.dim)
     reps, total = _replicate_plan(samples, cfg.antithetic)

@@ -27,7 +27,7 @@ from numpy.polynomial.hermite_e import hermegauss
 from slognorm.cases import TABLE1_CASES, TABLE1_REFERENCE, table1_system
 from slognorm.cli import cli
 from slognorm.lognorm import mu, mu_limit_check
-from slognorm.matcore import ComplexMatrix, max_re_eigvals_batch
+from slognorm.matcore import max_re_eigvals_batch
 from slognorm.sdesim import (
     SimConfig,
     em_2x2_ms_stable,
@@ -53,7 +53,7 @@ BENCHMARK_SAMPLES = 10**6
 
 
 def scalar_system(alpha: float, beta: float) -> SdeSystem:
-    return SdeSystem(ComplexMatrix(1, 1, [alpha]), (ComplexMatrix(1, 1, [beta]),))
+    return SdeSystem([[alpha]], ([[beta]],))
 
 
 @pytest.fixture(scope="module")
@@ -112,8 +112,8 @@ def gauss_hermite_nu22(system: SdeSystem, nodes: int) -> float:
     Uses numpy's probabilists' Hermite rule and ``eigvalsh`` directly, so it
     shares no code with ``nu_direct`` or the mu kernels.
     """
-    (b,) = (d.array for d in system.diffusions)
-    base = system.A.array - 0.5 * b @ b
+    (b,) = system.diffusions
+    base = system.A - 0.5 * b @ b
     z, w = hermegauss(nodes)
     mats = base + z[:, None, None] * b
     herm = 0.5 * (mats + np.conj(np.swapaxes(mats, 1, 2)))
@@ -159,10 +159,7 @@ def test_02_zero_variance_closed_forms():
     cfg = McConfig(samples=512, seed=3)
     for b in (0.0, 1.0, -1.0, 2.0, -2.0, 3.0, -3.0):
         for sigma in (0.0, 0.5, 1.0):
-            system = SdeSystem(
-                ComplexMatrix.from_array([[-1.0, b], [0.0, -1.0]]),
-                (ComplexMatrix.from_array([[0.0, sigma], [-sigma, 0.0]]),),
-            )
+            system = SdeSystem([[-1.0, b], [0.0, -1.0]], ([[0.0, sigma], [-sigma, 0.0]],))
             est = nu_direct(system, 2, 2, cfg)
             assert est.value == pytest.approx(sigma**2 - 2.0 + abs(b), abs=1e-12)
             assert est.std_error <= 1e-12
@@ -171,7 +168,7 @@ def test_02_zero_variance_closed_forms():
     rng = np.random.default_rng(17)
     for k in range(3):
         a = rng.uniform(-3, 3, (4, 4)) + 1j * rng.uniform(-3, 3, (4, 4))
-        system = SdeSystem(ComplexMatrix.from_array(a))
+        system = SdeSystem(a)
         for p in P_CYCLE:
             for l in (1, 2, 3):
                 est = nu_direct(system, p, l, cfg)
@@ -220,10 +217,7 @@ def test_04_scalar_definitional_law():
 
 def test_05_scaling_law():
     rng = np.random.default_rng(73)
-    system = SdeSystem(
-        ComplexMatrix.from_array(rng.uniform(-1.5, 1.5, (3, 3))),
-        (ComplexMatrix.from_array(rng.uniform(-1.5, 1.5, (3, 3))),),
-    )
+    system = SdeSystem(rng.uniform(-1.5, 1.5, (3, 3)), (rng.uniform(-1.5, 1.5, (3, 3)),))
     for alpha in (0.5, 2.0, 4.0):
         chk = scaling_check(system, alpha, cfg=McConfig(samples=20_000, seed=5))
         assert chk.within_tolerance, (
@@ -238,7 +232,7 @@ def test_06_bound_sandwich_on_random_systems():
         n = int(rng.integers(1, 7))
         m = int(rng.integers(1, 4))
         def draw():
-            return ComplexMatrix.from_array(rng.uniform(-5, 5, (n, n)))
+            return rng.uniform(-5, 5, (n, n))
         system = SdeSystem(draw(), tuple(draw() for _ in range(m)))
         p = P_CYCLE[k % 3]
         l = (1, 2, 4)[k % 3]
@@ -261,10 +255,7 @@ def test_07_perturbed_spectrum_inequality():
 
     rng = np.random.default_rng(4321)
     for k in range(20):
-        system = SdeSystem(
-            ComplexMatrix.from_array(rng.uniform(-2, 2, (4, 4))),
-            (ComplexMatrix.from_array(rng.uniform(-2, 2, (4, 4))),),
-        )
+        system = SdeSystem(rng.uniform(-2, 2, (4, 4)), (rng.uniform(-2, 2, (4, 4)),))
         chk = expected_max_re_perturbed(system, McConfig(samples=20_000, seed=k))
         assert chk.inequality_holds, f"random system {k}: {chk}"
 

@@ -113,6 +113,23 @@ class TestInputDiagnostics:
         assert result.exit_code == 2
         assert "boolean" in result.stderr
 
+    @pytest.mark.parametrize("rows,cols", [(True, True), (1, False)])
+    def test_non_integer_dimensions_rejected(self, tmp_path, rows, cols):
+        # JSON true is a Python bool, which is an int subclass
+        path = tmp_path / "mat.json"
+        path.write_text(json.dumps({"rows": rows, "cols": cols, "data": [-1.0]}))
+        result = run(["lognorm", str(path)])
+        assert result.exit_code == 2
+        assert "rows/cols must be integers" in result.stderr
+
+    @pytest.mark.parametrize("rows,cols", [(0, 0), (-2, 3)])
+    def test_nonpositive_dimensions_rejected(self, tmp_path, rows, cols):
+        path = tmp_path / "mat.json"
+        path.write_text(json.dumps({"rows": rows, "cols": cols, "data": []}))
+        result = run(["lognorm", str(path)])
+        assert result.exit_code == 2
+        assert "dimensions must be positive" in result.stderr
+
     def test_string_entry_rejected(self, tmp_path):
         path = tmp_path / "mat.json"
         path.write_text(json.dumps({"rows": 1, "cols": 1, "data": ["x"]}))
@@ -126,6 +143,22 @@ class TestInputDiagnostics:
         result = run(["lognorm", str(path)])
         assert result.exit_code == 2
         assert "finite" in result.stderr
+
+    @pytest.mark.parametrize("entry", ["1" + "0" * 400, "[1, -1" + "0" * 400 + "]"],
+                             ids=["number", "pair"])
+    def test_oversized_integer_entry_rejected(self, tmp_path, entry):
+        # beyond binary64 range: used to exit 1 with an OverflowError traceback
+        path = tmp_path / "mat.json"
+        path.write_text('{"rows": 1, "cols": 1, "data": [%s]}' % entry)
+        result = run(["lognorm", str(path)])
+        assert result.exit_code == 2
+        assert "matrix.data[0]" in result.stderr and "finite" in result.stderr
+        big = json.loads('{"rows": 1, "cols": 1, "data": [%s]}' % entry)
+        system = tmp_path / "sys.json"
+        system.write_text(json.dumps({"A": matrix_obj([[-1.0]]), "B": [big]}))
+        result = run(["slognorm", str(system), "--samples", "8"])
+        assert result.exit_code == 2
+        assert "B[0].data[0]" in result.stderr and "finite" in result.stderr
 
     def test_missing_field(self, tmp_path):
         path = tmp_path / "mat.json"
@@ -369,8 +402,8 @@ class TestTable1Command:
         one = table1_system("h", seed=7)
         two = table1_system("h", seed=7)
         other = table1_system("h", seed=8)
-        assert one.A == two.A
-        assert one.A != other.A
+        assert np.array_equal(one.A, two.A)
+        assert not np.array_equal(one.A, other.A)
 
 
 class TestExamplesCommand:
@@ -482,7 +515,7 @@ class TestSeedHandling:
 class TestExitCodes:
     def test_numerical_failure_exits_three(self, tmp_path, monkeypatch):
         def explode(*args, **kwargs):
-            raise EigenConvergenceError("eigensolver failed to converge", ())
+            raise EigenConvergenceError("eigensolver failed to converge")
 
         monkeypatch.setattr(cli_module, "nu_direct", explode)
         path = write_system(tmp_path, [[-1.0]], [[[0.5]]])

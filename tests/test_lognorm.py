@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from slognorm.lognorm import mu, mu_batch, mu_limit_check, ols_intercept_weights
-from slognorm.matcore import matrix_norm, spectrum
+from slognorm.matcore import DimensionError, lambda_max_hermitian, matrix_norm
 
 P_VALUES = (1, 2, math.inf)
 
@@ -95,8 +95,32 @@ class TestMuProperties:
     def test_dominates_spectral_abscissa(self, seed, n):
         rng = np.random.default_rng(seed)
         a = random_matrix(rng, n, complex_=True)
-        abscissa = max(lam.real for lam in spectrum(a).eigenvalues)
+        abscissa = np.linalg.eigvals(a).real.max()
         assert abscissa <= mu(a, 2) + 1e-9
+
+
+#: every scalar entry point that takes a matrix from a caller
+ENTRY_POINTS = {
+    "mu": lambda m: mu(m, 2),
+    "mu_limit_check": lambda m: mu_limit_check(m, 1),
+    "matrix_norm": lambda m: matrix_norm(m, math.inf),
+    "lambda_max_hermitian": lambda_max_hermitian,
+}
+
+
+class TestMatrixValidation:
+    @pytest.mark.parametrize("entry", ENTRY_POINTS)
+    @pytest.mark.parametrize("shape", [(0, 0), (0, 1), (4,), (2, 3), (1, 2, 2)],
+                             ids=["0-0", "0-1", "1d", "2-3", "3d"])
+    def test_rejects_shapes(self, entry, shape):
+        with pytest.raises(DimensionError, match="square"):
+            ENTRY_POINTS[entry](np.zeros(shape))
+
+    @pytest.mark.parametrize("entry", ENTRY_POINTS)
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, complex(0, math.nan)])
+    def test_rejects_nonfinite(self, entry, bad):
+        with pytest.raises(ValueError, match="finite"):
+            ENTRY_POINTS[entry]([[1.0, bad], [bad, 1.0]])
 
 
 class TestInterceptWeights:

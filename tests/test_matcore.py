@@ -1,4 +1,4 @@
-"""Tests for the dense matrix layer: construction, norms, eigen kernels."""
+"""Tests for the dense matrix layer: norms and eigen kernels."""
 
 from __future__ import annotations
 
@@ -13,19 +13,14 @@ from hypothesis import strategies as st
 
 import slognorm.matcore as matcore
 from slognorm.matcore import (
-    ComplexMatrix,
     DimensionError,
     NonHermitianError,
-    Spectrum,
-    as_complex_matrix,
     check_p,
-    hermitian_part,
     lambda_max_hermitian,
     lambda_max_hermitian_batch,
     matrix_norm,
     matrix_norm_batch,
     max_re_eigvals_batch,
-    spectrum,
     vector_norm,
 )
 
@@ -40,66 +35,8 @@ def random_matrix(rng: np.random.Generator, n: int, scale: float = 1.0,
     return a
 
 
-class TestComplexMatrix:
-    def test_round_trip(self):
-        m = ComplexMatrix(2, 3, [1, 2j, 3, 4, 5, 6 - 1j])
-        assert (m.rows, m.cols) == (2, 3)
-        assert m.entries == (1, 2j, 3, 4, 5, (6 - 1j))
-        assert not m.is_square
-        np.testing.assert_array_equal(
-            m.array, np.array([[1, 2j, 3], [4, 5, 6 - 1j]])
-        )
-
-    def test_entry_count_mismatch(self):
-        with pytest.raises(DimensionError):
-            ComplexMatrix(2, 2, [1, 2, 3])
-
-    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, complex(0, math.nan)])
-    def test_nonfinite_rejected(self, bad):
-        with pytest.raises(ValueError):
-            ComplexMatrix(1, 2, [1.0, bad])
-
-    @pytest.mark.parametrize("rows,cols", [(0, 1), (1, 0), (-2, 3)])
-    def test_nonpositive_dimensions_rejected(self, rows, cols):
-        with pytest.raises(DimensionError):
-            ComplexMatrix(rows, cols, [])
-
-    def test_from_array_and_identity(self):
-        arr = np.array([[1.5, 0], [0, -2]])
-        m = ComplexMatrix.from_array(arr)
-        assert m == ComplexMatrix(2, 2, [1.5, 0, 0, -2])
-        assert ComplexMatrix.from_array(m) is m
-        assert ComplexMatrix.identity(3) == ComplexMatrix.from_array(np.eye(3))
-        with pytest.raises(DimensionError):
-            ComplexMatrix.from_array(np.zeros(4))
-
-    def test_backing_array_immutable(self):
-        m = ComplexMatrix.identity(2)
-        with pytest.raises(ValueError):
-            m.array[0, 0] = 5.0
-
-    def test_numpy_interop_copy_is_independent(self):
-        m = ComplexMatrix.identity(2)
-        arr = np.array(m)  # np.array copies by default
-        arr[0, 0] = 7.0
-        assert m.entries[0] == 1.0
-
-    def test_equality_and_repr(self):
-        a = ComplexMatrix(1, 2, [1, 2])
-        assert a == ComplexMatrix(1, 2, [1, 2])
-        assert a != ComplexMatrix(2, 1, [1, 2])
-        assert a != "not a matrix"
-        assert "1x2" in repr(a)
-
-
-class TestAsComplexMatrix:
-    def test_accepts_nested_lists(self):
-        m = as_complex_matrix([[1, 2], [3, 4]])
-        assert m.entries == (1, 2, 3, 4)
-
-    def test_square_requirement(self):
-        with pytest.raises(DimensionError, match="drift"):
-            as_complex_matrix(np.zeros((2, 3)), square=True, name="drift")
+def hermitian(m: np.ndarray) -> np.ndarray:
+    return 0.5 * (m + m.conj().T)
 
 
 class TestCheckP:
@@ -115,29 +52,6 @@ class TestCheckP:
     def test_rejected(self, raw):
         with pytest.raises((ValueError, TypeError)):
             check_p(raw)
-
-
-class TestHermitianPart:
-    def test_nilpotent_symmetrization(self):
-        h = hermitian_part([[0, 2], [0, 0]])
-        np.testing.assert_array_equal(h.array, np.array([[0, 1], [1, 0]]))
-
-    def test_hermitian_fixed_point(self):
-        m = np.array([[2.0, 1 + 1j], [1 - 1j, -3.0]])
-        np.testing.assert_array_equal(hermitian_part(m).array, m)
-
-    def test_imaginary_scalar(self):
-        assert hermitian_part([[1j]]).entries == (0,)
-
-    def test_exactly_hermitian_output(self):
-        rng = np.random.default_rng(7)
-        m = random_matrix(rng, 5, complex_=True)
-        h = hermitian_part(m).array
-        np.testing.assert_array_equal(h, h.conj().T)
-
-    def test_rejects_nonsquare(self):
-        with pytest.raises(DimensionError):
-            hermitian_part(np.zeros((2, 3)))
 
 
 class TestLambdaMaxHermitian:
@@ -185,44 +99,6 @@ class TestMaxReEigvals:
         # repeated eigenvalue with a Jordan block: closed form must not lose it
         m = np.array([[[-1.0, 5.0], [0.0, -1.0]]])
         assert max_re_eigvals_batch(m)[0] == pytest.approx(-1.0, abs=1e-12)
-
-
-class TestSpectrum:
-    def test_diagonal(self):
-        s = spectrum(np.diag([1 + 2j, 3 + 0j]))
-        assert sorted(s.eigenvalues, key=lambda z: z.real) == [1 + 2j, 3]
-        assert s.residual_bound >= 0
-
-    def test_rotation_generator(self):
-        s = spectrum([[0, 1], [-1, 0]])
-        got = sorted(s.eigenvalues, key=lambda z: z.imag)
-        assert got[0] == pytest.approx(-1j, abs=1e-12)
-        assert got[1] == pytest.approx(1j, abs=1e-12)
-
-    @pytest.mark.parametrize("b", [0.0, 1.0, 3.0])
-    def test_shear_matrix_defective_pair(self, b):
-        s = spectrum([[-1, b], [0, -1]])
-        for lam in s.eigenvalues:
-            assert lam == pytest.approx(-1.0, abs=1e-7)
-
-    @settings(max_examples=50, deadline=None)
-    @given(st.integers(0, 2**32 - 1), st.integers(1, 8))
-    def test_trace_and_determinant(self, seed, n):
-        rng = np.random.default_rng(seed)
-        a = random_matrix(rng, n, complex_=True)
-        s = spectrum(a)
-        assert len(s.eigenvalues) == n
-        scale = max(1.0, matrix_norm(a, 2))
-        assert sum(s.eigenvalues) == pytest.approx(np.trace(a), abs=1e-8 * n * scale)
-        assert np.prod(np.array(s.eigenvalues)) == pytest.approx(
-            np.linalg.det(a), rel=1e-6, abs=1e-8
-        )
-
-    def test_is_frozen(self):
-        s = spectrum(np.eye(2))
-        assert isinstance(s, Spectrum)
-        with pytest.raises(AttributeError):
-            s.residual_bound = 0.0
 
 
 class TestMatrixNorm:
@@ -276,15 +152,15 @@ class TestSpectralInequalities:
     def test_numerical_range_inside_norm_ball(self, seed, n, complex_):
         rng = np.random.default_rng(seed)
         m = random_matrix(rng, n, scale=3.0, complex_=complex_)
-        lam = lambda_max_hermitian(hermitian_part(m))
+        lam = lambda_max_hermitian(hermitian(m))
         assert lam <= matrix_norm(m, 2) + 1e-9
 
     @settings(max_examples=50, deadline=None)
     @given(st.integers(0, 2**32 - 1), st.integers(1, 6))
     def test_lambda_max_subadditivity_window(self, seed, n):
         rng = np.random.default_rng(seed)
-        h1 = hermitian_part(random_matrix(rng, n, complex_=True)).array
-        h2 = hermitian_part(random_matrix(rng, n, complex_=True)).array
+        h1 = hermitian(random_matrix(rng, n, complex_=True))
+        h2 = hermitian(random_matrix(rng, n, complex_=True))
         lam_sum = lambda_max_hermitian(h1 + h2)
         lam_min2 = -lambda_max_hermitian(-h2)
         assert lambda_max_hermitian(h1) + lam_min2 <= lam_sum + 1e-9
@@ -292,7 +168,7 @@ class TestSpectralInequalities:
 
     def test_lambda_max_shift_identity(self):
         rng = np.random.default_rng(11)
-        h = hermitian_part(random_matrix(rng, 4, complex_=True)).array
+        h = hermitian(random_matrix(rng, 4, complex_=True))
         shifted = lambda_max_hermitian(h + 2.5 * np.eye(4))
         assert shifted == pytest.approx(lambda_max_hermitian(h) + 2.5, abs=1e-10)
 

@@ -10,7 +10,6 @@ import pytest
 
 import slognorm.matcore as matcore
 import slognorm.sdesim as sdesim
-from slognorm.matcore import ComplexMatrix
 from slognorm.sdesim import (
     DIVERGENCE_THRESHOLD,
     MomentTrajectory,
@@ -27,9 +26,7 @@ from slognorm.slognorm import SdeSystem, sample_wiener_increments
 
 
 def scalar_system(alpha: float, beta: float) -> SdeSystem:
-    return SdeSystem(
-        ComplexMatrix(1, 1, [alpha]), (ComplexMatrix(1, 1, [beta]),)
-    )
+    return SdeSystem([[alpha]], ([[beta]],))
 
 
 class TestSimConfig:

@@ -11,7 +11,7 @@ import slognorm.matcore as matcore
 import slognorm.slognorm as slognorm_module
 from slognorm.cases import table1_system
 from slognorm.lognorm import mu, ols_intercept_weights
-from slognorm.matcore import ComplexMatrix, EigenConvergenceError, matrix_norm, matrix_norm_batch
+from slognorm.matcore import DimensionError, EigenConvergenceError, matrix_norm, matrix_norm_batch
 from slognorm.slognorm import (
     BOUND_APPLICABILITY,
     FP_FLOOR,
@@ -38,16 +38,11 @@ P_VALUES = (1, 2, math.inf)
 
 
 def scalar_system(alpha: float, beta: float) -> SdeSystem:
-    return SdeSystem(
-        ComplexMatrix(1, 1, [alpha]), (ComplexMatrix(1, 1, [beta]),)
-    )
+    return SdeSystem([[alpha]], ([[beta]],))
 
 
 def nonnormal_system(b: float, sigma: float) -> SdeSystem:
-    return SdeSystem(
-        ComplexMatrix.from_array([[-1.0, b], [0.0, -1.0]]),
-        (ComplexMatrix.from_array([[0.0, sigma], [-sigma, 0.0]]),),
-    )
+    return SdeSystem([[-1.0, b], [0.0, -1.0]], ([[0.0, sigma], [-sigma, 0.0]],))
 
 
 def random_system(rng: np.random.Generator, n: int, m: int, scale: float = 1.0,
@@ -56,39 +51,77 @@ def random_system(rng: np.random.Generator, n: int, m: int, scale: float = 1.0,
         a = rng.uniform(-scale, scale, (n, n))
         if complex_:
             a = a + 1j * rng.uniform(-scale, scale, (n, n))
-        return ComplexMatrix.from_array(a)
+        return a
 
     return SdeSystem(draw(), tuple(draw() for _ in range(m)))
 
 
 class TestSdeSystem:
     def test_coerces_array_likes(self):
-        sys_ = SdeSystem([[1, 0], [0, 1]], (np.zeros((2, 2)),))
-        assert isinstance(sys_.A, ComplexMatrix)
-        assert sys_.dim == 2 and sys_.m == 1
+        sys_ = SdeSystem([[1, 0], [0, 1]], ([[1, 2], [3, 4]], np.zeros((2, 2))))
+        np.testing.assert_array_equal(sys_.A, np.eye(2))
+        np.testing.assert_array_equal(sys_.diffusions[0], [[1, 2], [3, 4]])
+        assert sys_.diffusions.shape == (2, 2, 2)
+        assert sys_.dim == 2 and sys_.m == 2
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError, match=r"B\(1\)"):
             SdeSystem(np.eye(2), (np.eye(3),))
 
     def test_nonsquare(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(DimensionError, match="A must"):
             SdeSystem(np.zeros((2, 3)))
+        with pytest.raises(DimensionError, match=r"B\(2\) must"):
+            SdeSystem(np.eye(2), (np.eye(2), np.zeros((2, 3))))
 
-    def test_arrays_real_downcast(self):
-        a, bs = SdeSystem(np.eye(2), (np.eye(2),)).arrays()
-        assert a.dtype == np.float64 and bs.dtype == np.float64
-        a, bs = SdeSystem(1j * np.eye(2), (np.eye(2),)).arrays()
-        assert a.dtype == np.complex128 and bs.dtype == np.complex128
+    @pytest.mark.parametrize("shape", [(0, 0), (0, 1), (1, 0), (4,), (2, 2, 2)],
+                             ids=["0-0", "0-1", "1-0", "1d", "3d"])
+    def test_rejects_shapes(self, shape):
+        with pytest.raises(DimensionError):
+            SdeSystem(np.zeros(shape))
+        with pytest.raises(DimensionError):
+            SdeSystem([[1.0]], (np.zeros(shape),))
 
-    def test_arrays_empty_diffusions(self):
-        a, bs = SdeSystem(np.eye(3)).arrays()
-        assert bs.shape == (0, 3, 3)
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, complex(0, math.nan)])
+    def test_nonfinite_rejected(self, bad):
+        with pytest.raises(ValueError, match="A entries must be finite"):
+            SdeSystem([[1.0, bad], [0.0, 1.0]])
+        with pytest.raises(ValueError, match=r"B\(1\) entries must be finite"):
+            SdeSystem(np.eye(2), ([[1.0, 0.0], [bad, 1.0]],))
+
+    def test_storage_dtype(self):
+        sys_ = SdeSystem(np.eye(2), (np.eye(2),))
+        assert sys_.A.dtype == np.float64 and sys_.diffusions.dtype == np.float64
+        # an imaginary part anywhere makes the whole system complex
+        for sys_ in (SdeSystem(1j * np.eye(2), (np.eye(2),)),
+                     SdeSystem(np.eye(2), (np.eye(2), 1j * np.eye(2)))):
+            assert sys_.A.dtype == np.complex128
+            assert sys_.diffusions.dtype == np.complex128
+        # a zero imaginary part stores real
+        assert SdeSystem(np.eye(2, dtype=complex)).A.dtype == np.float64
+
+    def test_empty_diffusions(self):
+        sys_ = SdeSystem(np.eye(3))
+        assert sys_.diffusions.shape == (0, 3, 3) and sys_.m == 0
+
+    def test_arrays_read_only(self):
+        sys_ = SdeSystem(np.eye(2), (1j * np.eye(2),))
+        with pytest.raises(ValueError):
+            sys_.A[0, 0] = 5.0
+        with pytest.raises(ValueError):
+            sys_.diffusions[0, 0, 0] = 5.0
+
+    def test_copies_input(self):
+        a, b = np.eye(2), np.eye(2, dtype=complex)
+        sys_ = SdeSystem(a, (b,))
+        a[0, 0] = b[0, 0] = 7.0
+        assert a.flags.writeable and b.flags.writeable
+        assert sys_.A[0, 0] == 1.0 and sys_.diffusions[0, 0, 0] == 1.0
 
     def test_scaled(self):
         sys_ = scalar_system(-2.0, 3.0).scaled(4.0)
-        assert sys_.A.entries == (-8.0,)
-        assert sys_.diffusions[0].entries == (6.0,)
+        np.testing.assert_array_equal(sys_.A, [[-8.0]])
+        np.testing.assert_array_equal(sys_.diffusions, [[[6.0]]])
         with pytest.raises(ValueError):
             scalar_system(-2.0, 3.0).scaled(0.0)
 
@@ -483,7 +516,7 @@ def _reference_definitional(system: SdeSystem, p, l: int, cfg: McConfig) -> tupl
     """(value, std_error) of nu_definitional as first written: the transform
     runs once per sign and step, and _pair_mean averages the pair."""
     sm = slognorm_module
-    a, bs = system.arrays()
+    a, bs = system.A, system.diffusions
     n, m = system.dim, system.m
     h = sm._validate_h_sequence(default_h_sequence(system, p), matrix_norm(system.A, p))
     weights = ols_intercept_weights(h)
@@ -618,8 +651,7 @@ class TestBoundsReport:
     def test_multi_channel_spectral_form(self):
         rng = np.random.default_rng(59)
         sys_ = random_system(rng, 3, 2)
-        a = sys_.A.array
-        bs = [b.array for b in sys_.diffusions]
+        a, bs = sys_.A, sys_.diffusions
         l = 2
         want = l * mu(a, 2) + l * sum(
             0.5 * matrix_norm(b, 2) ** 2 + 0.5 * (mu(b, 2) + mu(-b, 2)) for b in bs
@@ -631,8 +663,8 @@ class TestBoundsReport:
     def test_multi_channel_norm_form(self):
         rng = np.random.default_rng(61)
         sys_ = random_system(rng, 2, 2)
-        a = sys_.A.array
-        b1, b2 = (b.array for b in sys_.diffusions)
+        a = sys_.A
+        b1, b2 = sys_.diffusions
         l, p = 1, 1
         norms = [matrix_norm(b1, p), matrix_norm(b2, p)]
         want = (
@@ -765,7 +797,7 @@ def test_package_root_exports_only_the_user_api():
 
     assert slognorm.__all__ == [
         "__version__",
-        "ComplexMatrix", "DimensionError", "NonHermitianError", "EigenConvergenceError",
+        "DimensionError", "NonHermitianError", "EigenConvergenceError",
         "mu", "mu_limit_check",
         "SdeSystem", "McConfig", "NuEstimate", "BoundsReport", "BOUND_APPLICABILITY",
         "StabilityClass", "PerturbedSpectrumCheck", "ScalingCheck",
