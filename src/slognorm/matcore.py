@@ -65,7 +65,14 @@ def _square_matrix(M: ArrayLike, name: str = "matrix") -> np.ndarray:
 
     Every matrix that enters the package from a caller passes through here.
     """
-    a = np.array(M, dtype=np.complex128)
+    try:
+        a = np.array(M, dtype=np.complex128)
+    except ValueError:
+        if np.ndim(np.array(M, dtype=object)) != 2:
+            raise DimensionError(
+                f"{name} must be a nonempty square matrix with rows of equal length"
+            ) from None
+        raise
     if a.ndim != 2 or a.shape[0] != a.shape[1] or a.size == 0:
         raise DimensionError(f"{name} must be a nonempty square matrix, got shape {a.shape}")
     if not np.isfinite(a).all():

@@ -24,6 +24,7 @@ import pytest
 from click.testing import CliRunner
 from numpy.polynomial.hermite_e import hermegauss
 
+import slognorm
 from slognorm.cases import TABLE1_CASES, TABLE1_REFERENCE, table1_system
 from slognorm.cli import cli
 from slognorm.lognorm import mu, mu_limit_check
@@ -355,6 +356,9 @@ def test_11_cli_byte_identical_reruns(tmp_path):
           "--samples", "512", "--seed", "7"], True),
     ]
     env = {k: v for k, v in os.environ.items() if k != "SLOGNORM_SEED"}
+    # the child imports the same package as this process, installed or not
+    package_root = os.path.dirname(os.path.dirname(slognorm.__file__))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
     for args, has_workers in invocations:
         outputs = []
         for workers in ("1", "1", "8"):

@@ -39,6 +39,27 @@ def hermitian(m: np.ndarray) -> np.ndarray:
     return 0.5 * (m + m.conj().T)
 
 
+class TestAsComplexMatrix:
+    """Input validation by ``_square_matrix``, which copies every caller's
+    matrix to complex128 (the class keeps the name of the converter it
+    replaced)."""
+
+    def test_accepts_nested_lists(self):
+        a = matcore._square_matrix([[1, 2], [3, 4]])
+        assert a.dtype == np.complex128
+        np.testing.assert_array_equal(a, np.array([[1, 2], [3, 4]]))
+
+    def test_square_requirement(self):
+        with pytest.raises(DimensionError, match="drift"):
+            matcore._square_matrix(np.zeros((2, 3)), name="drift")
+
+
+class TestComplexMatrix:
+    def test_entry_count_mismatch(self):
+        with pytest.raises(DimensionError, match="drift"):
+            matcore._square_matrix([[1, 2], [3]], name="drift")
+
+
 class TestCheckP:
     @pytest.mark.parametrize(
         "raw,expected",
