@@ -8,7 +8,7 @@ scalar and small structured systems, consistency checks (scaling law,
 perturbed-spectrum inequality, deterministic limit), and an ensemble
 Euler-Maruyama/Milstein simulator for moment trajectories with growth-rate
 fits.  All Monte Carlo results are bit-reproducible for a given seed,
-independent of worker count.
+whatever the number of cores.
 """
 
 from __future__ import annotations

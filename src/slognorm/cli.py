@@ -16,16 +16,8 @@ Machine-readable reports are printed as JSON on stdout; human-readable
 summaries go to stderr.  Exit codes: 0 success (including mathematically
 unstable verdicts), 2 input error, 3 numerical failure.  Every numeric
 result carries an estimator or bound identifier.  Re-running an identical
-invocation reproduces the report byte for byte, and --workers can never
-change any numeric output, so execution knobs are left out of the
-invocation echo.  By default ("auto") Monte Carlo blocks whose kernel calls
-LAPACK (p = 2 at dimension > 2) run on every available core with numpy's
-OpenBLAS held to one thread; everything else runs on one thread.  Where
-the two-channel Levy-area sampler or the definitional h-loop dominates,
---workers 2 is faster (an m = 2 Milstein simulate of 2e4 paths: 3.55 s
-automatically, 2.10 s with --workers 2 on a 2-core host); it was also
-faster for the n <= 2 closed forms and a scalar simulation when last
-measured.  The SLOGNORM_SEED environment
+invocation reproduces the report byte for byte, whatever the number of
+cores the Monte Carlo blocks run on.  The SLOGNORM_SEED environment
 variable overrides the default seed; an explicit --seed flag wins over
 both.  Non-finite numbers are serialized as the strings "inf", "-inf",
 "nan".
@@ -212,17 +204,13 @@ def _emit(results: dict, summary: list[str], warnings: list[str] | None = None,
     """Print the running command's report on stdout and its summary on stderr.
 
     The invocation echo holds every parameter of the command in declaration
-    order except --workers, which can never change a number.
+    order.
     """
     ctx = click.get_current_context()
     report = {
         "command": ctx.command.name,
         "version": __version__,
-        "invocation": {
-            param.name: ctx.params[param.name]
-            for param in ctx.command.params
-            if param.name != "workers"
-        },
+        "invocation": {param.name: ctx.params[param.name] for param in ctx.command.params},
         "results": results,
     }
     if annotations is not None:
@@ -260,13 +248,6 @@ _SEED_OPTION = click.option(
     show_default=True,
     envvar="SLOGNORM_SEED",
     help="Monte Carlo seed (SLOGNORM_SEED overrides the default; the flag wins).",
-)
-_WORKERS_OPTION = click.option(
-    "--workers",
-    type=click.IntRange(min=1),
-    default=None,
-    show_default="auto: every core for LAPACK-bound blocks, else 1",
-    help="Worker threads; can never change numeric results.",
 )
 _ANTITHETIC_OPTION = click.option(
     "--antithetic/--no-antithetic",
@@ -341,7 +322,6 @@ def cmd_lognorm(matrix_file: str, p: str) -> None:
 @click.option("--tol", type=float, default=0.0, show_default=True,
               help="Stability cut-off added around zero when classifying.")
 @_ANTITHETIC_OPTION
-@_WORKERS_OPTION
 def cmd_slognorm(
     system_file: str,
     p: str,
@@ -353,7 +333,6 @@ def cmd_slognorm(
     hsteps: int,
     tol: float,
     antithetic: bool,
-    workers: int | None,
 ) -> None:
     """Estimate the stochastic logarithmic norm nu_p^l of a system file.
 
@@ -365,7 +344,7 @@ def cmd_slognorm(
     """
     system, meta = _load_system(system_file)
     with _numeric_guard():
-        cfg = McConfig(samples=samples, seed=seed, antithetic=antithetic, workers=workers)
+        cfg = McConfig(samples=samples, seed=seed, antithetic=antithetic)
         h_seq = None
         if h0 is not None:
             if h0 <= 0:
@@ -453,7 +432,6 @@ def _parse_x0(text: str | None, dim: int) -> np.ndarray:
 @_SEED_OPTION
 @click.option("--out", type=click.Path(dir_okay=False, writable=True), default=None,
               help="Write the trajectory as CSV (time, moment, stderr, paths, scheme).")
-@_WORKERS_OPTION
 def cmd_simulate(
     system_file: str,
     x0: str | None,
@@ -466,7 +444,6 @@ def cmd_simulate(
     l: int,
     seed: int,
     out: str | None,
-    workers: int | None,
 ) -> None:
     """Simulate E norm(X_t, p)^l over an ensemble and fit its growth rate."""
     system, meta = _load_system(system_file)
@@ -476,7 +453,7 @@ def cmd_simulate(
             scheme=scheme, seed=seed, p=p, l=l,
         )
         start = _parse_x0(x0, system.dim)
-        traj = simulate_moments(system, start, cfg, workers=workers)
+        traj = simulate_moments(system, start, cfg)
 
     warnings: list[str] = []
     diverged_total = int(traj.diverged[-1])
@@ -497,7 +474,10 @@ def cmd_simulate(
         warnings.append(f"growth rate not fitted: {exc}")
 
     if out is not None:
-        traj.write_csv(out)
+        try:
+            traj.write_csv(out)
+        except OSError as exc:
+            raise InputError(f"cannot write {out}: {exc}") from exc
 
     results = {
         "system": {"dimension": system.dim, "channels": system.m, **meta},
@@ -533,8 +513,7 @@ def cmd_simulate(
 @click.option("--samples", type=click.IntRange(min=2), default=None,
               help="Monte Carlo samples per case (default scales with dimension).")
 @_ANTITHETIC_OPTION
-@_WORKERS_OPTION
-def cmd_table1(seed: int, samples: int | None, antithetic: bool, workers: int | None) -> None:
+def cmd_table1(seed: int, samples: int | None, antithetic: bool) -> None:
     """Reproduce the published nu_2^2 benchmark table with fresh estimates.
 
     For each case the white-noise estimate, the closed-form bounds, the
@@ -546,7 +525,7 @@ def cmd_table1(seed: int, samples: int | None, antithetic: bool, workers: int | 
     rows = []
     summary = []
     with _numeric_guard():
-        cfg = McConfig(samples=samples, seed=seed, antithetic=antithetic, workers=workers)
+        cfg = McConfig(samples=samples, seed=seed, antithetic=antithetic)
         for case in TABLE1_REFERENCE:
             system = table1_system(case, seed=seed)
             est = nu_direct(system, 2, 2, cfg)
@@ -596,7 +575,6 @@ def cmd_table1(seed: int, samples: int | None, antithetic: bool, workers: int | 
               help="Monte Carlo samples for the cross-check estimate.")
 @_SEED_OPTION
 @_ANTITHETIC_OPTION
-@_WORKERS_OPTION
 def cmd_examples(
     which: str,
     g_over_l: float,
@@ -606,7 +584,6 @@ def cmd_examples(
     samples: int | None,
     seed: int,
     antithetic: bool,
-    workers: int | None,
 ) -> None:
     """Worked stability examples with closed-form nu_2^2 oracles.
 
@@ -620,7 +597,7 @@ def cmd_examples(
     a signed --sigma2 covers the imaginary-sigma regime.
     """
     with _numeric_guard():
-        cfg = McConfig(samples=samples, seed=seed, antithetic=antithetic, workers=workers)
+        cfg = McConfig(samples=samples, seed=seed, antithetic=antithetic)
     for flag, value in (("--g-over-l", g_over_l), ("--eps", eps), ("--b", b),
                         ("--sigma2", sigma2)):
         if value is not None and not math.isfinite(value):

@@ -10,10 +10,11 @@ Batched variants (suffix ``_batch``) operate on stacks of matrices with
 shape ``(..., n, n)`` and exist so that Monte Carlo loops elsewhere in the
 package can stay vectorized; they share the same numerics as the scalar
 entry points, which validate their input and compute in complex128.  The
-Monte Carlo engines fan their independent blocks out over threads through
-:func:`_run_blocks`, which decides the thread count from whether the
-kernels call LAPACK and holds OpenBLAS to one thread meanwhile; nothing
-here changes BLAS threading at import.
+Monte Carlo engines seed and run their independent blocks through
+:func:`_run_blocks`, which alone picks the thread count (from the
+available cores and whether the blocks may fan out) and holds OpenBLAS to
+one thread during a fan-out; nothing here changes BLAS threading at
+import.
 """
 
 from __future__ import annotations
@@ -247,44 +248,48 @@ _single_thread_blas = _SingleThreadBlas()
 
 
 def _available_cores() -> int:
+    """Cores this process may run on; restricting its CPU affinity (e.g.
+    with ``taskset``) caps the threads a fan-out uses."""
     try:
         return len(os.sched_getaffinity(0))
     except AttributeError:  # no affinity call on this platform
         return os.cpu_count() or 1
 
 
-def _block_workers(workers: int | None, nblocks: int, lapack: bool) -> int:
-    """Threads for ``nblocks`` independent blocks, at most one per block.
-
-    ``workers=None`` picks the count: every available core when the
-    blocks' kernel calls LAPACK (``lapack``, see :func:`_calls_lapack`)
-    and OpenBLAS can be held to one thread, else 1 (why: see
-    ``slognorm.McConfig``).
-    """
-    if workers is None:
-        workers = _available_cores() if lapack and _openblas_controls() is not None else 1
-    elif workers < 1:
-        raise ValueError(f"workers must be positive, got {workers}")
-    return max(1, min(workers, nblocks))
+def _block_workers(nblocks: int, fan_out: bool) -> int:
+    """Threads for ``nblocks`` independent blocks: one per available core,
+    at most one per block, when the blocks may ``fan_out`` and OpenBLAS can
+    be held to one thread meanwhile; else 1."""
+    if not fan_out or _openblas_controls() is None:
+        return 1
+    return max(1, min(_available_cores(), nblocks))
 
 
 def _run_blocks(
-    run: Callable[[int], None], nblocks: int, workers: int | None, lapack: bool
+    run: Callable[[int, np.random.Generator], None], nblocks: int, seed: int, fan_out: bool
 ) -> None:
-    """Call ``run(b)`` for every block b on :func:`_block_workers` threads.
+    """Call ``run(b, rng_b)`` for every block b on :func:`_block_workers`
+    threads, where rng_b is seeded from (seed, spawn_key=(b,)) only.
 
-    Blocks must write disjoint outputs, so that the thread count cannot
-    change any result.  A fan-out holds OpenBLAS to one thread and
-    restores the previous count when the last block has finished, also
-    when a block raises.
+    Estimator blocks fan out when their kernel calls LAPACK (see
+    :func:`_calls_lapack`); fanning out the n <= 2 and p in {1, inf} closed
+    forms raised peak memory and slowed some estimates down, so they stay
+    on one thread.  Simulation blocks always fan out.  Blocks must write
+    disjoint outputs, so that the thread count cannot change any result.
+    A fan-out holds OpenBLAS to one thread and restores the previous count
+    when the last block has finished, also when a block raises.
     """
-    threads = _block_workers(workers, nblocks, lapack)
+
+    def seeded(b: int) -> None:
+        run(b, np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(b,))))
+
+    threads = _block_workers(nblocks, fan_out)
     if threads == 1:
         for b in range(nblocks):
-            run(b)
+            seeded(b)
         return
     with _single_thread_blas, ThreadPoolExecutor(max_workers=threads) as pool:
-        for future in [pool.submit(run, b) for b in range(nblocks)]:
+        for future in [pool.submit(seeded, b) for b in range(nblocks)]:
             future.result()
 
 

@@ -20,9 +20,9 @@ l = 2 the direct route gives 2 mu_2(A) - 1 while the definitional limit is
 All estimators share one deterministic Monte Carlo engine: draws are
 generated in fixed-size blocks, each block seeded independently from
 (seed, block index), and reduced in fixed order, which makes every result
-bit-identical for a given seed regardless of the worker-thread count.
-Blocks whose kernel calls LAPACK run on every available core by default
-(see :class:`McConfig`).
+bit-identical for a given seed whatever the number of cores.  Blocks
+whose kernel calls LAPACK run on every available core (see
+:func:`slognorm.matcore._run_blocks`).
 """
 
 from __future__ import annotations
@@ -79,14 +79,15 @@ def _block_size(dim: int) -> int:
 
     Fixed at ``_BLOCK`` up to dim 32 and shrunk quadratically beyond that so
     a block's working set stays bounded.  The size depends only on the
-    system, never on worker count, so the random stream partition (and with
+    system, never on the thread count, so the random stream partition (and with
     it every numeric result) is reproducible.
     """
     return max(64, min(_BLOCK, 4_194_304 // max(1, dim * dim)))
 
 
-#: doubles per (rows, dim, dim) temporary when a block's statistic is evaluated
-_CHUNK_DOUBLES = 2**19
+#: doubles per (rows, dim, dim) temporary when a block's statistic is evaluated;
+#: an antithetic pair holds its noise and one perturbed stack at once
+_CHUNK_DOUBLES = 2**18
 
 
 #: subintervals used to discretize off-diagonal iterated Wiener integrals
@@ -160,32 +161,19 @@ class McConfig:
     hand.  ``antithetic`` draws (zeta, -zeta) pairs and averages each pair
     into one replicate, so the reported standard error is the spread of the
     pair means; with it enabled the effective sample count is rounded down
-    to a multiple of two.  ``workers`` only fans out independent RNG blocks
-    over threads and can never change any numeric result.  ``workers=None``
-    (the CLI's default, "auto") uses every available core when the
-    statistic's kernel calls LAPACK (p = 2 or the general eigensolver at
-    n > 2) and numpy's OpenBLAS can be held to one thread meanwhile, and
-    one thread otherwise.  An explicit ``workers=2`` speeds up blocks
-    dominated by the two-channel Levy-area sampler or the definitional
-    h-loop (``slognorm --method both --samples 200000`` on a two-channel
-    2x2 system: 0.96 s automatically, 0.69 s with two workers on a 2-core
-    host), and on that host also a 2x2 ``nu_direct`` at 10^6 samples
-    (72 ms on one thread, 53 ms on two).  Any fan-out holds OpenBLAS to one
-    thread and restores its thread count afterwards.
+    to a multiple of two.  The thread count is not a setting: see
+    :func:`slognorm.matcore._run_blocks`, which can never change a result.
     """
 
     samples: int | None = None
     seed: int = 42
     antithetic: bool = True
-    workers: int | None = 1
 
     def __post_init__(self):
         if self.samples is not None and self.samples < 2:
             raise ValueError(f"samples must be at least 2, got {self.samples}")
         if not 0 <= int(self.seed) < 2**64:
             raise ValueError("seed must fit in an unsigned 64-bit integer")
-        if self.workers is not None and self.workers < 1:
-            raise ValueError(f"workers must be positive, got {self.workers}")
 
     def resolve_samples(self, n: int) -> int:
         return self.samples if self.samples is not None else default_samples(n)
@@ -260,19 +248,17 @@ def _collect_blocks(
     """Fill a (reps, ncols) matrix of replicate statistics deterministically.
 
     Block b of ``_block_size(dim)`` replicates is ``rep_fn(rng_b, count)``
-    where rng_b is seeded from (cfg.seed, spawn_key=(b,)) only.  The output
-    slices are disjoint, so the thread fan-out (``cfg.workers``; ``lapack``
-    says whether rep_fn's kernel calls LAPACK) yields bit-identical
-    results; reductions over the returned array are the caller's business
-    and use numpy's fixed-order pairwise summation.
+    with rng_b from :func:`_run_blocks`.  The output slices are disjoint, so
+    the blocks fan out (when ``lapack`` says rep_fn's kernel calls LAPACK)
+    with bit-identical results; reductions over the returned array are the
+    caller's business and use numpy's fixed-order pairwise summation.
     """
     block = _block_size(dim)
     out = np.empty((reps, ncols), dtype=np.float64)
 
-    def run(b: int) -> None:
+    def run(b: int, rng: np.random.Generator) -> None:
         start = b * block
         stop = min(start + block, reps)
-        rng = np.random.default_rng(np.random.SeedSequence(cfg.seed, spawn_key=(b,)))
         try:
             out[start:stop] = rep_fn(rng, stop - start)
         except EigenConvergenceError as exc:
@@ -280,20 +266,8 @@ def _collect_blocks(
                 f"{exc} (while evaluating replicates {start}..{stop})"
             ) from exc
 
-    _run_blocks(run, -(-reps // block), cfg.workers, lapack)
+    _run_blocks(run, -(-reps // block), cfg.seed, lapack)
     return out
-
-
-def _pair_mean(
-    stat: Callable[[np.ndarray], np.ndarray], x: np.ndarray, dim: int, antithetic: bool
-) -> np.ndarray:
-    """stat(x), or 0.5 (stat(x) + stat(-x)) with antithetic pairing, over
-    one block's draws x (one row per replicate) in :func:`_chunked` rows."""
-
-    def pair(c: np.ndarray) -> np.ndarray:
-        return 0.5 * (stat(c) + stat(-c)) if antithetic else stat(c)
-
-    return _chunked(pair, x, dim)
 
 
 def _chunked(fn: Callable[[np.ndarray], np.ndarray], x: np.ndarray, dim: int) -> np.ndarray:
@@ -342,13 +316,16 @@ def nu_direct(system: SdeSystem, p=2, l: int = 2, cfg: McConfig | None = None) -
     samples = cfg.resolve_samples(system.dim)
     reps, total = _replicate_plan(samples, cfg.antithetic)
 
-    def stat(z: np.ndarray) -> np.ndarray:
-        mats = base + np.tensordot(z, bs, axes=(1, 0))
-        return l * mu_batch(mats, p)
+    def pair(z: np.ndarray) -> np.ndarray:
+        noise = np.tensordot(z, bs, axes=(1, 0))
+        stat = l * mu_batch(base + noise, p)
+        if cfg.antithetic:
+            stat = 0.5 * (stat + l * mu_batch(base - noise, p))
+        return stat
 
     def rep(rng: np.random.Generator, count: int) -> np.ndarray:
         z = rng.standard_normal((count, m))
-        return _pair_mean(stat, z, system.dim, cfg.antithetic)[:, np.newaxis]
+        return _chunked(pair, z, system.dim)[:, np.newaxis]
 
     arr = _collect_blocks(
         rep, reps, 1, cfg, system.dim, _calls_lapack(system.dim, p)
@@ -769,15 +746,21 @@ def expected_max_re_perturbed(
     samples = cfg.resolve_samples(system.dim)
     reps, total = _replicate_plan(samples, cfg.antithetic)
 
-    def stat(z: np.ndarray) -> np.ndarray:
-        mats = base + np.tensordot(z, bs, axes=(1, 0)) if m else np.broadcast_to(
-            base, (z.shape[0],) + base.shape
-        )
+    def stat(mats: np.ndarray) -> np.ndarray:
         return np.column_stack([max_re_eigvals_batch(mats), mu_batch(mats, 2)])
+
+    def pair(z: np.ndarray) -> np.ndarray:
+        if not m:
+            return stat(np.broadcast_to(base, (z.shape[0],) + base.shape))
+        noise = np.tensordot(z, bs, axes=(1, 0))
+        stats = stat(base + noise)
+        if cfg.antithetic:
+            stats = 0.5 * (stats + stat(base - noise))
+        return stats
 
     def rep(rng: np.random.Generator, count: int) -> np.ndarray:
         z = rng.standard_normal((count, m))
-        return _pair_mean(stat, z, system.dim, cfg.antithetic)
+        return _chunked(pair, z, system.dim)
 
     arr = _collect_blocks(rep, reps, 2, cfg, system.dim, _calls_lapack(system.dim))
     means = arr.mean(axis=0)

@@ -307,7 +307,7 @@ def test_09_moment_law_growth_rate():
     system = scalar_system(-100.0, 10.0)
     cfg = SimConfig(h=1e-4, t_end=0.02, paths=100_000, checkpoints=10, seed=2)
     t0 = time.perf_counter()
-    traj = simulate_moments(system, [1.0], cfg, workers=1)
+    traj = simulate_moments(system, [1.0], cfg)
     rate, rate_se = growth_rate(traj)
     elapsed = time.perf_counter() - t0
     assert abs(rate - (-100.0)) <= 15.0, f"rate {rate} +/- {rate_se}"
@@ -343,33 +343,37 @@ def test_11_cli_byte_identical_reruns(tmp_path):
         ],
     }))
 
-    # (command args, whether the command exposes --workers); lognorm is a
-    # closed form with no Monte Carlo stage, so it has no workers knob
+    # slognorm (n = 3, p = 2) and simulate run two blocks each, which fan
+    # out unless the process is pinned to one CPU
     invocations = [
-        (["lognorm", str(matrix_file), "--p", "2"], False),
-        (["slognorm", str(system_file), "--samples", "512", "--seed", "7"], True),
-        (["simulate", str(system_file), "--h", "0.05", "--t-end", "0.5",
-          "--paths", "2000", "--checkpoints", "5", "--seed", "7"], True),
-        (["table1", "--samples", "64", "--seed", "3"], True),
-        (["examples", "--which", "pendulum", "--samples", "512", "--seed", "7"], True),
-        (["examples", "--which", "nonnormal", "--sigma2", "0.5",
-          "--samples", "512", "--seed", "7"], True),
+        ["lognorm", str(matrix_file), "--p", "2"],
+        ["slognorm", str(system_file), "--samples", "8200", "--seed", "7"],
+        ["simulate", str(system_file), "--h", "0.05", "--t-end", "0.5",
+         "--paths", "5000", "--checkpoints", "5", "--seed", "7"],
+        ["table1", "--samples", "64", "--seed", "3"],
+        ["examples", "--which", "pendulum", "--samples", "512", "--seed", "7"],
+        ["examples", "--which", "nonnormal", "--sigma2", "0.5",
+         "--samples", "512", "--seed", "7"],
     ]
     env = {k: v for k, v in os.environ.items() if k != "SLOGNORM_SEED"}
     # the child imports the same package as this process, installed or not
     package_root = os.path.dirname(os.path.dirname(slognorm.__file__))
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
-    for args, has_workers in invocations:
+
+    def pin_to_one_cpu():
+        os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+
+    # two runs as they are, then one on a single CPU where affinity can be set
+    setups = [None, None] + ([pin_to_one_cpu] if hasattr(os, "sched_setaffinity") else [])
+    for args in invocations:
         outputs = []
-        for workers in ("1", "1", "8"):
-            argv = [sys.executable, "-m", "slognorm.cli", *args]
-            if has_workers:
-                argv += ["--workers", workers]
-            proc = subprocess.run(argv, capture_output=True, env=env, timeout=300)
-            assert proc.returncode == 0, (args, workers, proc.stderr.decode())
+        for setup in setups:
+            proc = subprocess.run([sys.executable, "-m", "slognorm.cli", *args],
+                                  capture_output=True, env=env, timeout=300, preexec_fn=setup)
+            assert proc.returncode == 0, (args, proc.stderr.decode())
             outputs.append(proc.stdout)
         assert outputs[0] == outputs[1], f"rerun changed stdout: {args}"
-        assert outputs[0] == outputs[2], f"worker count changed stdout: {args}"
+        assert outputs[0] == outputs[-1], f"one CPU changed stdout: {args}"
 
 
 def test_12_mu_limit_and_spectral_abscissa():

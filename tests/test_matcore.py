@@ -203,29 +203,37 @@ class TestSpectralInequalities:
 
 
 class TestRunBlocks:
-    def test_every_block_runs_once(self):
-        for workers in (None, 1, 3):
-            done = []
-            matcore._run_blocks(done.append, 7, workers, lapack=True)
-            assert sorted(done) == list(range(7))
+    def test_every_block_runs_once(self, block_threads):
+        expected = [
+            np.random.default_rng(np.random.SeedSequence(5, spawn_key=(b,))).random()
+            for b in range(7)
+        ]
+        for cores in (1, 3):
+            block_threads.cores(cores)
+            done = {}
+            matcore._run_blocks(lambda b, rng: done.update({b: rng.random()}), 7, 5, fan_out=True)
+            assert [done[b] for b in range(7)] == expected
 
-    def test_worker_count_rules(self, monkeypatch):
-        assert matcore._block_workers(8, 3, lapack=False) == 3
-        assert matcore._block_workers(None, 5, lapack=False) == 1
-        with pytest.raises(ValueError, match="workers"):
-            matcore._block_workers(0, 5, lapack=True)
+    def test_worker_count_rules(self, monkeypatch, block_threads):
+        block_threads.cores(8)
+        assert matcore._block_workers(5, fan_out=False) == 1
+        if block_threads.can_fan_out():
+            assert matcore._block_workers(3, fan_out=True) == 3
+            block_threads.cores(2)
+            assert matcore._block_workers(5, fan_out=True) == 2
         monkeypatch.setattr(matcore, "_openblas_controls", lambda: None)
-        assert matcore._block_workers(None, 5, lapack=True) == 1
+        assert matcore._block_workers(5, fan_out=True) == 1
 
     def test_lapack_rule_follows_closed_form_switch(self):
         assert not any(matcore._calls_lapack(n, 2) for n in (1, 2))
         assert matcore._calls_lapack(3, 2) and matcore._calls_lapack(100, 2)
         assert not matcore._calls_lapack(100, 1) and not matcore._calls_lapack(100, math.inf)
 
-    def test_concurrent_fan_outs_share_one_blas_hold(self):
+    def test_concurrent_fan_outs_share_one_blas_hold(self, block_threads):
         controls = matcore._openblas_controls()
         if controls is None:
             pytest.skip("numpy's OpenBLAS thread controls are not available")
+        block_threads.cores(3)
         get, put = controls
         original = get()
         put(2)
@@ -234,7 +242,7 @@ class TestRunBlocks:
 
         def fan_out():
             for _ in range(40):
-                matcore._run_blocks(lambda b: seen.append(get()), 4, 3, lapack=True)
+                matcore._run_blocks(lambda b, rng: seen.append(get()), 4, 0, fan_out=True)
 
         threads = [threading.Thread(target=fan_out) for _ in range(4)]
         try:

@@ -8,7 +8,6 @@ import math
 import numpy as np
 import pytest
 
-import slognorm.matcore as matcore
 import slognorm.sdesim as sdesim
 from slognorm.sdesim import (
     DIVERGENCE_THRESHOLD,
@@ -273,17 +272,19 @@ class TestSimulateMoments:
     def test_threshold_is_documented_scale(self):
         assert DIVERGENCE_THRESHOLD == 1e150
 
-    def test_bitwise_deterministic_across_workers(self):
+    def test_bitwise_deterministic_across_workers(self, block_threads):
         rng = np.random.default_rng(13)
         sys_ = SdeSystem(
             rng.normal(size=(2, 2)) - 2 * np.eye(2),
             tuple(0.3 * rng.normal(size=(2, 2)) for _ in range(2)),
         )
         cfg = SimConfig(h=0.05, t_end=1.0, paths=6000, checkpoints=10, seed=21)
-        one = simulate_moments(sys_, [1.0, -1.0], cfg, workers=1)
-        four = simulate_moments(sys_, [1.0, -1.0], cfg, workers=4)
-        np.testing.assert_array_equal(one.moments, four.moments)
-        np.testing.assert_array_equal(one.std_errors, four.std_errors)
+        runs = block_threads.across(lambda: simulate_moments(sys_, [1.0, -1.0], cfg))
+        # simulation blocks fan out whatever the dimension: both blocks here
+        assert block_threads.picked == [2 if block_threads.can_fan_out() else 1]
+        for traj in runs.values():
+            np.testing.assert_array_equal(traj.moments, runs[1].moments)
+            np.testing.assert_array_equal(traj.std_errors, runs[1].std_errors)
 
     def test_schemes_coincide_without_diffusion(self):
         sys_ = SdeSystem(np.array([[-2.0, 1.0], [0.0, -3.0]]))
@@ -299,23 +300,6 @@ class TestSimulateMoments:
             simulate_moments(sys_, [1.0, 2.0], cfg)
         with pytest.raises(ValueError, match="nonzero"):
             simulate_moments(sys_, [0.0], cfg)
-        with pytest.raises(ValueError, match="workers"):
-            simulate_moments(sys_, [1.0], cfg, workers=0)
-
-    def test_auto_workers_run_serially(self, monkeypatch):
-        # the step kernel calls no LAPACK, so "auto" keeps one thread
-        seen = []
-
-        def spy(run, nblocks, workers, lapack):
-            seen.append(matcore._block_workers(workers, nblocks, lapack))
-            matcore._run_blocks(run, nblocks, workers, lapack)
-
-        monkeypatch.setattr(sdesim, "_run_blocks", spy)
-        cfg = SimConfig(h=0.1, t_end=1.0, paths=9000, seed=2)
-        auto = simulate_moments(scalar_system(-1.0, 1.0), [1.0], cfg, workers=None)
-        assert seen == [1]
-        two = simulate_moments(scalar_system(-1.0, 1.0), [1.0], cfg, workers=2)
-        np.testing.assert_array_equal(auto.moments, two.moments)
 
     def test_arrays_are_read_only(self):
         traj = simulate_moments(

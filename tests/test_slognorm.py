@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
@@ -130,7 +131,8 @@ class TestMcConfig:
     def test_defaults(self):
         cfg = McConfig()
         assert cfg.samples is None and cfg.seed == 42
-        assert cfg.antithetic and cfg.workers == 1
+        assert cfg.antithetic
+        assert [f.name for f in dataclasses.fields(McConfig)] == ["samples", "seed", "antithetic"]
 
     def test_resolve_samples_by_dimension(self):
         assert McConfig().resolve_samples(2) == default_samples(2) == 10**6
@@ -139,7 +141,7 @@ class TestMcConfig:
         assert McConfig(samples=777).resolve_samples(2) == 777
 
     @pytest.mark.parametrize("kwargs", [
-        {"samples": 1}, {"seed": -1}, {"seed": 2**64}, {"workers": 0},
+        {"samples": 1}, {"seed": -1}, {"seed": 2**64},
     ])
     def test_validation(self, kwargs):
         with pytest.raises(ValueError):
@@ -227,17 +229,15 @@ class TestNuDirect:
         assert two.value == pytest.approx(2 * mu(a, 2) - 1.0, abs=1e-9)
         assert max(one.std_error, two.std_error) <= 1e-9
 
-    def test_deterministic_across_workers_and_seeds(self):
+    def test_deterministic_across_workers_and_seeds(self, block_threads):
         rng = np.random.default_rng(9)
         sys_ = random_system(rng, 3, 2)
-        runs = [
-            nu_direct(sys_, 2, 2, McConfig(samples=20000, seed=11, workers=w))
-            for w in (1, 4)
-        ]
-        assert runs[0].value == runs[1].value
-        assert runs[0].std_error == runs[1].std_error
+        runs = block_threads.across(
+            lambda: nu_direct(sys_, 2, 2, McConfig(samples=20000, seed=11)), cores=(1, 4))
+        assert runs[1].value == runs[4].value
+        assert runs[1].std_error == runs[4].std_error
         other = nu_direct(sys_, 2, 2, McConfig(samples=20000, seed=12))
-        assert other.value != runs[0].value
+        assert other.value != runs[1].value
 
     def test_antithetic_halves_replicates_not_samples(self):
         sys_ = scalar_system(-1.0, 1.0)
@@ -276,12 +276,14 @@ class TestNuDefinitional:
             assert est.value == pytest.approx(2 * mu(sys_.A, p), abs=1e-6)
             assert est.samples == 16
 
-    def test_multi_channel_runs_and_is_deterministic(self):
+    def test_multi_channel_runs_and_is_deterministic(self, block_threads):
+        # n = 3 calls LAPACK, so the two blocks fan out
         rng = np.random.default_rng(37)
-        sys_ = random_system(rng, 2, 3, scale=0.5)
-        a = nu_definitional(sys_, 2, 2, cfg=McConfig(samples=8192, seed=5, workers=1))
-        b = nu_definitional(sys_, 2, 2, cfg=McConfig(samples=8192, seed=5, workers=8))
-        assert a.value == b.value and a.std_error == b.std_error
+        sys_ = random_system(rng, 3, 3, scale=0.5)
+        runs = block_threads.across(
+            lambda: nu_definitional(sys_, 2, 2, cfg=McConfig(samples=8200, seed=5)))
+        assert len({(r.value, r.std_error) for r in runs.values()}) == 1, runs
+        assert block_threads.picked == [2 if block_threads.can_fan_out() else 1]
 
     def test_rejects_h_outside_expansion_regime(self):
         sys_ = scalar_system(-100.0, 1.0)
@@ -321,78 +323,63 @@ def _estimates(sys_, p, direct_cfg, definitional_cfg):
 
 
 class TestBlockFanOut:
-    """RNG blocks fan out over threads without changing a bit, and only by
-    default where the statistic's kernel calls LAPACK."""
+    """RNG blocks fan out over threads without changing a bit, and only
+    where the statistic's kernel calls LAPACK."""
 
-    def test_case_g_bitwise_equal_across_workers(self):
+    def test_case_g_bitwise_equal_across_workers(self, block_threads):
         sys_ = table1_system("g")
-        runs = {
-            w: _estimates(sys_, 2, McConfig(samples=20000, seed=4, workers=w),
-                          McConfig(samples=10000, seed=4, workers=w))
-            for w in (None, 1, 2, 3)
-        }
+        runs = block_threads.across(lambda: _estimates(
+            sys_, 2, McConfig(samples=20000, seed=4), McConfig(samples=10000, seed=4)))
         assert len(set(runs.values())) == 1, runs
 
-    def test_chunked_blocks_bitwise_equal(self, monkeypatch):
-        # n = 100: 419-replicate blocks evaluated in 52-row chunks
+    def test_chunked_blocks_bitwise_equal(self, monkeypatch, block_threads):
+        # n = 100: 419-replicate blocks evaluated in 26-row chunks
         sys_ = random_system(np.random.default_rng(100), 100, 1)
 
-        def run(w):
+        def run():
             return _estimates(
-                sys_, 2, McConfig(samples=430, seed=6, antithetic=False, workers=w),
-                McConfig(samples=64, seed=6, antithetic=False, workers=w),
+                sys_, 2, McConfig(samples=430, seed=6, antithetic=False),
+                McConfig(samples=64, seed=6, antithetic=False),
             )
 
-        runs = {w: run(w) for w in (None, 1, 2, 3)}
+        runs = block_threads.across(run)
         assert len(set(runs.values())) == 1, runs
         monkeypatch.setattr(slognorm_module, "_CHUNK_DOUBLES", 2**40)
-        assert run(1) == runs[1]
-
-    @staticmethod
-    def resolved(monkeypatch, module, call):
-        """Thread counts the auto rule picks for each engine call in ``call``."""
-        seen = []
-
-        def spy(run, nblocks, workers, lapack):
-            seen.append(matcore._block_workers(workers, nblocks, lapack))
-            matcore._run_blocks(run, nblocks, workers, lapack)
-
-        monkeypatch.setattr(module, "_run_blocks", spy)
-        call()
-        return seen
+        block_threads.cores(1)
+        assert run() == runs[1]
 
     @pytest.mark.parametrize("dim, p", [(2, 2), (6, 1), (6, math.inf)])
-    def test_auto_is_serial_without_lapack(self, monkeypatch, dim, p):
+    def test_auto_is_serial_without_lapack(self, block_threads, dim, p):
         sys_ = random_system(np.random.default_rng(dim), dim, 1, scale=0.1)
-        cfg = McConfig(samples=20000, seed=1, workers=None)
+        cfg = McConfig(samples=20000, seed=1)
+        block_threads.cores(8)
+        nu_direct(sys_, p, 2, cfg)
+        nu_definitional(sys_, p, 2, cfg=cfg)
+        if dim <= 2:
+            expected_max_re_perturbed(sys_, cfg)
+        assert block_threads.picked == [1] * (3 if dim <= 2 else 2)
 
-        def call():
-            nu_direct(sys_, p, 2, cfg)
-            nu_definitional(sys_, p, 2, cfg=cfg)
-            if dim <= 2:
-                expected_max_re_perturbed(sys_, cfg)
-
-        assert self.resolved(monkeypatch, slognorm_module, call) == [1] * (3 if dim <= 2 else 2)
-
-    def test_auto_is_serial_without_blas_pinning(self, monkeypatch):
+    def test_auto_is_serial_without_blas_pinning(self, monkeypatch, block_threads):
         monkeypatch.setattr(matcore, "_openblas_controls", lambda: None)
         sys_ = table1_system("g")
-        cfg = McConfig(samples=20000, seed=1, workers=None)
-        seen = self.resolved(monkeypatch, slognorm_module, lambda: (
-            nu_direct(sys_, 2, 2, cfg), expected_max_re_perturbed(sys_, cfg)))
-        assert seen == [1, 1]
+        cfg = McConfig(samples=20000, seed=1)
+        block_threads.cores(8)
+        nu_direct(sys_, 2, 2, cfg)
+        expected_max_re_perturbed(sys_, cfg)
+        assert block_threads.picked == [1, 1]
 
-    def test_auto_uses_every_core_for_lapack_blocks(self, monkeypatch):
-        cores = matcore._available_cores()
-        if matcore._openblas_controls() is None or cores < 2:
-            pytest.skip("needs numpy's OpenBLAS thread controls and two cores")
+    def test_auto_uses_every_core_for_lapack_blocks(self, block_threads):
+        if not block_threads.can_fan_out():
+            pytest.skip("needs numpy's OpenBLAS thread controls")
         sys_ = table1_system("g")
-        cfg = McConfig(samples=20000, seed=1, workers=None)  # 3 blocks
-        seen = self.resolved(monkeypatch, slognorm_module, lambda: (
-            nu_direct(sys_, 2, 2, cfg), expected_max_re_perturbed(sys_, cfg)))
-        assert seen == [min(cores, 3)] * 2
+        cfg = McConfig(samples=20000, seed=1)  # 3 blocks
+        for cores in (2, 8):
+            block_threads.cores(cores)
+            nu_direct(sys_, 2, 2, cfg)
+            expected_max_re_perturbed(sys_, cfg)
+            assert block_threads.picked == [min(cores, 3)] * 2
 
-    def test_blas_threads_restored_after_fan_out(self, monkeypatch):
+    def test_blas_threads_restored_after_fan_out(self, monkeypatch, block_threads):
         controls = matcore._openblas_controls()
         if controls is None:
             pytest.skip("numpy's OpenBLAS thread controls are not available")
@@ -404,7 +391,8 @@ class TestBlockFanOut:
             if before == 1:
                 pytest.skip("OpenBLAS cannot run two threads here")
             sys_ = table1_system("g")
-            cfg = McConfig(samples=20000, seed=1, workers=2)
+            cfg = McConfig(samples=20000, seed=1)
+            block_threads.cores(2)
             inside = []
             real_mu_batch = slognorm_module.mu_batch
 
@@ -514,7 +502,7 @@ def _reference_increments(xi: np.ndarray, h: float) -> tuple[np.ndarray, np.ndar
 
 def _reference_definitional(system: SdeSystem, p, l: int, cfg: McConfig) -> tuple[float, float]:
     """(value, std_error) of nu_definitional as first written: the transform
-    runs once per sign and step, and _pair_mean averages the pair."""
+    runs once per sign and step, and each pair is averaged afterwards."""
     sm = slognorm_module
     a, bs = system.A, system.diffusions
     n, m = system.dim, system.m
@@ -534,9 +522,13 @@ def _reference_definitional(system: SdeSystem, p, l: int, cfg: McConfig) -> tupl
             rows[:, k] = (matrix_norm_batch(g, p) ** l - 1.0) / hk
         return rows
 
+    def pair_rows(xi):
+        rows = quotient_rows(xi)
+        return 0.5 * (rows + quotient_rows(-xi)) if cfg.antithetic else rows
+
     def rep(rng, count):
         xi = sm._unit_normals(rng, count, m)
-        rows = sm._pair_mean(quotient_rows, xi, n, cfg.antithetic)
+        rows = sm._chunked(pair_rows, xi, n)
         return np.column_stack([rows @ weights, rows])
 
     arr = sm._collect_blocks(rep, reps, 1 + h.size, cfg, n, sm._calls_lapack(n, p))
@@ -578,7 +570,7 @@ class TestTransformOnce:
 
     @pytest.mark.parametrize("p, antithetic", [(2, False), (math.inf, True)])
     def test_definitional_matches_reference_chunked(self, p, antithetic):
-        # n = 100: blocks evaluated in 52-row chunks; (2, False) is the case
+        # n = 100: blocks evaluated in 26-row chunks; (2, False) is the case
         # of the fan-out test, p = inf keeps the paired run cheap
         sys_ = random_system(np.random.default_rng(100), 100, 1)
         cfg = McConfig(samples=128 if antithetic else 64, seed=6, antithetic=antithetic)
