@@ -20,7 +20,13 @@ import math
 import numpy as np
 from numpy.typing import ArrayLike
 
-from .matcore import _square_matrix, check_p, lambda_max_hermitian_batch, matrix_norm_batch
+from .matcore import (
+    _square_matrix,
+    check_p,
+    lambda_max_hermitian_batch,
+    matrix_norm,
+    matrix_norm_batch,
+)
 
 __all__ = ["mu", "mu_batch", "mu_limit_check", "ols_intercept_weights"]
 
@@ -77,8 +83,7 @@ def default_mu_h_sequence(A: ArrayLike, p, *, count: int = 8) -> tuple[float, ..
     term is removed by the fit.
     """
     a = _square_matrix(A, "A")
-    scale = float(matrix_norm_batch(a[np.newaxis], p)[0])
-    h0 = 1e-5 / max(1.0, scale)
+    h0 = 1e-5 / max(1.0, matrix_norm(a, p))
     return tuple(h0 * 0.5**k for k in range(count))
 
 

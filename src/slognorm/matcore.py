@@ -9,12 +9,12 @@ inputs and are safe to call from many threads.
 Batched variants (suffix ``_batch``) operate on stacks of matrices with
 shape ``(..., n, n)`` and exist so that Monte Carlo loops elsewhere in the
 package can stay vectorized; they share the same numerics as the scalar
-entry points, which validate their input and compute in complex128.  The
-Monte Carlo engines seed and run their independent blocks through
-:func:`_run_blocks`, which alone picks the thread count (from the
-available cores and whether the blocks may fan out) and holds OpenBLAS to
-one thread during a fan-out; nothing here changes BLAS threading at
-import.
+entry points, which validate their input, compute in complex128 and
+rescale extreme entries for the spectral norm.  The Monte Carlo engines
+seed and run their independent blocks through :func:`_run_blocks`, which
+alone picks the thread count (from the available cores and whether the
+blocks may fan out) and holds OpenBLAS to one thread during a fan-out;
+nothing here changes BLAS threading at import.
 """
 
 from __future__ import annotations
@@ -45,6 +45,10 @@ __all__ = [
 
 #: largest dimension the eigenvalue kernels solve in closed form; LAPACK above it
 _CLOSED_FORM_MAX_N = 2
+
+#: :func:`matrix_norm` rescales a matrix whose largest entry modulus lies
+#: outside [2^-500, 2^500] before the p = 2 norm squares its entries
+_SQUARE_SAFE_EXP = 500
 
 
 class DimensionError(ValueError):
@@ -124,6 +128,12 @@ def lambda_max_hermitian(H: ArrayLike, *, rtol: float = 1e-12) -> float:
     return float(lambda_max_hermitian_batch(h[np.newaxis])[0])
 
 
+def _lambda_max_2x2(g00: np.ndarray, g11: np.ndarray, off: np.ndarray) -> np.ndarray:
+    """Largest eigenvalue of the Hermitian 2x2 matrices [[g00, g01], [g01*, g11]]
+    from their real diagonals and the modulus ``off`` = |g01|."""
+    return 0.5 * (g00 + g11) + np.hypot(0.5 * (g00 - g11), off)
+
+
 def lambda_max_hermitian_batch(H: np.ndarray) -> np.ndarray:
     """Largest eigenvalue for a stack of Hermitian matrices ``(..., n, n)``.
 
@@ -136,10 +146,7 @@ def lambda_max_hermitian_batch(H: np.ndarray) -> np.ndarray:
     if n == 1:
         return np.ascontiguousarray(H[..., 0, 0].real)
     if n <= _CLOSED_FORM_MAX_N:
-        a = H[..., 0, 0].real
-        d = H[..., 1, 1].real
-        off = np.abs(H[..., 0, 1])
-        return 0.5 * (a + d) + np.hypot(0.5 * (a - d), off)
+        return _lambda_max_2x2(H[..., 0, 0].real, H[..., 1, 1].real, np.abs(H[..., 0, 1]))
     try:
         return np.linalg.eigvalsh(H)[..., -1]
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK rarely fails
@@ -274,8 +281,11 @@ def _run_blocks(
     Estimator blocks fan out when their kernel calls LAPACK (see
     :func:`_calls_lapack`); fanning out the n <= 2 and p in {1, inf} closed
     forms raised peak memory and slowed some estimates down, so they stay
-    on one thread.  Simulation blocks always fan out.  Blocks must write
-    disjoint outputs, so that the thread count cannot change any result.
+    on one thread.  That was measured while the n <= 2 spectral norm still
+    formed the Gram stack with ``np.matmul``; it predates the entrywise
+    closed form in :func:`matrix_norm_batch`.  Simulation blocks always fan
+    out.  Blocks must write disjoint outputs, so that the thread count
+    cannot change any result.
     A fan-out holds OpenBLAS to one thread and restores the previous count
     when the last block has finished, also when a block raises.
     """
@@ -297,21 +307,54 @@ def matrix_norm(M: ArrayLike, p) -> float:
     """Induced matrix p-norm for p in {1, 2, inf}.
 
     p = 1 is the maximum column absolute sum, p = inf the maximum row
-    absolute sum, and p = 2 is sqrt(lambda_max(M^H M)).
+    absolute sum, and p = 2 is sqrt(lambda_max(M^H M)).  For p = 2 a matrix
+    whose largest entry modulus lies outside [2^-500, 2^500] is scaled by a
+    power of two before the squares are formed and the norm scaled back, so
+    it neither overflows nor underflows while it is representable.
     """
+    p = check_p(p)
     a = _square_matrix(M)
-    return float(matrix_norm_batch(a[np.newaxis], p)[0])
+    shift = 0
+    if p == 2:
+        big = float(np.abs(a).max())
+        if 0.0 < big < 2.0**-_SQUARE_SAFE_EXP or 2.0**_SQUARE_SAFE_EXP < big < math.inf:
+            shift = math.frexp(big)[1]
+            a = np.ldexp(a.view(np.float64), -shift).view(np.complex128)
+    norm = matrix_norm_batch(a[np.newaxis], p)[0]
+    with np.errstate(over="ignore"):  # a norm beyond the float range is inf
+        return float(np.ldexp(norm, shift))
+
+
+def _gram_2x2(M: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Diagonal entries g00, g11 and off-diagonal modulus |g01| of the Gram
+    matrices M^H M of a stack of 2x2 matrices, from the entries of M."""
+    a, b, c, d = M[..., 0, 0], M[..., 0, 1], M[..., 1, 0], M[..., 1, 1]
+    if not np.iscomplexobj(M):
+        return a * a + c * c, b * b + d * d, np.abs(a * b + c * d)
+    g00 = a.real * a.real + a.imag * a.imag + c.real * c.real + c.imag * c.imag
+    g11 = b.real * b.real + b.imag * b.imag + d.real * d.real + d.imag * d.imag
+    return g00, g11, np.abs(np.conj(a) * b + np.conj(c) * d)
 
 
 def matrix_norm_batch(M: np.ndarray, p) -> np.ndarray:
-    """Induced p-norm for a stack of square matrices ``(..., n, n)``."""
+    """Induced p-norm for a stack of square matrices ``(..., n, n)``.
+
+    The p = 2 norm comes from the entries for n <= ``_CLOSED_FORM_MAX_N``
+    (|m_00| at n = 1, the closed-form largest eigenvalue of the 2x2 Gram
+    matrix M^H M at n = 2), and from the Gram stack and LAPACK above.
+    """
     p = check_p(p)
-    if M.shape[-2] != M.shape[-1]:
+    n = M.shape[-1]
+    if M.shape[-2] != n:
         raise DimensionError(f"expected square matrices, got shape {M.shape}")
     if p == 1:
         return np.abs(M).sum(axis=-2).max(axis=-1)
     if p == math.inf:
         return np.abs(M).sum(axis=-1).max(axis=-1)
+    if n == 1:
+        return np.abs(M[..., 0, 0])
+    if n <= _CLOSED_FORM_MAX_N:
+        return np.sqrt(_lambda_max_2x2(*_gram_2x2(M)))
     gram = np.matmul(np.conj(np.swapaxes(M, -1, -2)), M)
     lam = lambda_max_hermitian_batch(gram)
     return np.sqrt(np.maximum(lam.real, 0.0))

@@ -30,7 +30,7 @@ from typing import IO, Union
 import numpy as np
 
 from .matcore import _run_blocks, check_p, vector_norm
-from .slognorm import SdeSystem, _check_l, sample_wiener_increments
+from .slognorm import SdeSystem, _check_l, _check_seed, sample_wiener_increments
 
 __all__ = [
     "SimConfig",
@@ -54,6 +54,11 @@ DIVERGENCE_THRESHOLD = 1e150
 _SCHEMES = ("euler_maruyama", "milstein")
 
 
+def _check_step(h) -> None:
+    if not (math.isfinite(h) and h > 0):
+        raise ValueError(f"step size h must be finite and positive, got {h}")
+
+
 @dataclass(frozen=True)
 class SimConfig:
     """Ensemble integration controls.
@@ -73,16 +78,14 @@ class SimConfig:
     l: int = 2
 
     def __post_init__(self):
-        if not (math.isfinite(self.h) and self.h > 0):
-            raise ValueError(f"step size h must be finite and positive, got {self.h}")
+        _check_step(self.h)
         if not (math.isfinite(self.t_end) and self.t_end > 0):
             raise ValueError(f"t_end must be finite and positive, got {self.t_end}")
         if self.paths < 1:
             raise ValueError(f"paths must be positive, got {self.paths}")
         if self.scheme not in _SCHEMES:
             raise ValueError(f"scheme must be one of {_SCHEMES}, got {self.scheme!r}")
-        if not 0 <= int(self.seed) < 2**64:
-            raise ValueError("seed must fit in an unsigned 64-bit integer")
+        _check_seed(self.seed)
         object.__setattr__(self, "p", check_p(self.p))
         object.__setattr__(self, "l", _check_l(self.l))
         steps = self.steps  # validates integrality
@@ -346,8 +349,7 @@ def growth_rate(traj: MomentTrajectory) -> tuple[float, float]:
 def milstein_R(h: float, lam: complex, mu: complex) -> float:
     """Mean-square stability function of the scalar Milstein scheme:
     R(h) = |1 + h lam|^2 + |h mu^2| + |h^2 mu^4| / 2."""
-    if h <= 0:
-        raise ValueError(f"step size must be positive, got {h}")
+    _check_step(h)
     lam = complex(lam)
     mu = complex(mu)
     return float(
@@ -364,8 +366,7 @@ def em_2x2_ms_stable(h, lam1, lam2, alpha1, beta1, alpha2, beta2) -> bool:
     """Mean-square stability of the Euler-Maruyama iteration on the 2x2
     test system with drift diag(lam1, lam2) and noise rows (alpha_i, beta_i):
     max_i {(1 + lam_i h)^2 + (|alpha_i| + |beta_i|)^2} < 1."""
-    if h <= 0:
-        raise ValueError(f"step size must be positive, got {h}")
+    _check_step(h)
     first = (1.0 + float(lam1) * h) ** 2 + (abs(alpha1) + abs(beta1)) ** 2
     second = (1.0 + float(lam2) * h) ** 2 + (abs(alpha2) + abs(beta2)) ** 2
     return max(first, second) < 1.0

@@ -28,6 +28,7 @@ whose kernel calls LAPACK run on every available core (see
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Sequence
@@ -172,8 +173,7 @@ class McConfig:
     def __post_init__(self):
         if self.samples is not None and self.samples < 2:
             raise ValueError(f"samples must be at least 2, got {self.samples}")
-        if not 0 <= int(self.seed) < 2**64:
-            raise ValueError("seed must fit in an unsigned 64-bit integer")
+        _check_seed(self.seed)
 
     def resolve_samples(self, n: int) -> int:
         return self.samples if self.samples is not None else default_samples(n)
@@ -335,6 +335,15 @@ def nu_direct(system: SdeSystem, p=2, l: int = 2, cfg: McConfig | None = None) -
     return NuEstimate(
         value=value, std_error=se, samples=total, estimator="direct", p=p, l=l
     )
+
+
+def _check_seed(seed) -> None:
+    try:
+        value = operator.index(seed)
+    except TypeError:
+        raise ValueError(f"seed must be an integer, got {seed!r}") from None
+    if not 0 <= value < 2**64:
+        raise ValueError("seed must fit in an unsigned 64-bit integer")
 
 
 def _check_l(l) -> int:

@@ -9,7 +9,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from slognorm.lognorm import mu, mu_batch, mu_limit_check, ols_intercept_weights
+from slognorm.lognorm import (
+    default_mu_h_sequence,
+    mu,
+    mu_batch,
+    mu_limit_check,
+    ols_intercept_weights,
+)
 from slognorm.matcore import DimensionError, lambda_max_hermitian, matrix_norm
 
 P_VALUES = (1, 2, math.inf)
@@ -143,6 +149,12 @@ class TestInterceptWeights:
 
 
 class TestMuLimitCheck:
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_default_h_sequence_of_extreme_matrices(self, n):
+        # h0 stays positive where squaring the entries of A would overflow
+        h0 = default_mu_h_sequence(1e200 * np.eye(n), 2)[0]
+        assert h0 == pytest.approx(1e-205, rel=1e-14, abs=0)
+
     def test_zero_matrix(self):
         assert mu_limit_check(np.zeros((2, 2)), 2) == pytest.approx(0.0, abs=1e-12)
 

@@ -153,6 +153,98 @@ class TestMatrixNorm:
             matrix_norm(np.eye(2), 3)
 
 
+def svd_norm(m: np.ndarray) -> np.ndarray:
+    return np.linalg.svd(m, compute_uv=False)[..., 0]
+
+
+class TestSpectralNormClosedForm:
+    """p = 2 at n <= 2 comes from the matrix entries, checked against the
+    largest singular value from LAPACK's SVD."""
+
+    @pytest.mark.parametrize("complex_", [False, True])
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_random_stacks_match_svd(self, n, complex_):
+        rng = np.random.default_rng(10 * n + complex_)
+        mats = rng.standard_normal((3, 5, n, n))
+        if complex_:
+            mats = mats + 1j * rng.standard_normal((3, 5, n, n))
+        got = matrix_norm_batch(mats, 2)
+        assert got.shape == (3, 5)
+        np.testing.assert_allclose(got, svd_norm(mats), rtol=1e-13, atol=0)
+
+    @pytest.mark.parametrize("mat", [
+        np.zeros((2, 2)),
+        np.outer([1.0, -2.0], [3.0, 0.5]),                # rank one
+        np.outer([1.0 + 2.0j, -1.0j], [0.5, 3.0 - 1.0j]),  # complex rank one
+        3.0 * np.eye(2),                                  # g01 = 0, g00 = g11
+        (2.0 - 1.0j) * np.eye(2),
+    ])
+    def test_degenerate_matrices_match_svd(self, mat):
+        stack = mat[np.newaxis]
+        np.testing.assert_allclose(matrix_norm_batch(stack, 2), svd_norm(stack),
+                                   rtol=1e-13, atol=0)
+
+    @pytest.mark.parametrize("complex_", [False, True])
+    def test_non_contiguous_views(self, complex_):
+        rng = np.random.default_rng(5)
+        mats = rng.standard_normal((9, 3, 3))
+        if complex_:
+            mats = mats + 1j * rng.standard_normal((9, 3, 3))
+        for view in (mats[::2, :2, :2], np.swapaxes(mats[:, 1:, 1:], -1, -2),
+                     np.broadcast_to(mats[0, :2, 1:], (4, 2, 2))):
+            np.testing.assert_allclose(matrix_norm_batch(view, 2), svd_norm(view),
+                                       rtol=1e-13, atol=0)
+
+    def test_empty_stack(self):
+        assert matrix_norm_batch(np.zeros((0, 2, 2)), 2).shape == (0,)
+        assert matrix_norm_batch(np.zeros((0, 1, 1), dtype=complex), 2).shape == (0,)
+
+    def test_scalar_is_exact_modulus(self):
+        rng = np.random.default_rng(6)
+        z = rng.standard_normal(4096) + 1j * rng.standard_normal(4096)
+        np.testing.assert_array_equal(matrix_norm_batch(z[:, None, None], 2), np.abs(z))
+        np.testing.assert_array_equal(matrix_norm_batch(z.real[:, None, None], 2),
+                                      np.abs(z.real))
+
+    def test_no_gram_product(self, monkeypatch):
+        mats = np.random.default_rng(7).standard_normal((4, 2, 2)) * (1.0 + 1.0j)
+        want = svd_norm(mats)
+
+        def no_matmul(*args, **kwargs):
+            raise AssertionError("the n <= 2 spectral norm formed a Gram product")
+
+        monkeypatch.setattr(matcore.np, "matmul", no_matmul)
+        np.testing.assert_allclose(matrix_norm_batch(mats, 2), want, rtol=1e-13, atol=0)
+
+
+class TestSpectralNormRange:
+    """matrix_norm(M, 2) rescales matrices whose squared entries would
+    overflow or underflow, so a power-of-two factor on M carries through to
+    its norm wherever the norm is representable."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("exp", [-1000, -600, 600, 1000])
+    def test_power_of_two_scaling_carries_through(self, n, exp):
+        a = random_matrix(np.random.default_rng(n), n, complex_=True)
+        want = math.ldexp(matrix_norm(a, 2), exp)
+        assert matrix_norm(np.ldexp(a.real, exp) + 1j * np.ldexp(a.imag, exp), 2) == (
+            pytest.approx(want, rel=1e-14, abs=0)
+        )
+
+    def test_extreme_entries(self):
+        assert matrix_norm([[1e200]], 2) == 1e200
+        assert matrix_norm(1e-200 * np.eye(2), 2) == 1e-200
+        assert matrix_norm(1e-200 * np.eye(3), 2) == pytest.approx(1e-200, rel=1e-15, abs=0)
+        assert matrix_norm(1e300 * np.ones((3, 3)), 2) == pytest.approx(3e300, rel=1e-15)
+        assert matrix_norm([[5e-324, 0.0], [0.0, 0.0]], 2) == 5e-324
+        for p in (1, math.inf):
+            assert matrix_norm([[1e200]], p) == 1e200
+
+    def test_unrepresentable_norm_is_inf(self):
+        assert matrix_norm(1e308 * np.ones((2, 2)), 2) == math.inf
+        assert matrix_norm(np.zeros((2, 2)), 2) == 0.0
+
+
 class TestVectorNorm:
     def test_known_values(self):
         assert vector_norm([3, 4], 2) == 5.0

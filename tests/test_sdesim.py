@@ -54,6 +54,11 @@ class TestSimConfig:
         with pytest.raises(ValueError):
             SimConfig(**kwargs)
 
+    @pytest.mark.parametrize("seed", [1.5, 2.0, "7"])
+    def test_rejects_non_integral_seed(self, seed):
+        with pytest.raises(ValueError, match="seed must be an integer"):
+            SimConfig(h=0.1, t_end=1.0, paths=10, seed=seed)
+
     def test_rejects_boolean_l(self):
         with pytest.raises(ValueError, match="l must be a positive integer"):
             SimConfig(h=0.1, t_end=1.0, paths=10, l=True)
@@ -401,6 +406,15 @@ class TestSchemeStabilityFunctions:
             milstein_R(0.0, -1.0, 0.0)
         with pytest.raises(ValueError):
             milstein_R(-0.5, -1.0, 0.0)
+
+    @pytest.mark.parametrize("h", [math.nan, math.inf])
+    def test_stability_functions_reject_non_finite_h(self, h):
+        with pytest.raises(ValueError, match="step size h must be finite"):
+            milstein_R(h, -1.0, 1.0)
+        with pytest.raises(ValueError, match="step size h must be finite"):
+            milstein_ms_stable(h, -1.0, 1.0)
+        with pytest.raises(ValueError, match="step size h must be finite"):
+            em_2x2_ms_stable(h, -1.0, -1.0, 0.0, 0.0, 0.0, 0.0)
 
     def test_em_2x2_verdicts(self):
         assert em_2x2_ms_stable(1.0, -1.0, -1.0, 0.0, 0.0, 0.0, 0.0)

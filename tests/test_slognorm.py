@@ -147,6 +147,14 @@ class TestMcConfig:
         with pytest.raises(ValueError):
             McConfig(**kwargs)
 
+    @pytest.mark.parametrize("seed", [1.5, 2.0, "7", None])
+    def test_rejects_non_integral_seed(self, seed):
+        with pytest.raises(ValueError, match="seed must be an integer"):
+            McConfig(seed=seed)
+
+    def test_accepts_numpy_integer_seed(self):
+        assert McConfig(seed=np.uint64(2**64 - 1)).seed == 2**64 - 1
+
 
 class TestNuEstimate:
     def test_definitional_requires_h_used(self):
@@ -306,6 +314,12 @@ class TestNuDefinitional:
         # NaN passes every comparison of the other checks
         with pytest.raises(ValueError, match="finite"):
             nu_definitional(scalar_system(-1.0, 1.0), 2, 2, h_seq=h_seq)
+
+    def test_default_h_sequences_of_extreme_matrices(self):
+        # h0 stays positive where squaring the entries of A would overflow
+        h0 = default_h_sequence(1e200 * np.eye(2), 2)[0]
+        assert h0 == pytest.approx(5e-202, rel=1e-14, abs=0)
+        assert default_h_sequence(1e-200 * np.eye(2), 2)[0] == 0.05
 
     def test_default_h_sequence_scaling(self):
         seq = default_h_sequence(scalar_system(-100.0, 1.0), 2)
