@@ -13,7 +13,7 @@ whatever the number of cores.
 
 from __future__ import annotations
 
-from .matcore import DimensionError, EigenConvergenceError, NonHermitianError
+from .matcore import DimensionError, EigenConvergenceError
 from .lognorm import mu, mu_limit_check
 from .slognorm import (
     BOUND_APPLICABILITY,
@@ -49,7 +49,6 @@ __all__ = [
     "__version__",
     # errors
     "DimensionError",
-    "NonHermitianError",
     "EigenConvergenceError",
     # classical logarithmic norm
     "mu",

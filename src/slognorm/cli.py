@@ -43,7 +43,7 @@ from .cases import (
     table1_row,
     table1_system,
 )
-from .matcore import DimensionError, EigenConvergenceError, NonHermitianError
+from .matcore import EigenConvergenceError
 from .lognorm import mu
 from .slognorm import (
     BOUND_APPLICABILITY,
@@ -81,7 +81,7 @@ def _numeric_guard():
         raise NumericalError(str(exc)) from exc
     except np.linalg.LinAlgError as exc:
         raise NumericalError(str(exc)) from exc
-    except (DimensionError, NonHermitianError, ValueError) as exc:
+    except ValueError as exc:  # DimensionError is a ValueError
         raise InputError(str(exc)) from exc
 
 

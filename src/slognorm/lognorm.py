@@ -28,7 +28,7 @@ from .matcore import (
     matrix_norm_batch,
 )
 
-__all__ = ["mu", "mu_batch", "mu_limit_check", "ols_intercept_weights"]
+__all__ = ["mu", "mu_batch", "mu_limit_check", "ols_line_weights"]
 
 
 def mu(A: ArrayLike, p) -> float:
@@ -59,10 +59,12 @@ def mu_batch(M: np.ndarray, p) -> np.ndarray:
     return row.max(axis=-1)
 
 
-def ols_intercept_weights(x: np.ndarray) -> np.ndarray:
-    """Weights w with intercept = w . y for the least-squares line through (x, y).
+def ols_line_weights(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Weights (w0, w1) with intercept = w0 . y and slope = w1 . y for the
+    least-squares line through (x, y).
 
-    Derived from the normal equations: w_k = 1/K - xbar (x_k - xbar) / Sxx.
+    Derived from the normal equations: w1_k = (x_k - xbar) / Sxx and
+    w0_k = 1/K - xbar (x_k - xbar) / Sxx.
     """
     x = np.asarray(x, dtype=np.float64)
     k = x.size
@@ -72,7 +74,7 @@ def ols_intercept_weights(x: np.ndarray) -> np.ndarray:
     sxx = float(((x - xbar) ** 2).sum())
     if sxx == 0.0:
         raise ValueError("abscissae must not be all equal")
-    return 1.0 / k - xbar * (x - xbar) / sxx
+    return 1.0 / k - xbar * (x - xbar) / sxx, (x - xbar) / sxx
 
 
 def default_mu_h_sequence(A: ArrayLike, p, *, count: int = 8) -> tuple[float, ...]:
@@ -94,10 +96,19 @@ def mu_limit_check(A: ArrayLike, p, h_seq=None) -> float:
     in ``h_seq`` (strictly decreasing positive reals, all above 1e-10) and
     returns the intercept of the least-squares line through the quotients,
     i.e. the extrapolation to h = 0.
+
+    Without ``h_seq`` the limit is taken for 2^-e A, where e is the binary
+    exponent of norm(A, p), on :func:`default_mu_h_sequence`, and scaled
+    back by 2^e: mu_p is positively homogeneous and the power-of-two
+    scaling is exact, so the steps keep one relative accuracy at every
+    scale of A.
     """
     p = check_p(p)
     a = _square_matrix(A, "A")
+    shift = 0
     if h_seq is None:
+        shift = math.frexp(matrix_norm(a, p))[1]
+        a = np.ldexp(a.view(np.float64), -shift).view(np.complex128)
         h_seq = default_mu_h_sequence(a, p)
     h = np.asarray(list(h_seq), dtype=np.float64)
     if h.size < 2:
@@ -111,5 +122,4 @@ def mu_limit_check(A: ArrayLike, p, h_seq=None) -> float:
     eye = np.eye(a.shape[0], dtype=a.dtype)
     mats = eye[np.newaxis] + h[:, np.newaxis, np.newaxis] * a[np.newaxis]
     quotients = (matrix_norm_batch(mats, p) - 1.0) / h
-    weights = ols_intercept_weights(h)
-    return float(weights @ quotients)
+    return math.ldexp(float(ols_line_weights(h)[0] @ quotients), shift)

@@ -29,7 +29,8 @@ from typing import IO, Union
 
 import numpy as np
 
-from .matcore import _run_blocks, check_p, vector_norm
+from .lognorm import ols_line_weights
+from .matcore import _norm_rows, _run_blocks, check_p, vector_norm
 from .slognorm import SdeSystem, _check_l, _check_seed, sample_wiener_increments
 
 __all__ = [
@@ -216,16 +217,6 @@ def milstein_step(system: SdeSystem, x, dw, iter_ints, h: float) -> np.ndarray:
     return out
 
 
-def _norm_rows(x: np.ndarray, p) -> np.ndarray:
-    """Vector p-norm along the last axis (same arithmetic as vector_norm)."""
-    mag = np.abs(x)
-    if p == 1:
-        return mag.sum(axis=-1)
-    if p == math.inf:
-        return mag.max(axis=-1)
-    return np.sqrt((mag * mag).sum(axis=-1))
-
-
 def simulate_moments(system: SdeSystem, x0, cfg: SimConfig) -> MomentTrajectory:
     """Estimate E norm(X_t, p)^l over an ensemble of independent paths.
 
@@ -338,9 +329,7 @@ def growth_rate(traj: MomentTrajectory) -> tuple[float, float]:
     t = np.asarray(traj.times, dtype=np.float64)[:cut]
     y = np.log(mom[:cut])
     y_se = np.asarray(traj.std_errors, dtype=np.float64)[:cut] / mom[:cut]
-    tbar = t.mean()
-    stt = float(((t - tbar) ** 2).sum())
-    coeffs = (t - tbar) / stt
+    coeffs = ols_line_weights(t)[1]
     slope = float(coeffs @ y)
     slope_se = float(np.sqrt(((coeffs * y_se) ** 2).sum()))
     return slope, slope_se

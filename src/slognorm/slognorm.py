@@ -36,7 +36,7 @@ from typing import Callable, Sequence
 import numpy as np
 from numpy.typing import ArrayLike
 
-from .lognorm import mu, mu_batch, ols_intercept_weights
+from .lognorm import mu, mu_batch, ols_line_weights
 from .matcore import (
     DimensionError,
     EigenConvergenceError,
@@ -44,7 +44,6 @@ from .matcore import (
     _run_blocks,
     _square_matrix,
     check_p,
-    lambda_max_hermitian,
     matrix_norm,
     matrix_norm_batch,
     max_re_eigvals_batch,
@@ -331,7 +330,7 @@ def nu_direct(system: SdeSystem, p=2, l: int = 2, cfg: McConfig | None = None) -
         rep, reps, 1, cfg, system.dim, _calls_lapack(system.dim, p)
     )[:, 0]
     value = float(arr.mean())
-    se = float(arr.std(ddof=1) / math.sqrt(reps)) if reps > 1 else 0.0
+    se = float(arr.std(ddof=1) / math.sqrt(reps))
     return NuEstimate(
         value=value, std_error=se, samples=total, estimator="direct", p=p, l=l
     )
@@ -420,7 +419,7 @@ def nu_definitional(
         h_seq = default_h_sequence(system, p)
     h = _validate_h_sequence(h_seq, matrix_norm(system.A, p))
     nh = h.size
-    weights = ols_intercept_weights(h)
+    weights = ols_line_weights(h)[0]
     samples = cfg.resolve_samples(n)
     reps, total = _replicate_plan(samples, cfg.antithetic)
 
@@ -463,7 +462,7 @@ def nu_definitional(
     arr = _collect_blocks(rep, reps, 1 + nh, cfg, n, _calls_lapack(n, p))
     intercepts = arr[:, 0]
     value = float(intercepts.mean())
-    mc_se = float(intercepts.std(ddof=1) / math.sqrt(reps)) if reps > 1 else 0.0
+    mc_se = float(intercepts.std(ddof=1) / math.sqrt(reps))
     extrap_se = _intercept_residual_error(h, arr[:, 1:].mean(axis=0))
     se = math.hypot(mc_se, extrap_se)
     bias = extrap_se > 10.0 * mc_se and extrap_se > FP_FLOOR * max(1.0, abs(value))
@@ -486,13 +485,10 @@ def _intercept_residual_error(h: np.ndarray, qbar: np.ndarray) -> float:
     k = h.size
     if k <= 2:
         return 0.0
-    hbar = h.mean()
-    shh = float(((h - hbar) ** 2).sum())
-    slope = float(((h - hbar) * (qbar - qbar.mean())).sum() / shh)
-    intercept = float(qbar.mean() - slope * hbar)
-    resid = qbar - (intercept + slope * h)
+    w0, w1 = ols_line_weights(h)
+    resid = qbar - (w0 @ qbar + (w1 @ qbar) * h)
     s2 = float((resid**2).sum() / (k - 2))
-    return math.sqrt(s2 * (1.0 / k + hbar**2 / shh))
+    return math.sqrt(s2 * float(w0 @ w0))
 
 
 def _unit_normals(rng: np.random.Generator, count: int, m: int) -> np.ndarray:
@@ -583,7 +579,12 @@ class BoundsReport:
     :data:`BOUND_APPLICABILITY` states each field's predicate.  All values
     are upper bounds except ``mu_lower`` (a lower bound), ``abs_bound`` (a
     bound on |nu|), and the two exact identities ``main12_exact_B_eq_I``
-    and ``beq1_identities``.
+    and ``beq1_identities``.  ``main12_upper`` and ``msest_upper`` state
+    one bound, the p = 2 spectral bound of :func:`_spectral_upper`, in the
+    paper's lambda_max and mu forms (lambda_max(X + X^H) = 2 mu_2(X),
+    lambda_max(B^H B) = norm(B, 2)^2), so they carry the same value; the
+    p = 2, l >= 2 ``multi_channel_upper`` is that bound summed over the
+    channels.
     """
 
     p: float
@@ -609,6 +610,20 @@ class BoundsReport:
         }
 
 
+def _spectral_upper(a: np.ndarray, bs: np.ndarray, l: int) -> float:
+    """The p = 2 spectral bound l mu_2(A) + l/2 sum_j (norm(B(j), 2)^2
+    + mu_2(B(j)) + mu_2(-B(j))), plus l(l - 2)/2 sum_j mu_2(B(j))^2 when
+    l > 2."""
+    total = mu(a, 2)
+    for b in bs:
+        mu_b = mu(b, 2)
+        # left to right, not +=: the m = 1 value keeps its last bits
+        total = total + 0.5 * matrix_norm(b, 2) ** 2 + 0.5 * (mu_b + mu(-b, 2))
+        if l > 2:
+            total += (l - 2) / 2.0 * mu_b**2
+    return l * total
+
+
 def bounds_report(system: SdeSystem, p=2, l: int = 2) -> BoundsReport:
     """Evaluate every closed-form bound applicable to (system, p, l)."""
     p = check_p(p)
@@ -619,18 +634,18 @@ def bounds_report(system: SdeSystem, p=2, l: int = 2) -> BoundsReport:
     bs = system.diffusions.astype(np.complex128)
     m = system.m
     mu_a = mu(a, p)
+    squares = [b @ b for b in bs]
     out: dict[str, float | None] = {}
 
     # any p, any m: the white-noise sandwich and the absolute bound
     up = low = 0.0
-    for b in bs:
-        b2 = b @ b
+    for b, b2 in zip(bs, squares):
         odd = mu(b, p) + mu(-b, p)
         up += mu(-b2, p) + odd
         low += mu(b2, p) + odd
     out["mu_upper"] = l * mu_a + 0.5 * l * up
     out["mu_lower"] = l * mu_a - 0.5 * l * low
-    drift = a - 0.5 * sum((b @ b for b in bs), np.zeros_like(a))
+    drift = a - 0.5 * sum(squares, np.zeros_like(a))
     out["abs_bound"] = l * matrix_norm(drift, p) + l * sum(matrix_norm(b, p) for b in bs)
 
     if m == 1:
@@ -638,59 +653,36 @@ def bounds_report(system: SdeSystem, p=2, l: int = 2) -> BoundsReport:
         bnorm = matrix_norm(b, p)
         out["lpest1_upper"] = (
             l * mu_a
-            + 0.5 * l * mu(-(b @ b), p)
+            + 0.5 * l * mu(-squares[0], p)
             + l * (l + 1) / 4.0 * bnorm**2
             + l * bnorm
         )
         out["lpest_upper"] = l * mu_a + l * bnorm * (1.0 + (l + 3) / 4.0 * bnorm)
         if p == 2:
-            lam_a = lambda_max_hermitian(a + a.conj().T)
-            lam_b = lambda_max_hermitian(b + b.conj().T)
-            lam_bneg = lambda_max_hermitian(-(b + b.conj().T))
-            lam_gram = lambda_max_hermitian(b.conj().T @ b)
-            main = (
-                0.5 * l * lam_a
-                + 0.25 * l * (lam_b + lam_bneg)
-                + 0.5 * l * lam_gram
-            )
-            if l > 2:
-                main += l * (l - 2) / 8.0 * lam_b**2
-            out["main12_upper"] = main
-            mu_b = mu(b, 2)
-            ms = mu(a, 2) + 0.5 * matrix_norm(b, 2) ** 2 + 0.5 * (mu_b + mu(-b, 2))
-            if l > 2:
-                ms += (l - 2) / 2.0 * mu_b**2
-            out["msest_upper"] = l * ms
+            out["main12_upper"] = out["msest_upper"] = _spectral_upper(a, bs, l)
             if np.array_equal(b, np.eye(system.dim)):
-                out["main12_exact_B_eq_I"] = 0.5 * l * lam_a + 0.5 * l + l * (l - 2) / 2.0
+                out["main12_exact_B_eq_I"] = l * mu_a + 0.5 * l + l * (l - 2) / 2.0
                 if l == 1:
-                    out["beq1_identities"] = mu(a, 2)
+                    out["beq1_identities"] = mu_a
                 elif l == 2:
-                    out["beq1_identities"] = 2.0 * mu(a, 2) + 1.0
+                    out["beq1_identities"] = 2.0 * mu_a + 1.0
+    elif m > 1 and p == 2 and l >= 2:
+        out["multi_channel_upper"] = _spectral_upper(a, bs, l)
     elif m > 1:
-        if p == 2 and l >= 2:
-            total = mu(a, 2)
-            quad = 0.0
-            for b in bs:
-                mu_b = mu(b, 2)
-                total += 0.5 * matrix_norm(b, 2) ** 2 + 0.5 * (mu_b + mu(-b, 2))
-                quad += mu_b**2
-            out["multi_channel_upper"] = l * total + l * (l - 2) / 2.0 * quad
-        else:
-            norms = [matrix_norm(b, p) for b in bs]
-            cross = sum(
-                matrix_norm(bs[i] @ bs[j], p)
-                for i in range(m)
-                for j in range(m)
-                if i != j
-            )
-            out["multi_channel_upper"] = (
-                l * mu_a
-                - 0.5 * l * mu(sum(bs[1:], bs[0].copy()), p)
-                + l * sum(norms)
-                + 0.5 * l * sum(v**2 for v in norms)
-                + l / math.sqrt(2.0) * cross
-            )
+        norms = [matrix_norm(b, p) for b in bs]
+        cross = sum(
+            matrix_norm(bs[i] @ bs[j], p)
+            for i in range(m)
+            for j in range(m)
+            if i != j
+        )
+        out["multi_channel_upper"] = (
+            l * mu_a
+            - 0.5 * l * mu(sum(bs[1:], bs[0].copy()), p)
+            + l * sum(norms)
+            + 0.5 * l * sum(v**2 for v in norms)
+            + l / math.sqrt(2.0) * cross
+        )
     return BoundsReport(p=p, l=l, channels=m, **out)
 
 
@@ -773,12 +765,8 @@ def expected_max_re_perturbed(
 
     arr = _collect_blocks(rep, reps, 2, cfg, system.dim, _calls_lapack(system.dim))
     means = arr.mean(axis=0)
-    if reps > 1:
-        ses = arr.std(axis=0, ddof=1) / math.sqrt(reps)
-        diff_se = float((arr[:, 0] - arr[:, 1]).std(ddof=1) / math.sqrt(reps))
-    else:
-        ses = np.zeros(2)
-        diff_se = 0.0
+    ses = arr.std(axis=0, ddof=1) / math.sqrt(reps)
+    diff_se = float((arr[:, 0] - arr[:, 1]).std(ddof=1) / math.sqrt(reps))
     gap = float(means[0] - means[1])
     holds = gap <= 3.0 * diff_se + FP_FLOOR
     return PerturbedSpectrumCheck(

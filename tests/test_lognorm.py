@@ -14,9 +14,9 @@ from slognorm.lognorm import (
     mu,
     mu_batch,
     mu_limit_check,
-    ols_intercept_weights,
+    ols_line_weights,
 )
-from slognorm.matcore import DimensionError, lambda_max_hermitian, matrix_norm
+from slognorm.matcore import DimensionError, matrix_norm
 
 P_VALUES = (1, 2, math.inf)
 
@@ -110,7 +110,6 @@ ENTRY_POINTS = {
     "mu": lambda m: mu(m, 2),
     "mu_limit_check": lambda m: mu_limit_check(m, 1),
     "matrix_norm": lambda m: matrix_norm(m, math.inf),
-    "lambda_max_hermitian": lambda_max_hermitian,
 }
 
 
@@ -133,19 +132,23 @@ class TestInterceptWeights:
     def test_recovers_line_intercept_exactly(self):
         x = np.array([1.0, 0.5, 0.25, 0.125])
         y = 3.0 - 2.0 * x
-        w = ols_intercept_weights(x)
-        assert w @ y == pytest.approx(3.0, abs=1e-12)
+        w0, w1 = ols_line_weights(x)
+        assert w0 @ y == pytest.approx(3.0, abs=1e-12)
+        assert w1 @ y == pytest.approx(-2.0, abs=1e-12)
 
     def test_weight_identities(self):
-        w = ols_intercept_weights(np.array([0.4, 0.2, 0.1]))
-        assert w.sum() == pytest.approx(1.0, abs=1e-12)
-        assert w @ np.array([0.4, 0.2, 0.1]) == pytest.approx(0.0, abs=1e-12)
+        x = np.array([0.4, 0.2, 0.1])
+        w0, w1 = ols_line_weights(x)
+        assert w0.sum() == pytest.approx(1.0, abs=1e-12)
+        assert w0 @ x == pytest.approx(0.0, abs=1e-12)
+        assert w1.sum() == pytest.approx(0.0, abs=1e-12)
+        assert w1 @ x == pytest.approx(1.0, abs=1e-12)
 
     def test_rejects_degenerate_abscissae(self):
         with pytest.raises(ValueError):
-            ols_intercept_weights(np.array([0.5]))
+            ols_line_weights(np.array([0.5]))
         with pytest.raises(ValueError):
-            ols_intercept_weights(np.array([0.5, 0.5]))
+            ols_line_weights(np.array([0.5, 0.5]))
 
 
 class TestMuLimitCheck:
@@ -166,6 +169,18 @@ class TestMuLimitCheck:
         rng = np.random.default_rng(17)
         a = random_matrix(rng, 4, scale=2.0, complex_=True)
         assert mu_limit_check(a, p) == pytest.approx(mu(a, p), abs=1e-6)
+
+    @pytest.mark.parametrize("p", P_VALUES)
+    @pytest.mark.parametrize(
+        "a",
+        [-800 * np.eye(2), 1e200 * np.eye(2)]
+        + [s * np.array([[-1.0, 2.0], [0.0, -3.0]]) for s in (1e-8, 1e-12, 1e-100)],
+        ids=["-800I", "1e200I", "s1e-8", "s1e-12", "s1e-100"],
+    )
+    def test_default_steps_at_every_scale(self, a, p):
+        # the default steps stay above the 1e-10 floor for large norm(A),
+        # and I + hA does not round to I for tiny A
+        assert mu_limit_check(a, p) == pytest.approx(mu(a, p), rel=1e-8, abs=0)
 
     def test_explicit_h_sequence(self):
         a = np.diag([-3.0, 1.0])

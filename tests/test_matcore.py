@@ -12,11 +12,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import slognorm.matcore as matcore
+from slognorm.lognorm import mu
 from slognorm.matcore import (
     DimensionError,
-    NonHermitianError,
     check_p,
-    lambda_max_hermitian,
     lambda_max_hermitian_batch,
     matrix_norm,
     matrix_norm_batch,
@@ -83,15 +82,8 @@ class TestLambdaMaxHermitian:
          (np.array([[2.0, 1.0], [1.0, 2.0]]), 3.0)],
     )
     def test_known_values(self, mat, expected):
-        assert lambda_max_hermitian(mat) == pytest.approx(expected, abs=1e-12)
-
-    def test_rejects_non_hermitian(self):
-        with pytest.raises(NonHermitianError):
-            lambda_max_hermitian([[0, 1], [0, 0]])
-
-    def test_tolerates_roundoff_asymmetry(self):
-        m = np.array([[1.0, 0.5], [0.5 + 1e-15, 1.0]])
-        assert lambda_max_hermitian(m) == pytest.approx(1.5, abs=1e-12)
+        # on Hermitian input mu_2 is lambda_max
+        assert mu(mat, 2) == pytest.approx(expected, abs=1e-12)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 5, 8])
     def test_batch_matches_lapack(self, n):
@@ -265,7 +257,7 @@ class TestSpectralInequalities:
     def test_numerical_range_inside_norm_ball(self, seed, n, complex_):
         rng = np.random.default_rng(seed)
         m = random_matrix(rng, n, scale=3.0, complex_=complex_)
-        lam = lambda_max_hermitian(hermitian(m))
+        lam = mu(hermitian(m), 2)
         assert lam <= matrix_norm(m, 2) + 1e-9
 
     @settings(max_examples=50, deadline=None)
@@ -274,16 +266,16 @@ class TestSpectralInequalities:
         rng = np.random.default_rng(seed)
         h1 = hermitian(random_matrix(rng, n, complex_=True))
         h2 = hermitian(random_matrix(rng, n, complex_=True))
-        lam_sum = lambda_max_hermitian(h1 + h2)
-        lam_min2 = -lambda_max_hermitian(-h2)
-        assert lambda_max_hermitian(h1) + lam_min2 <= lam_sum + 1e-9
-        assert lam_sum <= lambda_max_hermitian(h1) + lambda_max_hermitian(h2) + 1e-9
+        lam_sum = mu(h1 + h2, 2)
+        lam_min2 = -mu(-h2, 2)
+        assert mu(h1, 2) + lam_min2 <= lam_sum + 1e-9
+        assert lam_sum <= mu(h1, 2) + mu(h2, 2) + 1e-9
 
     def test_lambda_max_shift_identity(self):
         rng = np.random.default_rng(11)
         h = hermitian(random_matrix(rng, 4, complex_=True))
-        shifted = lambda_max_hermitian(h + 2.5 * np.eye(4))
-        assert shifted == pytest.approx(lambda_max_hermitian(h) + 2.5, abs=1e-10)
+        shifted = mu(h + 2.5 * np.eye(4), 2)
+        assert shifted == pytest.approx(mu(h, 2) + 2.5, abs=1e-10)
 
     @settings(max_examples=50, deadline=None)
     @given(st.integers(0, 2**32 - 1), st.integers(1, 6))

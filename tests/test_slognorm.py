@@ -11,7 +11,7 @@ import pytest
 import slognorm.matcore as matcore
 import slognorm.slognorm as slognorm_module
 from slognorm.cases import table1_system
-from slognorm.lognorm import mu, ols_intercept_weights
+from slognorm.lognorm import mu, ols_line_weights
 from slognorm.matcore import DimensionError, EigenConvergenceError, matrix_norm, matrix_norm_batch
 from slognorm.slognorm import (
     BOUND_APPLICABILITY,
@@ -521,7 +521,7 @@ def _reference_definitional(system: SdeSystem, p, l: int, cfg: McConfig) -> tupl
     a, bs = system.A, system.diffusions
     n, m = system.dim, system.m
     h = sm._validate_h_sequence(default_h_sequence(system, p), matrix_norm(system.A, p))
-    weights = ols_intercept_weights(h)
+    weights = ols_line_weights(h)[0]
     reps, _ = sm._replicate_plan(cfg.resolve_samples(n), cfg.antithetic)
     deterministic = np.eye(n, dtype=a.dtype)[np.newaxis] + h[:, np.newaxis, np.newaxis] * a
     pairs = np.einsum("iab,jbc->ijac", bs, bs)
@@ -683,6 +683,46 @@ class TestBoundsReport:
         rep = bounds_report(sys_, p, l)
         assert rep.multi_channel_upper == pytest.approx(want, abs=1e-9)
 
+    @pytest.mark.parametrize("complex_", [False, True], ids=["real", "complex"])
+    def test_spectral_bounds_match_lambda_max_forms(self, complex_):
+        # the paper's form: 1/2 l lambda_max(A + A^H) + sum_j [1/4 l
+        # (lambda_max(B + B^H) + lambda_max(-(B + B^H))) + 1/2 l
+        # lambda_max(B^H B)] + l (l - 2) / 8 sum_j lambda_max(B + B^H)^2
+        def lam(h):
+            return float(np.linalg.eigvalsh(h)[-1])
+
+        rng = np.random.default_rng(71)
+        for n in range(1, 5):
+            for m in range(1, 4):
+                for l in range(1, 5):
+                    if m > 1 and l < 2:
+                        continue  # the norm form applies there
+                    sys_ = random_system(rng, n, m, scale=2.0, complex_=complex_)
+                    a = sys_.A
+                    terms = [0.5 * l * lam(a + a.conj().T)]
+                    for b in sys_.diffusions:
+                        herm = b + b.conj().T
+                        terms += [0.25 * l * lam(herm), 0.25 * l * lam(-herm),
+                                  0.5 * l * lam(b.conj().T @ b)]
+                        if l > 2:
+                            terms.append(l * (l - 2) / 8.0 * lam(herm) ** 2)
+                    want = pytest.approx(
+                        sum(terms), rel=1e-13, abs=1e-13 * sum(abs(t) for t in terms)
+                    )
+                    rep = bounds_report(sys_, 2, l)
+                    if m == 1:
+                        assert rep.main12_upper == want, (n, m, l)
+                        assert rep.msest_upper == want, (n, m, l)
+                    else:
+                        assert rep.multi_channel_upper == want, (n, m, l)
+
+    @pytest.mark.parametrize("l", [1, 2, 3, 4])
+    @pytest.mark.parametrize("case", list("abcdefgi"))
+    def test_main12_is_msest(self, case, l):
+        # one bound in two notations, so one value to the last bit
+        rep = bounds_report(table1_system(case), 2, l)
+        assert rep.main12_upper == rep.msest_upper
+
     def test_applicability_table_is_complete(self):
         from slognorm.slognorm import BoundsReport
 
@@ -803,7 +843,7 @@ def test_package_root_exports_only_the_user_api():
 
     assert slognorm.__all__ == [
         "__version__",
-        "DimensionError", "NonHermitianError", "EigenConvergenceError",
+        "DimensionError", "EigenConvergenceError",
         "mu", "mu_limit_check",
         "SdeSystem", "McConfig", "NuEstimate", "BoundsReport", "BOUND_APPLICABILITY",
         "StabilityClass", "PerturbedSpectrumCheck", "ScalingCheck",
