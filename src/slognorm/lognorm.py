@@ -77,6 +77,21 @@ def ols_line_weights(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return 1.0 / k - xbar * (x - xbar) / sxx, (x - xbar) / sxx
 
 
+def _check_h_sequence(h_seq, floor: float = 0.0) -> np.ndarray:
+    """``h_seq`` as a float64 array, checked to hold at least two finite step
+    sizes above ``floor`` in strictly decreasing order."""
+    h = np.asarray(list(h_seq), dtype=np.float64)
+    if h.size < 2:
+        raise ValueError("h_seq must contain at least two step sizes")
+    if not np.all(np.isfinite(h)):
+        raise ValueError("step sizes must be finite")
+    if np.any(h <= floor):
+        raise ValueError(f"step sizes must be greater than {floor:g}")
+    if np.any(np.diff(h) >= 0):
+        raise ValueError("h_seq must be strictly decreasing")
+    return h
+
+
 def default_mu_h_sequence(A: ArrayLike, p, *, count: int = 8) -> tuple[float, ...]:
     """Geometric step sequence h_k = h0 / 2^k used by :func:`mu_limit_check`.
 
@@ -110,15 +125,7 @@ def mu_limit_check(A: ArrayLike, p, h_seq=None) -> float:
         shift = math.frexp(matrix_norm(a, p))[1]
         a = np.ldexp(a.view(np.float64), -shift).view(np.complex128)
         h_seq = default_mu_h_sequence(a, p)
-    h = np.asarray(list(h_seq), dtype=np.float64)
-    if h.size < 2:
-        raise ValueError("h_seq must contain at least two step sizes")
-    if not np.all(np.isfinite(h)):
-        raise ValueError("step sizes must be finite")
-    if np.any(h <= 1e-10):
-        raise ValueError("step sizes must be greater than 1e-10")
-    if np.any(np.diff(h) >= 0):
-        raise ValueError("h_seq must be strictly decreasing")
+    h = _check_h_sequence(h_seq, floor=1e-10)
     eye = np.eye(a.shape[0], dtype=a.dtype)
     mats = eye[np.newaxis] + h[:, np.newaxis, np.newaxis] * a[np.newaxis]
     quotients = (matrix_norm_batch(mats, p) - 1.0) / h

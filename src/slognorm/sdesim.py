@@ -8,9 +8,10 @@ evenly spaced checkpoints.  The fitted slope of log-moments against time
 bounds, which makes the simulator an end-to-end oracle for the estimators
 in :mod:`slognorm.slognorm`.
 
-Paths are simulated in fixed-size blocks, each seeded from (seed, block
-index) and reduced in path order, so trajectories are bit-identical for a
-given seed whatever the number of cores.  Paths whose norm leaves
+Paths are simulated in blocks whose size depends only on the dimension
+(:func:`slognorm.slognorm._block_size`, as for the estimators), each seeded
+from (seed, block index) and reduced in path order, so trajectories are
+bit-identical for a given seed whatever the number of cores.  Paths whose norm leaves
 [0, 1e150] are flagged as diverged and the affected checkpoints report an
 infinite moment rather than raising.
 
@@ -31,7 +32,8 @@ import numpy as np
 
 from .lognorm import ols_line_weights
 from .matcore import _norm_rows, _run_blocks, check_p, vector_norm
-from .slognorm import SdeSystem, _check_l, _check_seed, sample_wiener_increments
+from .slognorm import (SdeSystem, _block_size, _check_count, _check_l, _check_seed,
+                       sample_wiener_increments)
 
 __all__ = [
     "SimConfig",
@@ -45,9 +47,6 @@ __all__ = [
     "milstein_ms_stable",
     "em_2x2_ms_stable",
 ]
-
-#: paths simulated per RNG block; the unit of deterministic parallelism
-_PATH_BLOCK = 4096
 
 #: norm magnitude beyond which a path is flagged as diverged
 DIVERGENCE_THRESHOLD = 1e150
@@ -82,7 +81,7 @@ class SimConfig:
         _check_step(self.h)
         if not (math.isfinite(self.t_end) and self.t_end > 0):
             raise ValueError(f"t_end must be finite and positive, got {self.t_end}")
-        if self.paths < 1:
+        if _check_count(self.paths, "paths") < 1:
             raise ValueError(f"paths must be positive, got {self.paths}")
         if self.scheme not in _SCHEMES:
             raise ValueError(f"scheme must be one of {_SCHEMES}, got {self.scheme!r}")
@@ -90,7 +89,7 @@ class SimConfig:
         object.__setattr__(self, "p", check_p(self.p))
         object.__setattr__(self, "l", _check_l(self.l))
         steps = self.steps  # validates integrality
-        if self.checkpoints < 1 or steps % self.checkpoints != 0:
+        if _check_count(self.checkpoints, "checkpoints") < 1 or steps % self.checkpoints:
             raise ValueError(
                 f"checkpoints ({self.checkpoints}) must divide the step count ({steps})"
             )
@@ -248,14 +247,15 @@ def simulate_moments(system: SdeSystem, x0, cfg: SimConfig) -> MomentTrajectory:
     if pairs is not None:
         pairs = pairs.astype(dtype)
 
-    nblocks = -(-cfg.paths // _PATH_BLOCK)
+    block = _block_size(system.dim)
+    nblocks = -(-cfg.paths // block)
     # per-block partial reductions: sum, sum of squares, diverged count
     sums = np.zeros((nblocks, ncheck))
     sqs = np.zeros((nblocks, ncheck))
     dead = np.zeros((nblocks, ncheck), dtype=np.int64)
 
     def run(b: int, rng: np.random.Generator) -> None:
-        count = min(_PATH_BLOCK, cfg.paths - b * _PATH_BLOCK)
+        count = min(block, cfg.paths - b * block)
         x = np.tile(x0, (count, 1))
         alive = np.ones(count, dtype=bool)
         # per-block buffers, so the step loop allocates only inside the sampler

@@ -17,12 +17,12 @@ l = 2 the direct route gives 2 mu_2(A) - 1 while the definitional limit is
 2 mu_2(A) + 1 — so both are exposed, never averaged or reconciled; callers
 (and the CLI) are expected to compare them and surface disagreement.
 
-All estimators share one deterministic Monte Carlo engine: draws are
-generated in fixed-size blocks, each block seeded independently from
-(seed, block index), and reduced in fixed order, which makes every result
-bit-identical for a given seed whatever the number of cores.  Blocks
-whose kernel calls LAPACK run on every available core (see
-:func:`slognorm.matcore._run_blocks`).
+All estimators share one deterministic Monte Carlo engine,
+:func:`_replicates`: draws are generated in blocks whose size depends only
+on the dimension, each block seeded independently from (seed, block
+index), and reduced in fixed order, which makes every result bit-identical
+for a given seed whatever the number of cores.  Blocks whose kernel calls
+LAPACK run on every available core (see :func:`slognorm.matcore._run_blocks`).
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ from typing import Callable, Sequence
 import numpy as np
 from numpy.typing import ArrayLike
 
-from .lognorm import mu, mu_batch, ols_line_weights
+from .lognorm import _check_h_sequence, mu, mu_batch, ols_line_weights
 from .matcore import (
     DimensionError,
     EigenConvergenceError,
@@ -70,12 +70,12 @@ __all__ = [
     "scaling_check",
 ]
 
-#: replicates generated per RNG block; the unit of deterministic parallelism
+#: replicates or paths per RNG block; the unit of deterministic parallelism
 _BLOCK = 4096
 
 
 def _block_size(dim: int) -> int:
-    """Replicates per RNG block for ``dim x dim`` systems.
+    """Replicates or simulated paths per RNG block for ``dim x dim`` systems.
 
     Fixed at ``_BLOCK`` up to dim 32 and shrunk quadratically beyond that so
     a block's working set stays bounded.  The size depends only on the
@@ -138,9 +138,9 @@ class SdeSystem:
         return len(self.diffusions)
 
     def scaled(self, alpha: float) -> "SdeSystem":
-        """The system (alpha A, sqrt(alpha) B(1:m)) for alpha > 0."""
-        if alpha <= 0:
-            raise ValueError(f"scaling factor must be positive, got {alpha}")
+        """The system (alpha A, sqrt(alpha) B(1:m)) for finite alpha > 0."""
+        if not (math.isfinite(alpha) and alpha > 0):
+            raise ValueError(f"alpha must be finite and positive, got {alpha}")
         return SdeSystem(alpha * self.A, math.sqrt(alpha) * self.diffusions)
 
 
@@ -170,7 +170,7 @@ class McConfig:
     antithetic: bool = True
 
     def __post_init__(self):
-        if self.samples is not None and self.samples < 2:
+        if self.samples is not None and _check_count(self.samples, "samples") < 2:
             raise ValueError(f"samples must be at least 2, got {self.samples}")
         _check_seed(self.seed)
 
@@ -236,57 +236,75 @@ def classify(nu: NuEstimate, tol: float = 0.0) -> StabilityClass:
 # ---------------------------------------------------------------------------
 
 
-def _collect_blocks(
-    rep_fn: Callable[[np.random.Generator, int], np.ndarray],
-    reps: int,
+def _replicates(
+    draw: Callable[[np.random.Generator, int], np.ndarray],
+    stat: Callable[[np.ndarray], np.ndarray],
     ncols: int,
     cfg: McConfig,
     dim: int,
     lapack: bool,
-) -> np.ndarray:
-    """Fill a (reps, ncols) matrix of replicate statistics deterministically.
+) -> tuple[np.ndarray, int]:
+    """A (replicates, ncols) matrix of statistics, filled deterministically,
+    and the number of samples behind it.
 
-    Block b of ``_block_size(dim)`` replicates is ``rep_fn(rng_b, count)``
-    with rng_b from :func:`_run_blocks`.  The output slices are disjoint, so
-    the blocks fan out (when ``lapack`` says rep_fn's kernel calls LAPACK)
-    with bit-identical results; reductions over the returned array are the
+    Under antithetic pairing a replicate is the mean over a pair of samples,
+    so there are half as many replicates as ``cfg`` asks for samples.  Block
+    b of ``_block_size(dim)`` replicates draws its inputs as
+    ``draw(rng_b, count)``, with rng_b from :func:`_run_blocks`, and writes
+    ``stat`` of them into its rows in chunks that keep each (rows, dim, dim)
+    temporary near ``_CHUNK_DOUBLES``; stat must act row by row.  The blocks write disjoint rows, so
+    they fan out (when ``lapack`` says stat's kernel calls LAPACK) with
+    bit-identical results; reductions over the returned array are the
     caller's business and use numpy's fixed-order pairwise summation.
     """
+    samples = cfg.resolve_samples(dim)
+    if cfg.antithetic and samples < 4:
+        raise ValueError("antithetic estimation needs at least 4 samples")
+    reps = samples // 2 if cfg.antithetic else samples
     block = _block_size(dim)
+    chunk = max(1, _CHUNK_DOUBLES // (dim * dim))
     out = np.empty((reps, ncols), dtype=np.float64)
 
     def run(b: int, rng: np.random.Generator) -> None:
         start = b * block
         stop = min(start + block, reps)
+        x = draw(rng, stop - start)
         try:
-            out[start:stop] = rep_fn(rng, stop - start)
+            for lo in range(start, stop, chunk):
+                hi = min(lo + chunk, stop)
+                out[lo:hi] = stat(x[lo - start:hi - start]).reshape(hi - lo, ncols)
         except EigenConvergenceError as exc:
             raise EigenConvergenceError(
                 f"{exc} (while evaluating replicates {start}..{stop})"
             ) from exc
 
     _run_blocks(run, -(-reps // block), cfg.seed, lapack)
-    return out
+    return out, 2 * reps if cfg.antithetic else reps
 
 
-def _chunked(fn: Callable[[np.ndarray], np.ndarray], x: np.ndarray, dim: int) -> np.ndarray:
-    """fn(x) for a row-wise fn, evaluated in row chunks that keep each
-    (rows, dim, dim) temporary near ``_CHUNK_DOUBLES``; as fn is row-wise,
-    the chunking changes no number."""
-    rows = max(1, _CHUNK_DOUBLES // (dim * dim))
-    if len(x) <= rows:
-        return fn(x)
-    return np.concatenate([fn(x[i:i + rows]) for i in range(0, len(x), rows)])
-
-
-def _replicate_plan(samples: int, antithetic: bool) -> tuple[int, int]:
-    """(replicates, total draws) for a requested sample budget."""
+def _paired(stat: Callable[[np.ndarray], np.ndarray], base, noise: np.ndarray,
+            antithetic: bool) -> np.ndarray:
+    """stat(base + noise), averaged with stat(base - noise) under antithetic
+    pairing."""
+    value = stat(base + noise)
     if antithetic:
-        if samples < 4:
-            raise ValueError("antithetic estimation needs at least 4 samples")
-        reps = samples // 2
-        return reps, 2 * reps
-    return samples, samples
+        value = 0.5 * (value + stat(base - noise))
+    return value
+
+
+def _white_noise(system: SdeSystem, stat: Callable[[np.ndarray], np.ndarray],
+                 ncols: int, cfg: McConfig, lapack: bool) -> tuple[np.ndarray, int]:
+    """:func:`_replicates` of stat(A - 1/2 sum B^2 + sum B zeta), with
+    zeta(1)..zeta(m) i.i.d. standard normal (unpaired when m = 0)."""
+    bs = system.diffusions
+    base = system.A - 0.5 * _sum_squares(bs)
+
+    def pair(z: np.ndarray) -> np.ndarray:
+        noise = np.tensordot(z, bs, axes=(1, 0))
+        return _paired(stat, base, noise, cfg.antithetic and system.m > 0)
+
+    return _replicates(lambda rng, count: rng.standard_normal((count, system.m)),
+                       pair, ncols, cfg, system.dim, lapack)
 
 
 # ---------------------------------------------------------------------------
@@ -305,43 +323,31 @@ def nu_direct(system: SdeSystem, p=2, l: int = 2, cfg: McConfig | None = None) -
     p = check_p(p)
     l = _check_l(l)
     cfg = cfg or McConfig()
-    a, bs, m = system.A, system.diffusions, system.m
-    if m == 0:
+    if system.m == 0:
         return NuEstimate(
             value=l * mu(system.A, p), std_error=0.0, samples=1,
             estimator="direct", p=p, l=l,
         )
-    base = a - 0.5 * _sum_squares(bs)
-    samples = cfg.resolve_samples(system.dim)
-    reps, total = _replicate_plan(samples, cfg.antithetic)
-
-    def pair(z: np.ndarray) -> np.ndarray:
-        noise = np.tensordot(z, bs, axes=(1, 0))
-        stat = l * mu_batch(base + noise, p)
-        if cfg.antithetic:
-            stat = 0.5 * (stat + l * mu_batch(base - noise, p))
-        return stat
-
-    def rep(rng: np.random.Generator, count: int) -> np.ndarray:
-        z = rng.standard_normal((count, m))
-        return _chunked(pair, z, system.dim)[:, np.newaxis]
-
-    arr = _collect_blocks(
-        rep, reps, 1, cfg, system.dim, _calls_lapack(system.dim, p)
-    )[:, 0]
+    arr, total = _white_noise(
+        system, lambda g: l * mu_batch(g, p), 1, cfg, _calls_lapack(system.dim, p)
+    )
     value = float(arr.mean())
-    se = float(arr.std(ddof=1) / math.sqrt(reps))
+    se = float(arr.std(ddof=1) / math.sqrt(len(arr)))
     return NuEstimate(
         value=value, std_error=se, samples=total, estimator="direct", p=p, l=l
     )
 
 
-def _check_seed(seed) -> None:
+def _check_count(value, name: str) -> int:
+    """``value`` as an int, or ValueError naming ``name`` if it is not an integer."""
     try:
-        value = operator.index(seed)
+        return operator.index(value)
     except TypeError:
-        raise ValueError(f"seed must be an integer, got {seed!r}") from None
-    if not 0 <= value < 2**64:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+
+
+def _check_seed(seed) -> None:
+    if not 0 <= _check_count(seed, "seed") < 2**64:
         raise ValueError("seed must fit in an unsigned 64-bit integer")
 
 
@@ -368,24 +374,6 @@ def default_h_sequence(system: SdeSystem | ArrayLike, p=2, *, count: int = 7) ->
     a = system.A if isinstance(system, SdeSystem) else system
     h0 = 0.05 / max(1.0, matrix_norm(a, p))
     return tuple(h0 * 0.5**k for k in range(count))
-
-
-def _validate_h_sequence(h_seq, a_norm: float) -> np.ndarray:
-    h = np.asarray(list(h_seq), dtype=np.float64)
-    if h.size < 2:
-        raise ValueError("h_seq must contain at least two step sizes")
-    if not np.all(np.isfinite(h)):
-        raise ValueError("step sizes must be finite")
-    if np.any(h <= 0):
-        raise ValueError("step sizes must be positive")
-    if np.any(np.diff(h) >= 0):
-        raise ValueError("h_seq must be strictly decreasing")
-    worst = float(h[0] * a_norm)
-    if worst >= 0.1:
-        raise ValueError(
-            f"largest step violates the expansion regime: h*norm(A,p) = {worst:.3g} >= 0.1"
-        )
-    return h
 
 
 def nu_definitional(
@@ -417,11 +405,14 @@ def nu_definitional(
     n, m = system.dim, system.m
     if h_seq is None:
         h_seq = default_h_sequence(system, p)
-    h = _validate_h_sequence(h_seq, matrix_norm(system.A, p))
+    h = _check_h_sequence(h_seq)
+    worst = float(h[0] * matrix_norm(a, p))
+    if worst >= 0.1:
+        raise ValueError(
+            f"largest step violates the expansion regime: h*norm(A,p) = {worst:.3g} >= 0.1"
+        )
     nh = h.size
     weights = ols_line_weights(h)[0]
-    samples = cfg.resolve_samples(n)
-    reps, total = _replicate_plan(samples, cfg.antithetic)
 
     eye = np.eye(n, dtype=a.dtype)
     deterministic = eye[np.newaxis] + h[:, np.newaxis, np.newaxis] * a  # (nh, n, n)
@@ -434,9 +425,9 @@ def nu_definitional(
     def quotient(g: np.ndarray, hk: float) -> np.ndarray:
         return (matrix_norm_batch(g, p) ** l - 1.0) / hk
 
-    def quotient_rows(xi: np.ndarray) -> np.ndarray:
-        """Quotients for every h from one batch of unit normals (count, ...),
-        averaged over the pair (xi, -xi) under antithetic pairing."""
+    def intercept_and_quotients(xi: np.ndarray) -> np.ndarray:
+        """The fitted intercept and the quotient for every h, from one batch
+        of unit normals (count, ...)."""
         count = xi.shape[0]
         rows = np.empty((count, nh), dtype=np.float64)
         for k in range(nh):
@@ -449,20 +440,18 @@ def nu_definitional(
             dw, imat = _increments_from_normals(xi, hk)
             noise = np.tensordot(dw, bs, axes=(1, 0))
             second = np.einsum("sij,ijab->sab", imat, pairs)
-            q = quotient(deterministic[k] + noise + second, hk)
-            if cfg.antithetic:
-                q = 0.5 * (q + quotient(deterministic[k] - noise + second, hk))
-            rows[:, k] = q
-        return rows
-
-    def rep(rng: np.random.Generator, count: int) -> np.ndarray:
-        rows = _chunked(quotient_rows, _unit_normals(rng, count, m), n)
+            rows[:, k] = _paired(
+                lambda g: quotient(g + second, hk), deterministic[k], noise, cfg.antithetic
+            )
         return np.column_stack([rows @ weights, rows])
 
-    arr = _collect_blocks(rep, reps, 1 + nh, cfg, n, _calls_lapack(n, p))
+    arr, total = _replicates(
+        lambda rng, count: _unit_normals(rng, count, m),
+        intercept_and_quotients, 1 + nh, cfg, n, _calls_lapack(n, p),
+    )
     intercepts = arr[:, 0]
     value = float(intercepts.mean())
-    mc_se = float(intercepts.std(ddof=1) / math.sqrt(reps))
+    mc_se = float(intercepts.std(ddof=1) / math.sqrt(len(intercepts)))
     extrap_se = _intercept_residual_error(h, arr[:, 1:].mean(axis=0))
     se = math.hypot(mc_se, extrap_se)
     bias = extrap_se > 10.0 * mc_se and extrap_se > FP_FLOOR * max(1.0, abs(value))
@@ -742,28 +731,12 @@ def expected_max_re_perturbed(
     it hold with margin for any system.
     """
     cfg = cfg or McConfig()
-    a, bs, m = system.A, system.diffusions, system.m
-    base = a - 0.5 * _sum_squares(bs)
-    samples = cfg.resolve_samples(system.dim)
-    reps, total = _replicate_plan(samples, cfg.antithetic)
 
     def stat(mats: np.ndarray) -> np.ndarray:
         return np.column_stack([max_re_eigvals_batch(mats), mu_batch(mats, 2)])
 
-    def pair(z: np.ndarray) -> np.ndarray:
-        if not m:
-            return stat(np.broadcast_to(base, (z.shape[0],) + base.shape))
-        noise = np.tensordot(z, bs, axes=(1, 0))
-        stats = stat(base + noise)
-        if cfg.antithetic:
-            stats = 0.5 * (stats + stat(base - noise))
-        return stats
-
-    def rep(rng: np.random.Generator, count: int) -> np.ndarray:
-        z = rng.standard_normal((count, m))
-        return _chunked(pair, z, system.dim)
-
-    arr = _collect_blocks(rep, reps, 2, cfg, system.dim, _calls_lapack(system.dim))
+    arr, total = _white_noise(system, stat, 2, cfg, _calls_lapack(system.dim))
+    reps = len(arr)
     means = arr.mean(axis=0)
     ses = arr.std(axis=0, ddof=1) / math.sqrt(reps)
     diff_se = float((arr[:, 0] - arr[:, 1]).std(ddof=1) / math.sqrt(reps))
@@ -813,14 +786,13 @@ def scaling_check(
     difference is pure floating-point noise; the check window is 3 combined
     standard errors plus a small absolute allowance for that rounding.
     """
-    if alpha <= 0:
-        raise ValueError(f"alpha must be positive, got {alpha}")
+    scaled_system = system.scaled(alpha)  # rejects a bad alpha before any estimate
     cfg = cfg or McConfig()
     if h_seq is None:
         h_seq = default_h_sequence(system, p)
     base = nu_definitional(system, p, l, h_seq, cfg)
     scaled_h = tuple(h / alpha for h in base.h_used)
-    scaled = nu_definitional(system.scaled(alpha), p, l, scaled_h, cfg)
+    scaled = nu_definitional(scaled_system, p, l, scaled_h, cfg)
     expected = alpha * base.value
     difference = scaled.value - expected
     tol = 3.0 * math.hypot(scaled.std_error, alpha * base.std_error) + FP_FLOOR

@@ -59,6 +59,12 @@ class TestSimConfig:
         with pytest.raises(ValueError, match="seed must be an integer"):
             SimConfig(h=0.1, t_end=1.0, paths=10, seed=seed)
 
+    @pytest.mark.parametrize("field, value", [("paths", 100.0), ("checkpoints", 5.0)])
+    def test_rejects_non_integral_counts(self, field, value):
+        kwargs = {"h": 0.1, "t_end": 1.0, "paths": 10, field: value}
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            SimConfig(**kwargs)
+
     def test_rejects_boolean_l(self):
         with pytest.raises(ValueError, match="l must be a positive integer"):
             SimConfig(h=0.1, t_end=1.0, paths=10, l=True)
@@ -290,6 +296,25 @@ class TestSimulateMoments:
         for traj in runs.values():
             np.testing.assert_array_equal(traj.moments, runs[1].moments)
             np.testing.assert_array_equal(traj.std_errors, runs[1].std_errors)
+
+    def test_blocks_shrink_with_dimension(self, monkeypatch, block_threads):
+        # _block_size(40) = 2621 paths, so 3000 paths make two blocks
+        sys_ = SdeSystem(-np.eye(40), (0.1 * np.random.default_rng(40).normal(size=(40, 40)),))
+        cfg = SimConfig(h=0.01, t_end=0.02, paths=3000, checkpoints=2, seed=9,
+                        scheme="euler_maruyama")
+        blocks = []
+        run_blocks = sdesim._run_blocks
+
+        def recording(run, nblocks, seed, fan_out):
+            blocks.append(nblocks)
+            run_blocks(run, nblocks, seed, fan_out)
+
+        monkeypatch.setattr(sdesim, "_run_blocks", recording)
+        runs = block_threads.across(lambda: simulate_moments(sys_, np.ones(40), cfg), cores=(1, 2))
+        assert blocks == [2, 2]
+        assert block_threads.picked == [2 if block_threads.can_fan_out() else 1]
+        np.testing.assert_array_equal(runs[2].moments, runs[1].moments)
+        np.testing.assert_array_equal(runs[2].std_errors, runs[1].std_errors)
 
     def test_schemes_coincide_without_diffusion(self):
         sys_ = SdeSystem(np.array([[-2.0, 1.0], [0.0, -3.0]]))

@@ -126,6 +126,11 @@ class TestSdeSystem:
         with pytest.raises(ValueError):
             scalar_system(-2.0, 3.0).scaled(0.0)
 
+    @pytest.mark.parametrize("alpha", [math.nan, math.inf])
+    def test_scaled_rejects_nonfinite_alpha(self, alpha):
+        with pytest.raises(ValueError, match="alpha must be finite"):
+            scalar_system(-2.0, 3.0).scaled(alpha)
+
 
 class TestMcConfig:
     def test_defaults(self):
@@ -151,6 +156,11 @@ class TestMcConfig:
     def test_rejects_non_integral_seed(self, seed):
         with pytest.raises(ValueError, match="seed must be an integer"):
             McConfig(seed=seed)
+
+    @pytest.mark.parametrize("samples", [1e4, 100.0, "100"])
+    def test_rejects_non_integral_samples(self, samples):
+        with pytest.raises(ValueError, match="samples must be an integer"):
+            McConfig(samples=samples)
 
     def test_accepts_numpy_integer_seed(self):
         assert McConfig(seed=np.uint64(2**64 - 1)).seed == 2**64 - 1
@@ -516,13 +526,17 @@ def _reference_increments(xi: np.ndarray, h: float) -> tuple[np.ndarray, np.ndar
 
 def _reference_definitional(system: SdeSystem, p, l: int, cfg: McConfig) -> tuple[float, float]:
     """(value, std_error) of nu_definitional as first written: the transform
-    runs once per sign and step, and each pair is averaged afterwards."""
+    runs once per sign and step, each pair is averaged afterwards, and the
+    blocks and row chunks are laid out here rather than by the engine."""
     sm = slognorm_module
     a, bs = system.A, system.diffusions
     n, m = system.dim, system.m
-    h = sm._validate_h_sequence(default_h_sequence(system, p), matrix_norm(system.A, p))
+    h = np.array(default_h_sequence(system, p))
     weights = ols_line_weights(h)[0]
-    reps, _ = sm._replicate_plan(cfg.resolve_samples(n), cfg.antithetic)
+    samples = cfg.resolve_samples(n)
+    reps = samples // 2 if cfg.antithetic else samples
+    block = sm._block_size(n)
+    chunk = max(1, sm._CHUNK_DOUBLES // (n * n))
     deterministic = np.eye(n, dtype=a.dtype)[np.newaxis] + h[:, np.newaxis, np.newaxis] * a
     pairs = np.einsum("iab,jbc->ijac", bs, bs)
 
@@ -540,12 +554,15 @@ def _reference_definitional(system: SdeSystem, p, l: int, cfg: McConfig) -> tupl
         rows = quotient_rows(xi)
         return 0.5 * (rows + quotient_rows(-xi)) if cfg.antithetic else rows
 
-    def rep(rng, count):
-        xi = sm._unit_normals(rng, count, m)
-        rows = sm._chunked(pair_rows, xi, n)
-        return np.column_stack([rows @ weights, rows])
-
-    arr = sm._collect_blocks(rep, reps, 1 + h.size, cfg, n, sm._calls_lapack(n, p))
+    parts = []
+    for b in range(-(-reps // block)):
+        rng = np.random.default_rng(np.random.SeedSequence(cfg.seed, spawn_key=(b,)))
+        xi = sm._unit_normals(rng, min(block, reps - b * block), m)
+        for i in range(0, len(xi), chunk):
+            rows = pair_rows(xi[i:i + chunk])
+            parts.append(np.column_stack([rows @ weights, rows]))
+    arr = np.concatenate(parts)
+    assert len(arr) == reps
     mc_se = float(arr[:, 0].std(ddof=1) / math.sqrt(reps))
     extrap_se = sm._intercept_residual_error(h, arr[:, 1:].mean(axis=0))
     return float(arr[:, 0].mean()), math.hypot(mc_se, extrap_se)
@@ -805,6 +822,15 @@ class TestScalingCheck:
     def test_rejects_nonpositive_alpha(self):
         with pytest.raises(ValueError):
             scaling_check(scalar_system(-1.0, 1.0), -2.0)
+
+    @pytest.mark.parametrize("alpha", [math.nan, math.inf, -math.inf])
+    def test_rejects_nonfinite_alpha_before_estimating(self, monkeypatch, alpha):
+        def fail(*args, **kwargs):
+            raise AssertionError("estimated before checking alpha")
+
+        monkeypatch.setattr(slognorm_module, "nu_definitional", fail)
+        with pytest.raises(ValueError, match="alpha must be finite"):
+            scaling_check(scalar_system(-1.0, 1.0), alpha)
 
 
 class TestPerturbationInequalities:
