@@ -1,9 +1,13 @@
 """Ensemble moment simulation for linear SDEs with multiplicative noise.
 
 Integrates dX = A X dt + sum_j B(j) X dW(j) over many independent paths
-with the Euler-Maruyama (strong order 0.5) or Milstein (strong order 1.0)
-scheme and records the sample mean and standard error of norm(X_t, p)^l at
-evenly spaced checkpoints.  The fitted slope of log-moments against time
+with the Euler-Maruyama (strong order 0.5) or Milstein scheme and records
+the sample mean and standard error of norm(X_t, p)^l at evenly spaced
+checkpoints.  Milstein has strong order 1.0 when m <= 1 or the B(j)
+commute.  Otherwise its iterated integrals carry a two-point area in place
+of the Levy area (see :func:`slognorm.slognorm.sample_wiener_increments`):
+the scheme then has weak order 1, and its mean-square operator is exactly
+that of Milstein with the exact area.  The fitted slope of log-moments against time
 (:func:`growth_rate`) is the quantity the stochastic logarithmic norm
 bounds, which makes the simulator an end-to-end oracle for the estimators
 in :mod:`slognorm.slognorm`.

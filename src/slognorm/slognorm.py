@@ -90,9 +90,6 @@ def _block_size(dim: int) -> int:
 _CHUNK_DOUBLES = 2**18
 
 
-#: subintervals used to discretize off-diagonal iterated Wiener integrals
-LEVY_SUBDIVISIONS = 32
-
 #: absolute allowance added to 3-sigma windows when comparing estimates whose
 #: Monte Carlo variance vanishes; covers summation rounding of the mean
 FP_FLOOR = 1e-9
@@ -482,59 +479,55 @@ def _intercept_residual_error(h: np.ndarray, qbar: np.ndarray) -> float:
 
 def _unit_normals(rng: np.random.Generator, count: int, m: int) -> np.ndarray:
     """The unit normals behind ``count`` joint samples of m-channel Wiener
-    increments: shape (count, m) for m <= 1, else (count, LEVY_SUBDIVISIONS, m)."""
-    shape = (count, m) if m <= 1 else (count, LEVY_SUBDIVISIONS, m)
-    return rng.standard_normal(shape)
+    increments: shape (count, m * m), the first m columns for dW and two
+    more for each channel pair i < j (row-major), which fix its area sign."""
+    return rng.standard_normal((count, m * m))
 
 
 def _increments_from_normals(xi: np.ndarray, h: float) -> tuple[np.ndarray, np.ndarray]:
-    """Wiener increments and iterated integrals from unit normals.
+    """Wiener increments and iterated integrals from unit normals (count, m * m).
 
-    ``xi`` has shape (count, 1) for one channel (the iterated integral is
-    then exact) or (count, K, m) for m >= 2 channels.  There the K
-    subinterval increments delta are summed once into the walk W; its last
-    row is dW (a sequential sum along the subintervals, so it carries the
-    same bits as ``delta.sum(axis=1)``).  The upper off-diagonal integrals
-    accumulate sum_k W(i)_(k-1) delta(j)_k, which reads the walk at the
-    subinterval starts only for channels i < m - 1, and the symmetry
-    identity I_(i,j) + I_(j,i) = dW(i) dW(j) - delta_ij h fixes the lower
-    triangle.  The transform is odd in xi: -xi gives exactly -dW and the
-    same I.
+    dW = sqrt(h) xi[:, :m] and I = 1/2 (dW dW^T - h Id), plus the two-point
+    area L_(i,j) = (h/2) sign(zeta zeta') added to I_(i,j) and subtracted from
+    I_(j,i) for each pair i < j, with zeta, zeta' that pair's two columns.
+    For m = 1 this is the exact integral (dW^2 - h) / 2.  For m >= 2 the area
+    is not the Levy area path by path, but like it has mean 0 given dW,
+    variance h^2/4 and no correlation across pairs, which is all the
+    mean-square operator E[G (x) conj(G)] of the Milstein step sees.  The
+    transform is odd in xi: -xi gives exactly -dW and the same I.
     """
-    if xi.ndim == 2:  # single channel
-        dw = math.sqrt(h) * xi
-        imat = (0.5 * (dw[:, 0] ** 2 - h))[:, np.newaxis, np.newaxis]
-        return dw, imat
-    count, k_sub, m = xi.shape
-    delta = math.sqrt(h / k_sub) * xi
-    walk = np.cumsum(delta, axis=1)
-    dw = walk[:, -1].copy()
-    pre = walk[:, :, :-1]  # W at the start of each subinterval, channels < m - 1
-    pre -= delta[:, :, :-1]
-    imat = np.empty((count, m, m), dtype=np.float64)
-    for j in range(m):
-        imat[:, j, j] = 0.5 * (dw[:, j] ** 2 - h)
+    count, m = xi.shape[0], math.isqrt(xi.shape[1])
+    dw = math.sqrt(h) * xi[:, :m]
+    imat = np.empty((count, m, m))
+    col = m
+    # entry by entry: column operations beat broadcasting over tiny m x m
     for i in range(m):
+        imat[:, i, i] = 0.5 * (dw[:, i] ** 2 - h)
         for j in range(i + 1, m):
-            upper = np.einsum("sk,sk->s", pre[:, :, i], delta[:, :, j])
-            imat[:, i, j] = upper
-            imat[:, j, i] = dw[:, i] * dw[:, j] - upper
+            half = 0.5 * (dw[:, i] * dw[:, j])
+            area = np.copysign(0.5 * h, xi[:, col] * xi[:, col + 1])
+            imat[:, i, j] = half + area
+            imat[:, j, i] = half - area
+            col += 2
     return dw, imat
 
 
 def sample_wiener_increments(
     rng: np.random.Generator, count: int, m: int, h: float
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Draw ``count`` joint samples of dW ~ N(0, h I_m) and the iterated
-    integrals I_(i,j) = int_0^h int_0^s dW(i) dW(j) for m channels.
+    """Draw ``count`` joint samples of dW ~ N(0, h I_m) and iterated
+    integrals I_(i,j) for m channels, as the Milstein step uses them.
 
-    Returns arrays of shape (count, m) and (count, m, m).  Single-channel
-    integrals are exact; multi-channel off-diagonals use the subinterval
-    accumulation described in :func:`_increments_from_normals`.
+    Returns arrays of shape (count, m) and (count, m, m), with
+    I_(i,j) + I_(j,i) = dW(i) dW(j) - delta_ij h.  The diagonal is the exact
+    integral int_0^h int_0^s dW(i) dW(i); each off-diagonal pair carries the
+    two-point area of :func:`_increments_from_normals` in place of the Levy
+    area, so the Milstein step keeps weak order 1 and the exact-area
+    scheme's mean-square operator, but not its paths.
     """
-    if m < 1:
+    if _check_count(m, "m") < 1:
         raise ValueError(f"need at least one channel, got m={m}")
-    if count < 0:
+    if _check_count(count, "count") < 0:
         raise ValueError(f"count must be nonnegative, got count={count}")
     if not (math.isfinite(h) and h > 0):
         raise ValueError(f"step size must be finite and positive, got h={h}")

@@ -341,6 +341,62 @@ class TestSimulateMoments:
             traj.moments[0] = 0.0
 
 
+# the two-channel systems of the benchmark: B1 B2 != B2 B1 and B1 B2c = B2c B1
+MC_A = np.array([[-1.0, 0.5], [0.0, -2.0]])
+MC_B1 = np.array([[0.3, 0.2], [0.0, 0.1]])
+MC_B2 = np.array([[0.0, 0.4], [-0.4, 0.2]])
+MC_B2C = np.array([[0.25, 0.1], [0.0, 0.15]])
+# complex variants; scaling B1 and B2c by phases keeps them commuting
+MC_COMPLEX = (MC_A + 1j * np.array([[0.3, 0.0], [0.1, -0.2]]), MC_B1 * np.exp(0.4j),
+              MC_B2 + 0.1j * np.array([[1.0, 0.0], [0.0, -1.0]]), MC_B2C * np.exp(-0.7j))
+
+
+def _milstein_mean_square_operator(a, bs, h):
+    """E[G (x) conj(G)] of one two-channel Milstein step, exactly: G is a
+    polynomial of degree 2 in dW, so a 3-node Gauss-Hermite rule per channel
+    integrates G (x) conj(G) exactly, and the area +-h/2 of the pair is
+    averaged over both signs.  Acts on row-major vec(P), P = E[X X^H]."""
+    nodes, weights = np.polynomial.hermite_e.hermegauss(3)
+    weights = weights / weights.sum()
+    n = a.shape[0]
+    total = np.zeros((n * n, n * n), dtype=np.complex128)
+    for k1 in range(3):
+        for k2 in range(3):
+            dw = math.sqrt(h) * nodes[[k1, k2]]
+            for area in (0.5 * h, -0.5 * h):
+                iint = 0.5 * (np.outer(dw, dw) - h * np.eye(2))
+                iint += np.array([[0.0, area], [-area, 0.0]])
+                g = np.eye(n) + h * a + dw[0] * bs[0] + dw[1] * bs[1]
+                g = g + sum(iint[i, j] * bs[i] @ bs[j] for i in range(2) for j in range(2))
+                total += 0.5 * weights[k1] * weights[k2] * np.kron(g, g.conj())
+    return total
+
+
+class TestExactMeanSquare:
+    """The simulated mean square of the two-channel Milstein scheme against
+    the exact moment of the same discrete scheme."""
+
+    def test_operator_reproduces_the_exact_area_scheme(self):
+        op = _milstein_mean_square_operator(MC_A, (MC_B1, MC_B2), 0.01)
+        vec = np.linalg.matrix_power(op, 100) @ np.ones(4)
+        assert vec.reshape(2, 2).trace().real == pytest.approx(0.3046841, abs=5e-8)
+
+    @pytest.mark.parametrize("complex_", [False, True])
+    @pytest.mark.parametrize("commuting", [False, True])
+    def test_simulated_moments_match_exact_operator(self, complex_, commuting):
+        a, b1, b2, b2c = MC_COMPLEX if complex_ else (MC_A, MC_B1, MC_B2, MC_B2C)
+        bs = (b1, b2c if commuting else b2)
+        cfg = SimConfig(h=0.01, t_end=1.0, paths=20_000, checkpoints=10, seed=7)
+        traj = simulate_moments(SdeSystem(a, bs), [1.0, 1.0], cfg)
+        op = _milstein_mean_square_operator(a, bs, cfg.h)
+        stride = np.linalg.matrix_power(op, cfg.steps // cfg.checkpoints)
+        vec = np.ones(4, dtype=np.complex128)
+        for mom, se in zip(traj.moments[1:], traj.std_errors[1:]):
+            vec = stride @ vec
+            exact = vec.reshape(2, 2).trace().real
+            assert abs(mom - exact) <= 4 * se, (mom, exact, se)
+
+
 def synthetic_trajectory(times, moments, std_errors=None) -> MomentTrajectory:
     times = np.asarray(times, dtype=np.float64)
     moments = np.asarray(moments, dtype=np.float64)

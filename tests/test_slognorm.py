@@ -16,7 +16,6 @@ from slognorm.matcore import DimensionError, EigenConvergenceError, matrix_norm,
 from slognorm.slognorm import (
     BOUND_APPLICABILITY,
     FP_FLOOR,
-    LEVY_SUBDIVISIONS,
     McConfig,
     NuEstimate,
     SdeSystem,
@@ -486,8 +485,39 @@ class TestIteratedIntegrals:
         with pytest.raises(ValueError):
             sample_wiener_increments(rng, 4, 1, 0.0)
 
-    def test_subdivision_constant(self):
-        assert LEVY_SUBDIVISIONS == 32
+    @pytest.mark.parametrize("count, m, name", [
+        (4.0, 2, "count"), (4.5, 2, "count"), ("4", 2, "count"),
+        (4, 2.0, "m"), (4, 1.5, "m"), (4, None, "m"),
+    ])
+    def test_non_integer_count_or_channels_rejected(self, count, m, name):
+        with pytest.raises(ValueError, match=rf"{name} must be an integer, got "):
+            sample_wiener_increments(np.random.default_rng(0), count, m, 0.1)
+
+    def test_two_point_area_law(self):
+        # the area L_(i,j) = (I_(i,j) - I_(j,i)) / 2 of every pair i < j is
+        # +-h/2, with mean 0 given dW and signs independent across pairs
+        h, n = 0.04, 10**5
+        for m in (2, 3):
+            rng = np.random.default_rng(50 + m)
+            dw, imat = sample_wiener_increments(rng, n, m, h)
+            i, j = np.triu_indices(m, 1)
+            area = 0.5 * (imat[:, i, j] - imat[:, j, i])
+            np.testing.assert_allclose(np.abs(area), h / 2, rtol=1e-12)
+            products = [area] + [area * dw[:, [k]] for k in range(m)]
+            products.append(area * dw[:, i] * dw[:, j])
+            for prod in products:
+                se = prod.std(axis=0) / math.sqrt(n)
+                assert np.all(np.abs(prod.mean(axis=0)) <= 4 * se)
+            # with dW = 0 the transform returns the area alone, exactly
+            xi = slognorm_module._unit_normals(rng, 4096, m)
+            xi[:, :m] = 0.0
+            _, bare = _increments_from_normals(xi, h)
+            assert np.all(np.abs(bare[:, i, j]) == h / 2)
+            assert np.array_equal(bare[:, j, i], -bare[:, i, j])
+            assert np.all(bare[:, range(m), range(m)] == -h / 2)
+        signs = np.sign(area)  # the three pairs of the m = 3 pass
+        for a, b in ((0, 1), (0, 2), (1, 2)):
+            assert abs((signs[:, a] * signs[:, b]).mean()) <= 4 / math.sqrt(n)
 
     @pytest.mark.parametrize("h", [math.nan, math.inf, -math.inf, -0.5])
     def test_nonfinite_or_negative_step_rejected(self, h):
@@ -504,23 +534,20 @@ class TestIteratedIntegrals:
 
 
 def _reference_increments(xi: np.ndarray, h: float) -> tuple[np.ndarray, np.ndarray]:
-    """The two-channel transform as first written: dW from a second sum
-    over the subintervals and the walk's starting values for every channel."""
-    if xi.ndim == 2:
-        dw = math.sqrt(h) * xi
-        return dw, (0.5 * (dw[:, 0] ** 2 - h))[:, np.newaxis, np.newaxis]
-    count, k_sub, m = xi.shape
-    delta = math.sqrt(h / k_sub) * xi
-    dw = delta.sum(axis=1)
-    pre = np.cumsum(delta, axis=1) - delta
-    imat = np.empty((count, m, m), dtype=np.float64)
-    for j in range(m):
-        imat[:, j, j] = 0.5 * (dw[:, j] ** 2 - h)
-    for i in range(m):
-        for j in range(i + 1, m):
-            upper = np.einsum("sk,sk->s", pre[:, :, i], delta[:, :, j])
-            imat[:, i, j] = upper
-            imat[:, j, i] = dw[:, i] * dw[:, j] - upper
+    """The two-point transform as one matrix formula: dW = sqrt(h) xi over
+    the first m columns and I = (dW dW^T - h Id) / 2; then for the k-th pair
+    i < j in row-major order, whose columns are m + 2k and m + 2k + 1, the
+    area L = -h/2 when exactly one of the two columns is negative, else
+    +h/2, is added to I_(i,j) and subtracted from I_(j,i)."""
+    m = int(round(math.sqrt(xi.shape[1])))
+    assert m * m == xi.shape[1]
+    dw = math.sqrt(h) * xi[:, :m]
+    imat = 0.5 * (np.einsum("si,sj->sij", dw, dw) - h * np.eye(m))
+    negative = xi[:, m:] < 0
+    area = np.where(negative[:, 0::2] != negative[:, 1::2], -0.5 * h, 0.5 * h)
+    i, j = np.triu_indices(m, 1)
+    imat[:, i, j] += area
+    imat[:, j, i] -= area
     return dw, imat
 
 
@@ -570,7 +597,8 @@ def _reference_definitional(system: SdeSystem, p, l: int, cfg: McConfig) -> tupl
 
 class TestTransformOnce:
     """The transform runs once per (block, h) and serves both members of an
-    antithetic pair; every bit matches the algorithm it replaced."""
+    antithetic pair; every bit matches the matrix statement of the transform
+    and the definitional estimator as first written."""
 
     @pytest.mark.parametrize("m", [1, 2, 3])
     def test_transform_is_odd_bit_for_bit(self, m):
