@@ -225,10 +225,24 @@ def _p_label(p) -> str:
     return "inf" if p == math.inf else str(int(p))
 
 
+_METHOD_LABELS = {
+    "monte_carlo": "Monte Carlo",
+    "quadrature": "Gauss-Hermite quadrature",
+    "closed_form": "exact",
+}
+
+
+def _with_error(est: NuEstimate, digits: int) -> str:
+    """``value +/- error (method)`` for the human-readable summaries."""
+    return (f"{est.value:.{digits}g} +/- {est.std_error:.3g} "
+            f"({_METHOD_LABELS[est.method]})")
+
+
 def _estimate_payload(est: NuEstimate) -> dict:
     payload = {
         "identity": f"nu_p{_p_label(est.p)}_l{est.l}_{est.estimator}",
         "estimator": est.estimator,
+        "method": est.method,
         "value": est.value,
         "std_error": est.std_error,
         "samples": est.samples,
@@ -241,6 +255,12 @@ def _estimate_payload(est: NuEstimate) -> dict:
     return payload
 
 
+_SAMPLES_HELP = (
+    "Monte Carlo samples{what}.  Without it the direct estimate of a "
+    "one-channel system at p = 2 is a Gauss-Hermite quadrature where the "
+    "rule converges, and otherwise a Monte Carlo run whose sample count "
+    "scales with dimension."
+)
 _SEED_OPTION = click.option(
     "--seed",
     type=int,
@@ -313,7 +333,7 @@ def cmd_lognorm(matrix_file: str, p: str) -> None:
     help="Which estimator(s) to run.",
 )
 @click.option("--samples", type=click.IntRange(min=2), default=None,
-              help="Monte Carlo samples (default scales with dimension).")
+              help=_SAMPLES_HELP.format(what=""))
 @_SEED_OPTION
 @click.option("--h0", type=float, default=None,
               help="Largest step of the definitional h-sequence (default 0.05/max(1, norm(A,p))).")
@@ -387,8 +407,8 @@ def cmd_slognorm(
         },
     }
     summary = [
-        f"nu_p{p}_l{l} ({est.estimator}) = {est.value:.10g} "
-        f"+/- {est.std_error:.3g}  [{classify(est, tol).value}]"
+        f"nu_p{p}_l{l} ({est.estimator}) = {_with_error(est, 10)}  "
+        f"[{classify(est, tol).value}]"
         for est in estimates
     ] + [f"warning: {w}" for w in warnings]
     _emit(results, summary, warnings)
@@ -456,6 +476,11 @@ def cmd_simulate(
         traj = simulate_moments(system, start, cfg)
 
     warnings: list[str] = []
+    if paths == 1 and system.m > 0:
+        warnings.append(
+            "one path of a noisy system has no sample spread: its standard errors "
+            "and the growth-rate error are nan; run at least two paths"
+        )
     diverged_total = int(traj.diverged[-1])
     if diverged_total > 0:
         warnings.append(
@@ -511,7 +536,7 @@ def cmd_simulate(
 @cli.command(name="table1")
 @_SEED_OPTION
 @click.option("--samples", type=click.IntRange(min=2), default=None,
-              help="Monte Carlo samples per case (default scales with dimension).")
+              help=_SAMPLES_HELP.format(what=" per case"))
 @_ANTITHETIC_OPTION
 def cmd_table1(seed: int, samples: int | None, antithetic: bool) -> None:
     """Reproduce the published nu_2^2 benchmark table with fresh estimates.
@@ -545,7 +570,7 @@ def cmd_table1(seed: int, samples: int | None, antithetic: bool) -> None:
                 state = "OK" if row["verdicts"]["nu_matches_reference"] else "MISMATCH"
                 note = f"(reference {row['reference']['nu']:.6g}) {state}"
             summary.append(
-                f"case ({case}): nu = {est.value:.6g} +/- {est.std_error:.3g} {note}"
+                f"case ({case}): nu = {_with_error(est, 6)} {note}"
             )
     _emit({"cases": rows}, summary, annotations=TABLE1_ANNOTATIONS)
 
@@ -572,7 +597,7 @@ def cmd_table1(seed: int, samples: int | None, antithetic: bool) -> None:
 @click.option("--sigma2", type=float, default=1.0, show_default=True,
               help="Nonnormal: signed sigma^2 (negative values model imaginary sigma).")
 @click.option("--samples", type=click.IntRange(min=2), default=None,
-              help="Monte Carlo samples for the cross-check estimate.")
+              help=_SAMPLES_HELP.format(what=" for the cross-check estimate"))
 @_SEED_OPTION
 @_ANTITHETIC_OPTION
 def cmd_examples(
@@ -629,8 +654,7 @@ def cmd_examples(
             "estimate_matches_closed_form": agrees(est.value, example.nu, est.std_error),
         }
         summary = [
-            f"pendulum: nu = {example.nu:.10g} (closed form), "
-            f"{est.value:.10g} +/- {est.std_error:.3g} (Monte Carlo)",
+            f"pendulum: nu = {example.nu:.10g} (closed form), {_with_error(est, 10)}",
             f"necessary amplitude b* = {example.threshold:.10g}; requested b = {amplitude:g}",
         ]
     else:
@@ -667,9 +691,7 @@ def cmd_examples(
             results["estimate_matches_closed_form"] = agrees(
                 est.value, example.nu, est.std_error
             )
-            summary.append(
-                f"Monte Carlo cross-check: {est.value:.10g} +/- {est.std_error:.3g}"
-            )
+            summary.append(f"cross-check: {_with_error(est, 10)}")
     _emit(results, summary)
 
 

@@ -121,7 +121,10 @@ class MomentTrajectory:
 
     ``moments[0]`` is the exact deterministic value norm(x0, p)^l.  A
     checkpoint where any path has diverged reports infinite moment and
-    standard error, with the offending path count in ``diverged``.
+    standard error, with the offending path count in ``diverged``.  One
+    path of a noisy system has no sample spread, so its standard errors
+    after t = 0 are NaN; a system without noise has exact moments and
+    zero standard errors.
     """
 
     times: np.ndarray
@@ -308,7 +311,7 @@ def simulate_moments(system: SdeSystem, x0, cfg: SimConfig) -> MomentTrajectory:
             var = max(total_sq[c] - cfg.paths * mean * mean, 0.0) / (cfg.paths - 1)
             errors[c + 1] = math.sqrt(var / cfg.paths)
         else:
-            errors[c + 1] = 0.0
+            errors[c + 1] = math.nan if m else 0.0
     for arr in (times, moments, errors, diverged):
         arr.flags.writeable = False
     return MomentTrajectory(

@@ -4,10 +4,13 @@ For the linear Ito system dX = A X dt + sum_j B(j) X dW(j) with constant
 square matrices, the stochastic logarithmic norm nu_p^l(A, B(1:m)) bounds
 the exponential growth rate of the l-th mean E norm(X_t, p)^l, exactly as
 the classical logarithmic norm mu_p does for ODEs.  This module offers two
-Monte Carlo estimators plus every closed-form bound the theory provides:
+estimators plus every closed-form bound the theory provides:
 
 * ``nu_direct`` evaluates l * E[mu_p(A - 1/2 sum B^2 + sum B zeta)] with
-  zeta i.i.d. standard normal (the white-noise representation).
+  zeta i.i.d. standard normal (the white-noise representation).  For one
+  channel at p = 2 and the default sample count this 1-D Gaussian integral
+  is computed by Gauss-Hermite quadrature when the rule converges; every
+  other case is a Monte Carlo mean.
 * ``nu_definitional`` estimates the defining limit: the h -> 0 intercept of
   the difference quotients (E norm(I + hA + sum B dW + sum BB I_(i,j), p)^l
   - 1) / h, with common random numbers across the h-sequence.
@@ -17,7 +20,7 @@ l = 2 the direct route gives 2 mu_2(A) - 1 while the definitional limit is
 2 mu_2(A) + 1 — so both are exposed, never averaged or reconciled; callers
 (and the CLI) are expected to compare them and surface disagreement.
 
-All estimators share one deterministic Monte Carlo engine,
+The Monte Carlo estimates share one deterministic engine,
 :func:`_replicates`: draws are generated in blocks whose size depends only
 on the dimension, each block seeded independently from (seed, block
 index), and reduced in fixed order, which makes every result bit-identical
@@ -27,6 +30,7 @@ LAPACK run on every available core (see :func:`slognorm.matcore._run_blocks`).
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 from dataclasses import dataclass
@@ -177,13 +181,19 @@ class McConfig:
 
 @dataclass(frozen=True)
 class NuEstimate:
-    """A Monte Carlo estimate of nu_p^l with its standard error.
+    """An estimate of nu_p^l with its error, and the ``method`` behind it.
 
-    ``std_error`` is the sample standard deviation of the per-replicate
-    statistic divided by sqrt(samples of that statistic); under antithetic
-    pairing the replicate is a pair mean.  ``h_used`` is present exactly
-    for the definitional estimator; ``bias_warning`` marks definitional
-    runs whose extrapolation residual dominates the Monte Carlo error.
+    ``monte_carlo``: ``std_error`` is the sample standard deviation of the
+    per-replicate statistic divided by sqrt(samples of that statistic);
+    under antithetic pairing the replicate is a pair mean.  ``quadrature``
+    (direct estimator only): the value is the 128-node Gauss-Hermite rule,
+    ``std_error`` its difference from the 64-node rule and ``samples`` its
+    node count.  ``closed_form``: the statistic is deterministic (no noise)
+    and the value exact.  A direct ``std_error`` is never below the
+    rounding bound of the sum behind the value.  ``h_used`` is present
+    exactly for the definitional estimator; ``bias_warning`` marks
+    definitional runs whose extrapolation residual dominates the Monte
+    Carlo error.
     """
 
     value: float
@@ -194,10 +204,15 @@ class NuEstimate:
     l: int
     h_used: tuple[float, ...] | None = None
     bias_warning: bool = False
+    method: str = "monte_carlo"
 
     def __post_init__(self):
         if self.estimator not in ("direct", "definitional"):
             raise ValueError(f"unknown estimator {self.estimator!r}")
+        if self.method not in ("monte_carlo", "quadrature", "closed_form"):
+            raise ValueError(f"unknown method {self.method!r}")
+        if self.method != "monte_carlo" and self.estimator != "direct":
+            raise ValueError(f"{self.method} is a method of the direct estimator only")
         if self.estimator == "definitional" and not self.h_used:
             raise ValueError("definitional estimates must record h_used")
         if self.samples < 1:
@@ -280,12 +295,12 @@ def _replicates(
 
 
 def _paired(stat: Callable[[np.ndarray], np.ndarray], base, noise: np.ndarray,
-            antithetic: bool) -> np.ndarray:
+            antithetic: bool, out: np.ndarray | None = None) -> np.ndarray:
     """stat(base + noise), averaged with stat(base - noise) under antithetic
-    pairing."""
-    value = stat(base + noise)
+    pairing; ``out``, when given, holds base + noise and then base - noise."""
+    value = stat(np.add(base, noise, out=out))
     if antithetic:
-        value = 0.5 * (value + stat(base - noise))
+        value = 0.5 * (value + stat(np.subtract(base, noise, out=out)))
     return value
 
 
@@ -309,13 +324,101 @@ def _white_noise(system: SdeSystem, stat: Callable[[np.ndarray], np.ndarray],
 # ---------------------------------------------------------------------------
 
 
+def _rounding_floor(count: int, mean_abs: float) -> float:
+    """The rounding bound eps * log2(count) * mean|x| of a mean of ``count``
+    terms x, the least error that such a mean can claim."""
+    return float(np.finfo(np.float64).eps) * math.log2(count) * mean_abs
+
+
+#: node counts of the Gauss-Hermite rules; the coarser one only gauges the
+#: finer one's error.  :func:`_hermite_rule` overflows near 1000 nodes
+_GH_NODES = (64, 128)
+
+#: the 128-node rule is accepted when it is this close to the 64-node rule,
+#: relative to the integral of |f|
+_GH_RTOL = 1e-10
+
+
+def _orthonormal_hermite(z: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """p_(n-1)(z) and p_n(z) for the Hermite polynomials orthonormal under
+    the standard normal law, from z p_k = sqrt(k + 1) p_(k+1) + sqrt(k) p_(k-1)."""
+    prev, cur = np.zeros_like(z), np.ones_like(z)
+    for k in range(1, n + 1):
+        prev, cur = cur, (z * cur - math.sqrt(k - 1) * prev) / math.sqrt(k)
+    return prev, cur
+
+
+@functools.lru_cache(maxsize=None)
+def _hermite_rule(count: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of the ``count``-node Gauss-Hermite rule for
+    E f(zeta), zeta standard normal (the weights sum to 1).
+
+    The nodes are the zeros of p_count, the eigenvalues of the Jacobi
+    matrix of Golub & Welsch (1969).  Each is bracketed by a sign change on
+    a grid over (-sqrt(4 count + 2), sqrt(4 count + 2)), which holds every
+    zero, and polished by Newton steps with p_n' = sqrt(n) p_(n-1); the
+    weights are 1 / (count p_(count-1)^2).  Neither LAPACK nor
+    numpy.polynomial is used: their first call in a process costs about
+    1 MB of resident memory, more than a 2x2 estimate needs otherwise.
+    """
+    edge = math.sqrt(4 * count + 2)
+    grid = np.linspace(-edge, edge, 16 * count + 1)
+    p = _orthonormal_hermite(grid, count)[1]
+    lo = np.flatnonzero(np.signbit(p[:-1]) != np.signbit(p[1:]))
+    if lo.size != count:
+        raise ArithmeticError(f"found {lo.size} of the {count} Hermite zeros")
+    z = grid[lo] - p[lo] * (grid[lo + 1] - grid[lo]) / (p[lo + 1] - p[lo])
+    for _ in range(4):
+        prev, cur = _orthonormal_hermite(z, count)
+        z = z - cur / (math.sqrt(count) * prev)
+    w = 1.0 / (count * _orthonormal_hermite(z, count)[0] ** 2)
+    z, w = 0.5 * (z - z[::-1]), 0.5 * (w + w[::-1])
+    w /= w.sum()
+    z.flags.writeable = w.flags.writeable = False
+    return z, w
+
+
+def _one_channel_quadrature(
+    system: SdeSystem, stat: Callable[[np.ndarray], np.ndarray]
+) -> tuple[float, float] | None:
+    """E stat(A - 1/2 B^2 + zeta B) for one channel by the 128-node
+    Gauss-Hermite rule and its error: the distance from the 64-node rule,
+    at least the rounding bound of the sum.  None when the two rules differ
+    by more than ``_GH_RTOL`` of the integral of |stat| (a kink or a fast
+    change in zeta).
+
+    The matrices are formed in row chunks of ``_CHUNK_DOUBLES`` doubles,
+    like the Monte Carlo blocks; stat must act row by row.
+    """
+    (b,) = system.diffusions
+    base = system.A - 0.5 * _sum_squares(system.diffusions)
+    chunk = max(1, _CHUNK_DOUBLES // (system.dim * system.dim))
+    rules = []
+    for count in _GH_NODES:
+        z, w = _hermite_rule(count)
+        f = np.empty(count)
+        for lo in range(0, count, chunk):
+            f[lo:lo + chunk] = stat(base + z[lo:lo + chunk, None, None] * b)
+        rules.append((float(w @ f), float(w @ np.abs(f))))
+    (coarse, _), (fine, scale) = rules
+    gap = abs(fine - coarse)
+    if not gap <= _GH_RTOL * scale:  # also when f is not finite
+        return None
+    return fine, max(gap, _rounding_floor(_GH_NODES[-1], scale))
+
+
 def nu_direct(system: SdeSystem, p=2, l: int = 2, cfg: McConfig | None = None) -> NuEstimate:
     """Estimate nu_p^l as l * E[mu_p(A - 1/2 sum B^2 + sum B zeta)].
 
-    zeta(1)..zeta(m) are i.i.d. standard normal; the expectation is a plain
+    zeta(1)..zeta(m) are i.i.d. standard normal.  With one channel, p = 2
+    and ``cfg.samples`` left at None, the expectation is a 1-D Gaussian
+    integral of a smooth statistic and is computed by Gauss-Hermite
+    quadrature (``method="quadrature"``, see :class:`NuEstimate`); when the
+    64- and 128-node rules disagree (a kink in zeta) it falls back to the
+    Monte Carlo run at :func:`default_samples`.  Every other call is a
     Monte Carlo mean over ``cfg.samples`` draws (antithetic by default).
     With m = 0 the statistic is deterministic and the exact value
-    l * mu_p(A) is returned with zero standard error.
+    l * mu_p(A) is returned with zero standard error (``closed_form``).
     """
     p = check_p(p)
     l = _check_l(l)
@@ -323,15 +426,25 @@ def nu_direct(system: SdeSystem, p=2, l: int = 2, cfg: McConfig | None = None) -
     if system.m == 0:
         return NuEstimate(
             value=l * mu(system.A, p), std_error=0.0, samples=1,
-            estimator="direct", p=p, l=l,
+            estimator="direct", p=p, l=l, method="closed_form",
         )
-    arr, total = _white_noise(
-        system, lambda g: l * mu_batch(g, p), 1, cfg, _calls_lapack(system.dim, p)
-    )
+
+    def stat(g: np.ndarray) -> np.ndarray:
+        return l * mu_batch(g, p)
+
+    if cfg.samples is None and system.m == 1 and p == 2:
+        quad = _one_channel_quadrature(system, stat)
+        if quad is not None:
+            return NuEstimate(
+                value=quad[0], std_error=quad[1], samples=_GH_NODES[-1],
+                estimator="direct", p=p, l=l, method="quadrature",
+            )
+    arr, total = _white_noise(system, stat, 1, cfg, _calls_lapack(system.dim, p))
     value = float(arr.mean())
     se = float(arr.std(ddof=1) / math.sqrt(len(arr)))
+    floor = _rounding_floor(len(arr), float(np.abs(arr).mean()))
     return NuEstimate(
-        value=value, std_error=se, samples=total, estimator="direct", p=p, l=l
+        value=value, std_error=max(se, floor), samples=total, estimator="direct", p=p, l=l
     )
 
 
@@ -427,6 +540,10 @@ def nu_definitional(
         of unit normals (count, ...)."""
         count = xi.shape[0]
         rows = np.empty((count, nh), dtype=np.float64)
+        # (count, n, n) work arrays shared by every h: fresh temporaries of
+        # this size (128 KiB at n = 2) are mapped and unmapped by the
+        # allocator on every step, and their pages faulted in again
+        noise, second, g = (np.empty((count, n, n), dtype=a.dtype) for _ in range(3))
         for k in range(nh):
             hk = float(h[k])
             if m == 0:
@@ -435,10 +552,12 @@ def nu_definitional(
             # -xi gives exactly -dW and the same I (negation is exact), so
             # one transform serves both members of the pair
             dw, imat = _increments_from_normals(xi, hk)
-            noise = np.tensordot(dw, bs, axes=(1, 0))
-            second = np.einsum("sij,ijab->sab", imat, pairs)
+            # np.tensordot(dw, bs, axes=(1, 0)) as the 2-d product it reduces to
+            np.dot(dw, bs.reshape(m, n * n), out=noise.reshape(count, n * n))
+            np.einsum("sij,ijab->sab", imat, pairs, out=second)
             rows[:, k] = _paired(
-                lambda g: quotient(g + second, hk), deterministic[k], noise, cfg.antithetic
+                lambda x: quotient(np.add(x, second, out=x), hk),
+                deterministic[k], noise, cfg.antithetic, out=g,
             )
         return np.column_stack([rows @ weights, rows])
 

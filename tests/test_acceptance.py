@@ -389,3 +389,29 @@ def test_12_mu_limit_and_spectral_abscissa():
         assert abs(closed - limit) <= 1e-6, (k, p, closed, limit)
         abscissa = float(max_re_eigvals_batch(np.asarray(a, dtype=np.complex128)[np.newaxis])[0])
         assert abscissa <= mu(a, 2) + 1e-9, (k, abscissa)
+
+
+def test_13_direct_quadrature_matches_monte_carlo(benchmark_estimates):
+    """At the default sample count the one-channel p = 2 direct estimate is
+    a Gauss-Hermite quadrature.  On every Table 1 row it must equal the
+    independent 128-node oracle ``gauss_hermite_nu22`` to 1e-12 and lie
+    within 3 combined standard errors of an explicit Monte Carlo run: the
+    10^6-sample runs of criterion 1, and 2000 samples for the 100x100 case
+    (h), where 10^6 eigensolves would take minutes."""
+    estimates, _ = benchmark_estimates
+    mc = dict(estimates)
+    mc["h"] = nu_direct(table1_system("h"), 2, 2, McConfig(samples=2000, seed=42))
+    for case in "abcdefghi":
+        system = table1_system(case)
+        quad = nu_direct(system, 2, 2, McConfig(seed=42))
+        assert quad.method == "quadrature" and mc[case].method == "monte_carlo", case
+        # perfbench's oracle divides by sqrt(samples // 2)
+        assert quad.samples == 128, case
+        exact = gauss_hermite_nu22(system, 128)
+        assert quad.value == pytest.approx(exact, rel=1e-12, abs=1e-12), case
+        assert quad.std_error <= 1e-12 * max(1.0, abs(exact)), case
+        window = 3.0 * math.hypot(quad.std_error, mc[case].std_error) + FP_FLOOR
+        assert abs(quad.value - mc[case].value) <= window, (
+            f"case ({case}): quadrature {quad.value!r} vs Monte Carlo "
+            f"{mc[case].value!r} +/- {mc[case].std_error:.3g}"
+        )

@@ -289,7 +289,84 @@ class TestSlognormCommand:
         assert outs[1] == outs[4]
 
 
+class TestEstimateMethods:
+    """Each direct estimate says how it was computed: the ``method`` key
+    follows ``estimator``, and every summary line names it."""
+
+    def test_default_single_channel_is_quadrature(self, tmp_path):
+        path = write_system(tmp_path, [[-1.0, 0.5], [0.0, -2.0]],
+                            [[[0.3, 0.0], [0.1, 0.2]]])
+        result = run(["slognorm", path, "--method", "direct"])
+        direct = report_of(result)["results"]["estimates"][0]
+        assert list(direct)[:3] == ["identity", "estimator", "method"]
+        assert direct["method"] == "quadrature" and direct["samples"] == 128
+        assert "(Gauss-Hermite quadrature)" in result.stderr
+
+    def test_explicit_samples_run_monte_carlo(self, tmp_path):
+        path = write_system(tmp_path, [[-1.0, 0.5], [0.0, -2.0]],
+                            [[[0.3, 0.0], [0.1, 0.2]]])
+        result = run(["slognorm", path, "--samples", "256"])
+        estimates = report_of(result)["results"]["estimates"]
+        assert [e["method"] for e in estimates] == ["monte_carlo", "monte_carlo"]
+        assert result.stderr.count("(Monte Carlo)") == 2
+
+    def test_deterministic_system_is_exact(self, tmp_path):
+        path = write_system(tmp_path, [[-1.0]])
+        result = run(["slognorm", path, "--method", "direct"])
+        assert report_of(result)["results"]["estimates"][0]["method"] == "closed_form"
+        assert "(exact)" in result.stderr
+
+    def test_table1_default_rows_are_quadrature(self):
+        result = run(["table1"])
+        cases = report_of(result)["results"]["cases"]
+        assert {c["nu"]["method"] for c in cases} == {"quadrature"}
+        assert all(c["nu"]["samples"] >= 2 for c in cases)
+        lines = [ln for ln in result.stderr.splitlines() if ln.startswith("case (")]
+        assert len(lines) == 9
+        assert all("(Gauss-Hermite quadrature)" in ln for ln in lines)
+
+    def test_table1_error_is_not_below_the_rounding_bound(self):
+        # case (a) used to report -225 +/- 8.7e-19, below the ulp of 225
+        rep = report_of(run(["table1", "--samples", "64", "--seed", "7"]))
+        case_a = rep["results"]["cases"][0]["nu"]
+        assert case_a["method"] == "monte_carlo"
+        assert case_a["std_error"] >= math.ulp(225.0)
+
+    def test_examples_name_their_method(self):
+        pend = run(["examples", "--which", "pendulum", "--samples", "512"])
+        assert "(closed form)" in pend.stderr and "(Monte Carlo)" in pend.stderr
+        assert report_of(pend)["results"]["nu_estimate"]["method"] == "monte_carlo"
+        nonnormal = run(["examples", "--which", "nonnormal", "--sigma2", "0.5", "--b", "0"])
+        estimate = report_of(nonnormal)["results"]["nu_estimate"]
+        assert estimate["method"] == "quadrature"
+        assert "cross-check:" in nonnormal.stderr
+        assert "(Gauss-Hermite quadrature)" in nonnormal.stderr
+        assert "Monte Carlo cross-check" not in nonnormal.stderr
+
+    @pytest.mark.parametrize("command", ["slognorm", "table1", "examples"])
+    def test_samples_help_names_the_quadrature_default(self, command):
+        text = " ".join(run([command, "--help"]).stdout.split())
+        assert "Gauss-Hermite quadrature" in text
+
+
 class TestSimulateCommand:
+    def test_single_noisy_path_has_no_standard_error(self, tmp_path):
+        path = write_system(tmp_path, [[-1.0]], [[[0.5]]])
+        result = run(["simulate", path, "--h", "0.01", "--t-end", "0.1",
+                      "--paths", "1", "--checkpoints", "5"])
+        assert result.exit_code == 0
+        rep = report_of(result)
+        assert rep["results"]["trajectory"]["std_errors"] == [0.0] + ["nan"] * 5
+        assert rep["results"]["growth_rate"]["std_error"] == "nan"
+        assert any("one path" in w for w in rep["warnings"])
+
+    def test_single_deterministic_path_is_exact(self, tmp_path):
+        path = write_system(tmp_path, [[-1.0]])
+        rep = report_of(run(["simulate", path, "--h", "0.01", "--t-end", "0.1",
+                             "--paths", "1", "--checkpoints", "5"]))
+        assert rep["results"]["trajectory"]["std_errors"] == [0.0] * 6
+        assert rep["warnings"] == []
+
     def test_growth_rate_and_csv(self, tmp_path):
         path = write_system(tmp_path, [[-5.0]], [[[1.0]]])
         out = tmp_path / "traj.csv"

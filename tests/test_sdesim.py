@@ -234,6 +234,16 @@ class TestSimulateMoments:
         assert traj.moments[0] == 1.0 and traj.std_errors[0] == 0.0
         np.testing.assert_allclose(traj.times, np.linspace(0.0, 1.0, 11), atol=1e-12)
 
+    @pytest.mark.parametrize("scheme", ["euler_maruyama", "milstein"])
+    def test_single_noisy_path_has_nan_standard_errors(self, scheme):
+        # one path has no sample spread; 0.0 would claim an exact moment
+        cfg = SimConfig(h=0.01, t_end=0.1, paths=1, checkpoints=5, scheme=scheme)
+        traj = simulate_moments(scalar_system(-1.0, 0.5), [1.0], cfg)
+        assert traj.std_errors[0] == 0.0
+        assert np.isnan(traj.std_errors[1:]).all()
+        assert np.isfinite(traj.moments).all()
+        assert math.isnan(growth_rate(traj)[1])
+
     def test_deterministic_2x2_matches_manual_iteration(self):
         a = np.array([[-1.0, 0.5], [0.0, -2.0]])
         sys_ = SdeSystem(a)

@@ -10,7 +10,7 @@ import pytest
 
 import slognorm.matcore as matcore
 import slognorm.slognorm as slognorm_module
-from slognorm.cases import table1_system
+from slognorm.cases import pendulum, table1_row, table1_system
 from slognorm.lognorm import mu, ols_line_weights
 from slognorm.matcore import DimensionError, EigenConvergenceError, matrix_norm, matrix_norm_batch
 from slognorm.slognorm import (
@@ -181,6 +181,16 @@ class TestNuEstimate:
             NuEstimate(value=0.0, std_error=-1.0, samples=10,
                        estimator="direct", p=2, l=2)
 
+    def test_method_defaults_to_monte_carlo_and_is_checked(self):
+        est = NuEstimate(value=0.0, std_error=0.0, samples=10, estimator="direct", p=2, l=2)
+        assert est.method == "monte_carlo"
+        with pytest.raises(ValueError, match="unknown method"):
+            NuEstimate(value=0.0, std_error=0.0, samples=10, estimator="direct",
+                       p=2, l=2, method="oracle")
+        with pytest.raises(ValueError, match="direct estimator only"):
+            NuEstimate(value=0.0, std_error=0.0, samples=10, estimator="definitional",
+                       p=2, l=2, h_used=(0.1, 0.05), method="quadrature")
+
 
 class TestClassify:
     def test_spec_examples(self):
@@ -268,6 +278,114 @@ class TestNuDirect:
             nu_direct(scalar_system(-1.0, 1.0), 2, 0)
         with pytest.raises(ValueError):
             nu_direct(scalar_system(-1.0, 1.0), 2, 1.5)
+
+
+# (case, p, samples, seed, antithetic) -> (value, std_error) of nu_direct
+# before quadrature and the error floor existed, as float.hex; 2x2 rows
+# only, whose kernels are closed forms with no LAPACK call
+_EXPLICIT_SAMPLE_RUNS = {
+    ("b", 2, 4096, 1, True): ("-0x1.c829c40c8fd6cp+6", "0x1.f2d45a691c92ep-13"),
+    ("d", 2, 20000, 3, True): ("-0x1.bf01d822072f5p+7", "0x1.c3e603aff091bp-11"),
+    ("e", 1, 5000, 5, False): ("-0x1.95f5691018ffap+7", "0x1.ca47417350adap-6"),
+}
+
+
+class TestDirectQuadrature:
+    """One channel, p = 2 and the default sample count: Gauss-Hermite
+    quadrature where the 64- and 128-node rules agree, else the Monte Carlo
+    run at the default sample count, bit for bit.  The quadrature's values
+    are checked against an independent oracle in ``test_acceptance``."""
+
+    def test_case_g_stays_flagged(self):
+        est = nu_direct(table1_system("g"), 2, 2)
+        assert est.method == "quadrature"
+        row = table1_row("g", est, bounds_report(table1_system("g"), 2, 2))
+        assert row["verdicts"]["nu_matches_reference"] is False
+        assert abs(est.value - 924.53) > 100.0
+
+    @pytest.mark.parametrize("which, p", [("pendulum", 2), ("e", 1), ("e", math.inf)])
+    def test_fallback_is_the_default_monte_carlo_run(self, which, p):
+        # the pendulum's statistic has a kink in zeta, so the rules disagree;
+        # p = 1 and inf never use quadrature
+        system = pendulum(10.0, 0.1, 50.0).system if which == "pendulum" else table1_system(which)
+        fallback = nu_direct(system, p, 2, McConfig(seed=9))
+        explicit = nu_direct(system, p, 2, McConfig(samples=default_samples(system.dim), seed=9))
+        assert fallback.method == "monte_carlo"
+        assert dataclasses.astuple(fallback) == dataclasses.astuple(explicit)
+
+    @pytest.mark.parametrize("count", [64, 128])
+    def test_rule_matches_numpy_hermegauss(self, count):
+        z, w = slognorm_module._hermite_rule(count)
+        ref_z, ref_w = np.polynomial.hermite_e.hermegauss(count)
+        ref_w = ref_w / math.sqrt(2.0 * math.pi)
+        np.testing.assert_allclose(z, ref_z, rtol=0, atol=1e-14)
+        np.testing.assert_allclose(w, ref_w, rtol=1e-12, atol=0)
+        assert np.array_equal(z, -z[::-1]) and np.array_equal(w, w[::-1])
+        # E zeta^2 = 1, E zeta^4 = 3, E zeta^6 = 15
+        moments = [float(w @ z ** k) for k in (0, 2, 4, 6)]
+        assert moments == pytest.approx([1.0, 1.0, 3.0, 15.0], rel=1e-14)
+
+    def test_rules_that_disagree_are_rejected(self):
+        # the base is A - B^2/2 = -1/2, so |zeta - 1/2| has a kink at 1/2 and
+        # Q128 - Q64 is far above 1e-10 of the integral
+        system = SdeSystem([[0.0]], ([[1.0]],))
+        kinked = slognorm_module._one_channel_quadrature(system, lambda g: np.abs(g[:, 0, 0]))
+        smooth = slognorm_module._one_channel_quadrature(system, lambda g: g[:, 0, 0] ** 2)
+        assert kinked is None
+        assert smooth[0] == pytest.approx(1.25, rel=1e-14)  # E (zeta - 1/2)^2
+
+    def test_nonfinite_statistic_falls_back(self):
+        system = SdeSystem([[0.0]], ([[1.0]],))
+        assert slognorm_module._one_channel_quadrature(
+            system, lambda g: np.full(len(g), np.nan)) is None
+
+    def test_chunked_rule_is_bitwise_equal(self, monkeypatch):
+        # n = 100: the rules run in 26-matrix chunks
+        system = table1_system("h", seed=3)
+        chunked = nu_direct(system, 2, 2)
+        monkeypatch.setattr(slognorm_module, "_CHUNK_DOUBLES", 2**40)
+        assert dataclasses.astuple(nu_direct(system, 2, 2)) == dataclasses.astuple(chunked)
+
+    @pytest.mark.parametrize("key", list(_EXPLICIT_SAMPLE_RUNS))
+    def test_explicit_samples_are_unchanged(self, key):
+        case, p, samples, seed, antithetic = key
+        est = nu_direct(table1_system(case), p, 2,
+                        McConfig(samples=samples, seed=seed, antithetic=antithetic))
+        value, se = _EXPLICIT_SAMPLE_RUNS[key]
+        assert (est.value.hex(), est.std_error.hex()) == (value, se)
+        assert est.method == "monte_carlo" and est.samples == samples
+
+    def test_two_channels_stay_monte_carlo(self):
+        sys_ = random_system(np.random.default_rng(9), 2, 2)
+        assert nu_direct(sys_, 2, 2, McConfig(samples=None, seed=1)).method == "monte_carlo"
+
+
+class TestErrorFloor:
+    """A reported direct error is never below the rounding bound
+    eps * log2(N) * mean|x| of the sum behind the value."""
+
+    def test_zero_spread_monte_carlo_reports_the_rounding_bound(self):
+        # case (e) at p = inf: the pair means of -215 spread by 2.0e-17,
+        # below the ulp of 215, which was reported as the error before
+        est = nu_direct(table1_system("e"), math.inf, 2,
+                        McConfig(samples=4096, seed=2))
+        assert est.value == -215.0
+        floor = np.finfo(float).eps * math.log2(2048) * 215.0
+        assert est.std_error == pytest.approx(floor, rel=1e-12)
+        assert est.std_error >= math.ulp(215.0)
+
+    def test_quadrature_error_is_floored(self):
+        # case (a): the rules agree to a few ulps of -225, so the rounding
+        # bound eps * log2(128) * 225 is the error
+        est = nu_direct(table1_system("a"), 2, 2)
+        assert est.method == "quadrature"
+        assert est.std_error >= math.ulp(225.0)
+        assert est.std_error == pytest.approx(np.finfo(float).eps * 7 * 225.0, rel=1e-9)
+
+    def test_deterministic_system_keeps_zero_error(self):
+        est = nu_direct(SdeSystem([[-1.0]]), 2, 2)
+        assert est.method == "closed_form"
+        assert est.std_error == 0.0 and est.samples == 1
 
 
 class TestNuDefinitional:
