@@ -36,8 +36,8 @@ import numpy as np
 
 from .lognorm import ols_line_weights
 from .matcore import _norm_rows, _run_blocks, check_p, vector_norm
-from .slognorm import (SdeSystem, _block_size, _check_count, _check_l, _check_seed,
-                       sample_wiener_increments)
+from .slognorm import (SdeSystem, _block_moments, _block_size, _check_count, _check_l,
+                       _check_seed, _merge_moments, sample_wiener_increments)
 
 __all__ = [
     "SimConfig",
@@ -121,10 +121,10 @@ class MomentTrajectory:
 
     ``moments[0]`` is the exact deterministic value norm(x0, p)^l.  A
     checkpoint where any path has diverged reports infinite moment and
-    standard error, with the offending path count in ``diverged``.  One
-    path of a noisy system has no sample spread, so its standard errors
-    after t = 0 are NaN; a system without noise has exact moments and
-    zero standard errors.
+    standard error, with the offending path count in ``diverged``.  A
+    system without noise has exact moments and zero standard errors; for a
+    noisy one they come from :func:`slognorm.slognorm._merge_moments`, so
+    none is below the rounding bound, and one path gives NaN after t = 0.
     """
 
     times: np.ndarray
@@ -228,9 +228,10 @@ def simulate_moments(system: SdeSystem, x0, cfg: SimConfig) -> MomentTrajectory:
 
     The initial condition is deterministic, so ``moments[0]`` is exact.
     Blocks of paths own independent child seeds and fan out over every
-    available core, and the cross-block reduction runs in fixed order, so
-    the result is bit-identical for a fixed ``cfg.seed`` whatever the
-    thread count.
+    available core; each reduces its live values at every checkpoint with
+    :func:`slognorm.slognorm._block_moments`, and the blocks merge in fixed
+    order, so the result is bit-identical for a fixed ``cfg.seed`` whatever
+    the thread count.
     """
     x0 = np.asarray(x0).ravel()
     if x0.shape[0] != system.dim:
@@ -248,18 +249,12 @@ def simulate_moments(system: SdeSystem, x0, cfg: SimConfig) -> MomentTrajectory:
     root_h = math.sqrt(cfg.h)
     a, bs, pairs = _step_matrices(system, milstein=use_milstein)
     dtype = np.complex128 if (np.iscomplexobj(a) or np.iscomplexobj(x0)) else np.float64
-    x0 = x0.astype(dtype)
-    a = a.astype(dtype)
-    bs = bs.astype(dtype)
-    if pairs is not None:
-        pairs = pairs.astype(dtype)
+    x0, a, bs = (v.astype(dtype) for v in (x0, a, bs))
+    pairs = None if pairs is None else pairs.astype(dtype)
 
     block = _block_size(system.dim)
     nblocks = -(-cfg.paths // block)
-    # per-block partial reductions: sum, sum of squares, diverged count
-    sums = np.zeros((nblocks, ncheck))
-    sqs = np.zeros((nblocks, ncheck))
-    dead = np.zeros((nblocks, ncheck), dtype=np.int64)
+    stats = np.empty((5, nblocks, ncheck))  # block moments of the live paths
 
     def run(b: int, rng: np.random.Generator) -> None:
         count = min(block, cfg.paths - b * block)
@@ -268,7 +263,6 @@ def simulate_moments(system: SdeSystem, x0, cfg: SimConfig) -> MomentTrajectory:
         # per-block buffers, so the step loop allocates only inside the sampler
         noise = np.empty((count, m))
         work = _step_buffers(x, a, bs, pairs)
-        c = 0
         with np.errstate(over="ignore", invalid="ignore"):
             for step in range(1, steps + 1):
                 if sampled:
@@ -281,37 +275,17 @@ def simulate_moments(system: SdeSystem, x0, cfg: SimConfig) -> MomentTrajectory:
                     norms = _norm_rows(x, cfg.p)
                     vals = norms**cfg.l
                     alive &= np.isfinite(vals) & (norms <= DIVERGENCE_THRESHOLD)
-                    live_vals = vals[alive]
-                    sums[b, c] = live_vals.sum()
-                    sqs[b, c] = (live_vals * live_vals).sum()
-                    dead[b, c] = count - int(alive.sum())
-                    c += 1
+                    _block_moments(vals[alive], stats[:, b, step // stride - 1])
 
     _run_blocks(run, nblocks, cfg.seed, fan_out=True)
-
-    total = np.add.reduce(sums, axis=0)
-    total_sq = np.add.reduce(sqs, axis=0)
-    total_dead = np.add.reduce(dead, axis=0)
+    means, ses = _merge_moments(stats)
 
     times = np.arange(ncheck + 1, dtype=np.float64) * (stride * cfg.h)
-    moments = np.empty(ncheck + 1)
-    errors = np.empty(ncheck + 1)
-    diverged = np.zeros(ncheck + 1, dtype=np.int64)
-    moments[0] = start_norm**cfg.l
-    errors[0] = 0.0
-    diverged[1:] = total_dead
-    for c in range(ncheck):
-        if total_dead[c] > 0:
-            moments[c + 1] = math.inf
-            errors[c + 1] = math.inf
-            continue
-        mean = total[c] / cfg.paths
-        moments[c + 1] = mean
-        if cfg.paths > 1:
-            var = max(total_sq[c] - cfg.paths * mean * mean, 0.0) / (cfg.paths - 1)
-            errors[c + 1] = math.sqrt(var / cfg.paths)
-        else:
-            errors[c + 1] = math.nan if m else 0.0
+    diverged = np.concatenate([[0], cfg.paths - np.add.reduce(stats[0], axis=0)]).astype(np.int64)
+    dead = diverged > 0
+    moments = np.where(dead, math.inf, np.concatenate([[start_norm**cfg.l], means]))
+    # without noise every path is the same path, so the moments are exact
+    errors = np.where(dead, math.inf, np.concatenate([[0.0], ses if m else np.zeros(ncheck)]))
     for arr in (times, moments, errors, diverged):
         arr.flags.writeable = False
     return MomentTrajectory(

@@ -20,12 +20,12 @@ l = 2 the direct route gives 2 mu_2(A) - 1 while the definitional limit is
 2 mu_2(A) + 1 — so both are exposed, never averaged or reconciled; callers
 (and the CLI) are expected to compare them and surface disagreement.
 
-The Monte Carlo estimates share one deterministic engine,
-:func:`_replicates`: draws are generated in blocks whose size depends only
-on the dimension, each block seeded independently from (seed, block
-index), and reduced in fixed order, which makes every result bit-identical
-for a given seed whatever the number of cores.  Blocks whose kernel calls
-LAPACK run on every available core (see :func:`slognorm.matcore._run_blocks`).
+The Monte Carlo estimates share one deterministic engine, :func:`_replicates`:
+draws come in blocks whose size depends only on the dimension, each seeded
+from (seed, block index) and reduced to (count, sum, M2), and the blocks
+merge in fixed order, so every result is bit-identical for a given seed
+whatever the number of cores.  Blocks whose kernel calls LAPACK run on
+every available core (see :func:`slognorm.matcore._run_blocks`).
 """
 
 from __future__ import annotations
@@ -184,16 +184,16 @@ class NuEstimate:
     """An estimate of nu_p^l with its error, and the ``method`` behind it.
 
     ``monte_carlo``: ``std_error`` is the sample standard deviation of the
-    per-replicate statistic divided by sqrt(samples of that statistic);
-    under antithetic pairing the replicate is a pair mean.  ``quadrature``
-    (direct estimator only): the value is the 128-node Gauss-Hermite rule,
-    ``std_error`` its difference from the 64-node rule and ``samples`` its
-    node count.  ``closed_form``: the statistic is deterministic (no noise)
-    and the value exact.  A direct ``std_error`` is never below the
-    rounding bound of the sum behind the value.  ``h_used`` is present
-    exactly for the definitional estimator; ``bias_warning`` marks
-    definitional runs whose extrapolation residual dominates the Monte
-    Carlo error.
+    per-replicate statistic, merged from per-block moments, divided by
+    sqrt(replicates); under antithetic pairing the replicate is a pair mean.
+    ``quadrature`` (direct estimator only): the value is the 128-node
+    Gauss-Hermite rule, ``std_error`` its difference from the 64-node rule
+    and ``samples`` its node count.  ``closed_form``: the statistic is
+    deterministic (no noise), the value exact and ``std_error`` 0; any
+    other ``std_error`` is at least the rounding bound of the sum behind
+    the value.  ``h_used`` is present exactly for the definitional
+    estimator; ``bias_warning`` marks definitional runs whose extrapolation
+    residual dominates the Monte Carlo error.
     """
 
     value: float
@@ -248,26 +248,60 @@ def classify(nu: NuEstimate, tol: float = 0.0) -> StabilityClass:
 # ---------------------------------------------------------------------------
 
 
-def _replicates(
-    draw: Callable[[np.random.Generator, int], np.ndarray],
-    stat: Callable[[np.ndarray], np.ndarray],
-    ncols: int,
-    cfg: McConfig,
-    dim: int,
-    lapack: bool,
-) -> tuple[np.ndarray, int]:
-    """A (replicates, ncols) matrix of statistics, filled deterministically,
-    and the number of samples behind it.
+def _rounding_floor(count, mean_abs):
+    """The rounding bound eps * log2(count) * mean|x| of a mean of ``count``
+    terms x, the least error such a mean can claim (also on arrays)."""
+    return np.finfo(np.float64).eps * np.log2(count) * mean_abs
+
+
+def _block_moments(x: np.ndarray, out: np.ndarray) -> None:
+    """Reduce x (..., count) along its last axis into out (5, ...): the
+    count, the sum, about the rounded mean m = sum / count the residue
+    sum (x - m) and M2 = sum (x - m)^2, and the sum of |x|.  Each is the
+    pairwise sum of one contiguous row, so it depends on that row only."""
+    total = x.sum(axis=-1)
+    dev = x - (total / max(x.shape[-1], 1))[..., np.newaxis]
+    out[0], out[1], out[2] = x.shape[-1], total, dev.sum(axis=-1)
+    # one work array: fresh block-sized temporaries are mapped and faulted in
+    out[3] = np.multiply(dev, dev, out=dev).sum(axis=-1)
+    out[4] = np.abs(x, out=dev).sum(axis=-1)
+
+
+def _merge_moments(moments: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Means and standard errors from the :func:`_block_moments` of every
+    block, stacked as (5, blocks, ...): the one place where a spread
+    becomes an error bar.
+
+    Blocks merge in block order (Chan, Golub & LeVeque 1979): the mean is
+    sum / N, and with d = m - mean for each block's rounded mean m,
+    M2 = sum M2_b + sum d (n_b d + 2 residue_b) is sum (x - mean)^2 with
+    no cancelling sum of squares.  The error sqrt(M2 / (N - 1)) / sqrt(N)
+    is never below the :func:`_rounding_floor`, and NaN for one value.
+    """
+    counts, sums, residues, m2s, abs_sums = moments
+    with np.errstate(divide="ignore", invalid="ignore"):
+        count = np.add.reduce(counts, axis=0)
+        mean = np.add.reduce(sums, axis=0) / count
+        d = sums / np.maximum(counts, 1) - mean
+        m2 = np.add.reduce(m2s, axis=0) + np.add.reduce(d * (counts * d + 2.0 * residues), axis=0)
+        se = np.sqrt(m2 / (count - 1)) / np.sqrt(count)
+        return mean, np.maximum(se, _rounding_floor(count, np.add.reduce(abs_sums, axis=0) / count))
+
+
+def _replicates(draw: Callable[[np.random.Generator, int], np.ndarray],
+                stat: Callable[[np.ndarray], np.ndarray], ncols: int, cfg: McConfig,
+                dim: int, lapack: bool) -> tuple[np.ndarray, np.ndarray, int]:
+    """Means and standard errors of the ``ncols`` columns of stat over the
+    replicates, and the number of samples behind them.
 
     Under antithetic pairing a replicate is the mean over a pair of samples,
     so there are half as many replicates as ``cfg`` asks for samples.  Block
-    b of ``_block_size(dim)`` replicates draws its inputs as
-    ``draw(rng_b, count)``, with rng_b from :func:`_run_blocks`, and writes
-    ``stat`` of them into its rows in chunks that keep each (rows, dim, dim)
-    temporary near ``_CHUNK_DOUBLES``; stat must act row by row.  The blocks write disjoint rows, so
-    they fan out (when ``lapack`` says stat's kernel calls LAPACK) with
-    bit-identical results; reductions over the returned array are the
-    caller's business and use numpy's fixed-order pairwise summation.
+    b of ``_block_size(dim)`` replicates draws ``draw(rng_b, count)``, with
+    rng_b from :func:`_run_blocks`, evaluates stat (which must act row by
+    row) in chunks that keep each (rows, dim, dim) temporary near
+    ``_CHUNK_DOUBLES``, and keeps only its :func:`_block_moments`, so memory
+    is O(block) and the blocks fan out (when ``lapack`` says stat's kernel
+    calls LAPACK) with bit-identical results.
     """
     samples = cfg.resolve_samples(dim)
     if cfg.antithetic and samples < 4:
@@ -275,23 +309,26 @@ def _replicates(
     reps = samples // 2 if cfg.antithetic else samples
     block = _block_size(dim)
     chunk = max(1, _CHUNK_DOUBLES // (dim * dim))
-    out = np.empty((reps, ncols), dtype=np.float64)
+    nblocks = -(-reps // block)
+    moments = np.empty((5, nblocks, ncols))
 
     def run(b: int, rng: np.random.Generator) -> None:
         start = b * block
-        stop = min(start + block, reps)
-        x = draw(rng, stop - start)
+        count = min(block, reps - start)
+        x = draw(rng, count)
+        vals = np.empty((ncols, count))
         try:
-            for lo in range(start, stop, chunk):
-                hi = min(lo + chunk, stop)
-                out[lo:hi] = stat(x[lo - start:hi - start]).reshape(hi - lo, ncols)
+            for lo in range(0, count, chunk):
+                hi = min(lo + chunk, count)
+                vals[:, lo:hi] = stat(x[lo:hi]).reshape(hi - lo, ncols).T
         except EigenConvergenceError as exc:
             raise EigenConvergenceError(
-                f"{exc} (while evaluating replicates {start}..{stop})"
+                f"{exc} (while evaluating replicates {start}..{start + count})"
             ) from exc
+        _block_moments(vals, moments[:, b])
 
-    _run_blocks(run, -(-reps // block), cfg.seed, lapack)
-    return out, 2 * reps if cfg.antithetic else reps
+    _run_blocks(run, nblocks, cfg.seed, lapack)
+    return (*_merge_moments(moments), 2 * reps if cfg.antithetic else reps)
 
 
 def _paired(stat: Callable[[np.ndarray], np.ndarray], base, noise: np.ndarray,
@@ -304,8 +341,8 @@ def _paired(stat: Callable[[np.ndarray], np.ndarray], base, noise: np.ndarray,
     return value
 
 
-def _white_noise(system: SdeSystem, stat: Callable[[np.ndarray], np.ndarray],
-                 ncols: int, cfg: McConfig, lapack: bool) -> tuple[np.ndarray, int]:
+def _white_noise(system: SdeSystem, stat: Callable[[np.ndarray], np.ndarray], ncols: int,
+                 cfg: McConfig, lapack: bool) -> tuple[np.ndarray, np.ndarray, int]:
     """:func:`_replicates` of stat(A - 1/2 sum B^2 + sum B zeta), with
     zeta(1)..zeta(m) i.i.d. standard normal (unpaired when m = 0)."""
     bs = system.diffusions
@@ -322,12 +359,6 @@ def _white_noise(system: SdeSystem, stat: Callable[[np.ndarray], np.ndarray],
 # ---------------------------------------------------------------------------
 # direct estimator
 # ---------------------------------------------------------------------------
-
-
-def _rounding_floor(count: int, mean_abs: float) -> float:
-    """The rounding bound eps * log2(count) * mean|x| of a mean of ``count``
-    terms x, the least error that such a mean can claim."""
-    return float(np.finfo(np.float64).eps) * math.log2(count) * mean_abs
 
 
 #: node counts of the Gauss-Hermite rules; the coarser one only gauges the
@@ -385,7 +416,7 @@ def _one_channel_quadrature(
     Gauss-Hermite rule and its error: the distance from the 64-node rule,
     at least the rounding bound of the sum.  None when the two rules differ
     by more than ``_GH_RTOL`` of the integral of |stat| (a kink or a fast
-    change in zeta).
+    change in zeta) plus 16 ulps of the largest entry of A - 1/2 B^2 and B.
 
     The matrices are formed in row chunks of ``_CHUNK_DOUBLES`` doubles,
     like the Monte Carlo blocks; stat must act row by row.
@@ -402,9 +433,11 @@ def _one_channel_quadrature(
         rules.append((float(w @ f), float(w @ np.abs(f))))
     (coarse, _), (fine, scale) = rules
     gap = abs(fine - coarse)
-    if not gap <= _GH_RTOL * scale:  # also when f is not finite
+    # a vanishing integrand is known only to a few ulps of the matrix entries
+    entries = float(np.abs(base).max() + np.abs(b).max())
+    if not gap <= _GH_RTOL * scale + 16 * np.finfo(np.float64).eps * entries:  # also NaN
         return None
-    return fine, max(gap, _rounding_floor(_GH_NODES[-1], scale))
+    return fine, float(max(gap, _rounding_floor(_GH_NODES[-1], scale)))
 
 
 def nu_direct(system: SdeSystem, p=2, l: int = 2, cfg: McConfig | None = None) -> NuEstimate:
@@ -439,12 +472,9 @@ def nu_direct(system: SdeSystem, p=2, l: int = 2, cfg: McConfig | None = None) -
                 value=quad[0], std_error=quad[1], samples=_GH_NODES[-1],
                 estimator="direct", p=p, l=l, method="quadrature",
             )
-    arr, total = _white_noise(system, stat, 1, cfg, _calls_lapack(system.dim, p))
-    value = float(arr.mean())
-    se = float(arr.std(ddof=1) / math.sqrt(len(arr)))
-    floor = _rounding_floor(len(arr), float(np.abs(arr).mean()))
+    (value,), (se,), total = _white_noise(system, stat, 1, cfg, _calls_lapack(system.dim, p))
     return NuEstimate(
-        value=value, std_error=max(se, floor), samples=total, estimator="direct", p=p, l=l
+        value=float(value), std_error=float(se), samples=total, estimator="direct", p=p, l=l
     )
 
 
@@ -539,7 +569,7 @@ def nu_definitional(
         """The fitted intercept and the quotient for every h, from one batch
         of unit normals (count, ...)."""
         count = xi.shape[0]
-        rows = np.empty((count, nh), dtype=np.float64)
+        cols = np.empty((1 + nh, count), dtype=np.float64)  # intercept, quotients
         # (count, n, n) work arrays shared by every h: fresh temporaries of
         # this size (128 KiB at n = 2) are mapped and unmapped by the
         # allocator on every step, and their pages faulted in again
@@ -547,7 +577,7 @@ def nu_definitional(
         for k in range(nh):
             hk = float(h[k])
             if m == 0:
-                rows[:, k] = quotient(np.broadcast_to(deterministic[k], (count, n, n)), hk)
+                cols[1 + k] = quotient(np.broadcast_to(deterministic[k], (count, n, n)), hk)
                 continue
             # -xi gives exactly -dW and the same I (negation is exact), so
             # one transform serves both members of the pair
@@ -555,20 +585,20 @@ def nu_definitional(
             # np.tensordot(dw, bs, axes=(1, 0)) as the 2-d product it reduces to
             np.dot(dw, bs.reshape(m, n * n), out=noise.reshape(count, n * n))
             np.einsum("sij,ijab->sab", imat, pairs, out=second)
-            rows[:, k] = _paired(
+            cols[1 + k] = _paired(
                 lambda x: quotient(np.add(x, second, out=x), hk),
                 deterministic[k], noise, cfg.antithetic, out=g,
             )
-        return np.column_stack([rows @ weights, rows])
+        # summed in h order, row by row: a gemv's bits depend on the row count
+        cols[0] = functools.reduce(operator.add, map(operator.mul, weights, cols[1:]))
+        return cols.T
 
-    arr, total = _replicates(
+    means, ses, total = _replicates(
         lambda rng, count: _unit_normals(rng, count, m),
         intercept_and_quotients, 1 + nh, cfg, n, _calls_lapack(n, p),
     )
-    intercepts = arr[:, 0]
-    value = float(intercepts.mean())
-    mc_se = float(intercepts.std(ddof=1) / math.sqrt(len(intercepts)))
-    extrap_se = _intercept_residual_error(h, arr[:, 1:].mean(axis=0))
+    value, mc_se = float(means[0]), float(ses[0])
+    extrap_se = _intercept_residual_error(h, means[1:])
     se = math.hypot(mc_se, extrap_se)
     bias = extrap_se > 10.0 * mc_se and extrap_se > FP_FLOOR * max(1.0, abs(value))
     return NuEstimate(
@@ -838,28 +868,23 @@ def expected_max_re_perturbed(
     stability matrix and check it against nu_2^2 / 2.
 
     Both statistics are evaluated on the same zeta draws, so the comparison
-    ``inequality_holds`` (estimate <= half_nu within 3 combined standard
-    errors) is a paired test; pointwise max Re lambda(M) <= mu_2(M) makes
-    it hold with margin for any system.
+    ``inequality_holds`` (estimate <= half_nu within 3 standard errors of
+    their difference) is a paired test; pointwise max Re lambda(M) <=
+    mu_2(M) makes it hold with margin for any system.
     """
     cfg = cfg or McConfig()
 
     def stat(mats: np.ndarray) -> np.ndarray:
-        return np.column_stack([max_re_eigvals_batch(mats), mu_batch(mats, 2)])
+        max_re, half_nu = max_re_eigvals_batch(mats), mu_batch(mats, 2)
+        return np.column_stack([max_re, half_nu, max_re - half_nu])
 
-    arr, total = _white_noise(system, stat, 2, cfg, _calls_lapack(system.dim))
-    reps = len(arr)
-    means = arr.mean(axis=0)
-    ses = arr.std(axis=0, ddof=1) / math.sqrt(reps)
-    diff_se = float((arr[:, 0] - arr[:, 1]).std(ddof=1) / math.sqrt(reps))
-    gap = float(means[0] - means[1])
-    holds = gap <= 3.0 * diff_se + FP_FLOOR
+    means, ses, total = _white_noise(system, stat, 3, cfg, _calls_lapack(system.dim))
     return PerturbedSpectrumCheck(
         estimate=float(means[0]),
         estimate_stderr=float(ses[0]),
         half_nu=float(means[1]),
         half_nu_stderr=float(ses[1]),
-        inequality_holds=bool(holds),
+        inequality_holds=bool(means[0] - means[1] <= 3.0 * ses[2] + FP_FLOOR),
         samples=total,
     )
 

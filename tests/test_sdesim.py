@@ -333,6 +333,27 @@ class TestSimulateMoments:
         mil = simulate_moments(sys_, [1.0, 1.0], SimConfig(scheme="milstein", **base))
         np.testing.assert_array_equal(em.moments, mil.moments)
 
+    def test_noiseless_ensemble_has_zero_standard_errors(self):
+        # every path is the same path; a sum of squares less N mean^2
+        # reported up to 1.9e-10 here
+        sys_ = SdeSystem(np.array([[-1.0, 2.0], [0.0, -3.0]]))
+        cfg = SimConfig(h=0.01, t_end=1.0, paths=10_000, checkpoints=10)
+        traj = simulate_moments(sys_, [1.0, 1.0], cfg)
+        assert np.all(traj.std_errors == 0.0)
+        assert np.isfinite(traj.moments).all()
+
+    def test_standard_error_is_linear_in_small_noise(self):
+        # B = b I: the spread of norm(X_t)^2 is linear in b to first order,
+        # and at b = 1e-9 it is far above the rounding of the moments
+        def errors(b):
+            sys_ = SdeSystem(np.array([[-1.0, 2.0], [0.0, -3.0]]), (b * np.eye(2),))
+            cfg = SimConfig(h=0.01, t_end=1.0, paths=10_000, checkpoints=10, seed=5)
+            return simulate_moments(sys_, [1.0, 1.0], cfg).std_errors[1:]
+
+        small, large = errors(1e-9), errors(1e-7)
+        assert np.all(small > 0.0)
+        np.testing.assert_allclose(small, 1e-2 * large, rtol=1e-2)
+
     def test_x0_validation(self):
         sys_ = scalar_system(-1.0, 1.0)
         cfg = SimConfig(h=0.1, t_end=1.0, paths=4)

@@ -3,14 +3,17 @@
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
+import operator
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import slognorm.matcore as matcore
 import slognorm.slognorm as slognorm_module
-from slognorm.cases import pendulum, table1_row, table1_system
+from slognorm.cases import nonnormal, pendulum, table1_row, table1_system
 from slognorm.lognorm import mu, ols_line_weights
 from slognorm.matcore import DimensionError, EigenConvergenceError, matrix_norm, matrix_norm_batch
 from slognorm.slognorm import (
@@ -281,9 +284,18 @@ class TestNuDirect:
 
 
 # (case, p, samples, seed, antithetic) -> (value, std_error) of nu_direct
-# before quadrature and the error floor existed, as float.hex; 2x2 rows
-# only, whose kernels are closed forms with no LAPACK call
+# as float.hex, with the blocks reduced to (count, sum, residue, M2); 2x2
+# rows only, whose kernels are closed forms with no LAPACK call.  Case (b)
+# is one block, so its bits are those of the single pairwise sum before.
 _EXPLICIT_SAMPLE_RUNS = {
+    ("b", 2, 4096, 1, True): ("-0x1.c829c40c8fd6cp+6", "0x1.f2d45a691c92ep-13"),
+    ("d", 2, 20000, 3, True): ("-0x1.bf01d822072f7p+7", "0x1.c3e603aff091bp-11"),
+    ("e", 1, 5000, 5, False): ("-0x1.95f5691018ffbp+7", "0x1.ca47417350adap-6"),
+}
+
+# the same runs before quadrature and the error floor existed, when one
+# pairwise sum over every replicate gave the mean and numpy's std the error
+_PAIRWISE_SUM_RUNS = {
     ("b", 2, 4096, 1, True): ("-0x1.c829c40c8fd6cp+6", "0x1.f2d45a691c92ep-13"),
     ("d", 2, 20000, 3, True): ("-0x1.bf01d822072f5p+7", "0x1.c3e603aff091bp-11"),
     ("e", 1, 5000, 5, False): ("-0x1.95f5691018ffap+7", "0x1.ca47417350adap-6"),
@@ -334,6 +346,13 @@ class TestDirectQuadrature:
         assert kinked is None
         assert smooth[0] == pytest.approx(1.25, rel=1e-14)  # E (zeta - 1/2)^2
 
+    def test_vanishing_integrand_is_a_quadrature(self):
+        # nu = sigma^2 - 2 + |b| = 0: f(zeta) is 0 up to rounding, which no
+        # relative test passes, so 16 ulps of the matrix entries are allowed
+        est = nu_direct(nonnormal(1.0, 1.0).system, 2, 2)
+        assert est.method == "quadrature" and est.samples == 128
+        assert abs(est.value) <= 1e-15 and est.std_error <= 1e-15
+
     def test_nonfinite_statistic_falls_back(self):
         system = SdeSystem([[0.0]], ([[1.0]],))
         assert slognorm_module._one_channel_quadrature(
@@ -353,11 +372,72 @@ class TestDirectQuadrature:
                         McConfig(samples=samples, seed=seed, antithetic=antithetic))
         value, se = _EXPLICIT_SAMPLE_RUNS[key]
         assert (est.value.hex(), est.std_error.hex()) == (value, se)
+        old_value, old_se = (float.fromhex(v) for v in _PAIRWISE_SUM_RUNS[key])
+        assert est.value == pytest.approx(old_value, rel=4e-16, abs=0)
+        assert est.std_error == pytest.approx(old_se, rel=1e-13, abs=0)
         assert est.method == "monte_carlo" and est.samples == samples
 
     def test_two_channels_stay_monte_carlo(self):
         sys_ = random_system(np.random.default_rng(9), 2, 2)
         assert nu_direct(sys_, 2, 2, McConfig(samples=None, seed=1)).method == "monte_carlo"
+
+
+class TestBlockReduction:
+    """Blocks reduce to (count, sum, residue, M2, sum |x|) and merge in
+    block order into the mean and standard error of the concatenated
+    values."""
+
+    @staticmethod
+    def _reduce(blocks):
+        moments = np.empty((5, len(blocks), 1))
+        for b, x in enumerate(blocks):
+            slognorm_module._block_moments(x[np.newaxis], moments[:, b])
+        return slognorm_module._merge_moments(moments)
+
+    def test_merge_matches_numpy_on_unequal_blocks(self):
+        # mean 1, spread 1e-9: a sum of squares less N mean^2 loses every digit
+        rng = np.random.default_rng(14)
+        blocks = [1.0 + 1e-9 * rng.standard_normal(k) for k in (4096, 1000, 17, 2500, 3)]
+        (mean,), (se,) = self._reduce(blocks)
+        flat = np.concatenate(blocks)
+        assert mean == pytest.approx(np.mean(flat), rel=1e-12, abs=0)
+        assert se == pytest.approx(np.std(flat, ddof=1) / math.sqrt(flat.size), rel=1e-12, abs=0)
+
+    def test_equal_values_merge_to_the_rounding_floor(self):
+        (mean,), (se,) = self._reduce([np.full(k, 0.1) for k in (4096, 7)])
+        assert mean == pytest.approx(0.1, rel=1e-15)
+        assert se == pytest.approx(np.finfo(float).eps * math.log2(4103) * 0.1, rel=1e-12)
+
+    def test_one_value_has_no_spread(self):
+        (mean,), (se,) = self._reduce([np.array([2.5])])
+        assert mean == 2.5 and math.isnan(se)
+
+
+class TestMemory:
+    """The estimators hold one block of replicates, not all of them."""
+
+    @staticmethod
+    def _peak(run) -> int:
+        tracemalloc.start()
+        try:
+            run()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    @pytest.mark.parametrize("estimator", ["definitional", "direct"])
+    def test_peak_does_not_grow_with_samples(self, estimator):
+        sys_ = table1_system("e")
+
+        def run(samples):
+            cfg = McConfig(samples=samples, seed=1)
+            if estimator == "definitional":
+                return lambda: nu_definitional(sys_, 2, 2, cfg=cfg)
+            return lambda: nu_direct(sys_, 2, 2, cfg)
+
+        run(2000)()  # warm caches and imports outside the measurement
+        small, large = self._peak(run(200_000)), self._peak(run(2_000_000))
+        assert large <= 1.5 * small, (small, large)
 
 
 class TestErrorFloor:
@@ -474,14 +554,18 @@ class TestBlockFanOut:
         assert len(set(runs.values())) == 1, runs
 
     def test_chunked_blocks_bitwise_equal(self, monkeypatch, block_threads):
-        # n = 100: 419-replicate blocks evaluated in 26-row chunks
+        # n = 100: 419-replicate blocks evaluated in 26-row chunks; the
+        # 9-step p = 1 run ends in a 1-row chunk, whose intercept a gemv over
+        # the chunk's rows would round differently
         sys_ = random_system(np.random.default_rng(100), 100, 1)
+        nine = default_h_sequence(sys_, 1, count=9)
 
         def run():
             return _estimates(
                 sys_, 2, McConfig(samples=430, seed=6, antithetic=False),
                 McConfig(samples=64, seed=6, antithetic=False),
-            )
+            ) + dataclasses.astuple(nu_definitional(
+                sys_, 1, 2, nine, McConfig(samples=105, seed=6, antithetic=False)))
 
         runs = block_threads.across(run)
         assert len(set(runs.values())) == 1, runs
@@ -672,7 +756,8 @@ def _reference_increments(xi: np.ndarray, h: float) -> tuple[np.ndarray, np.ndar
 def _reference_definitional(system: SdeSystem, p, l: int, cfg: McConfig) -> tuple[float, float]:
     """(value, std_error) of nu_definitional as first written: the transform
     runs once per sign and step, each pair is averaged afterwards, and the
-    blocks and row chunks are laid out here rather than by the engine."""
+    blocks, row chunks and the merge of the block moments are laid out here
+    rather than by the engine."""
     sm = slognorm_module
     a, bs = system.A, system.diffusions
     n, m = system.dim, system.m
@@ -699,18 +784,32 @@ def _reference_definitional(system: SdeSystem, p, l: int, cfg: McConfig) -> tupl
         rows = quotient_rows(xi)
         return 0.5 * (rows + quotient_rows(-xi)) if cfg.antithetic else rows
 
-    parts = []
+    # per block: count, column sums, and about the rounded block mean the
+    # residue and M2, then the sum of |x|
+    counts, sums, residues, m2s, abs_sums = [], [], [], [], []
     for b in range(-(-reps // block)):
         rng = np.random.default_rng(np.random.SeedSequence(cfg.seed, spawn_key=(b,)))
         xi = sm._unit_normals(rng, min(block, reps - b * block), m)
-        for i in range(0, len(xi), chunk):
-            rows = pair_rows(xi[i:i + chunk])
-            parts.append(np.column_stack([rows @ weights, rows]))
-    arr = np.concatenate(parts)
-    assert len(arr) == reps
-    mc_se = float(arr[:, 0].std(ddof=1) / math.sqrt(reps))
-    extrap_se = sm._intercept_residual_error(h, arr[:, 1:].mean(axis=0))
-    return float(arr[:, 0].mean()), math.hypot(mc_se, extrap_se)
+        rows = np.concatenate([pair_rows(xi[i:i + chunk]) for i in range(0, len(xi), chunk)])
+        intercepts = np.array([functools.reduce(operator.add, row * weights) for row in rows])
+        # (1 + nh, count) in C order: each column's values contiguous
+        cols = np.ascontiguousarray(np.vstack([intercepts, rows.T]))
+        total = cols.sum(axis=1)
+        dev = cols - (total / len(xi))[:, np.newaxis]
+        counts.append(len(xi))
+        sums.append(total)
+        residues.append(dev.sum(axis=1))
+        m2s.append((dev * dev).sum(axis=1))
+        abs_sums.append(np.abs(cols).sum(axis=1))
+    assert sum(counts) == reps
+    mean = functools.reduce(operator.add, sums) / reps
+    between = [(s / c - mean) * (c * (s / c - mean) + 2.0 * r)
+               for c, s, r in zip(counts, sums, residues)]
+    m2 = functools.reduce(operator.add, m2s)[0] + functools.reduce(operator.add, between)[0]
+    mc_se = math.sqrt(m2 / (reps - 1)) / math.sqrt(reps)
+    floor = np.finfo(float).eps * np.log2(reps) * functools.reduce(operator.add, abs_sums)[0] / reps
+    extrap_se = sm._intercept_residual_error(h, mean[1:])
+    return float(mean[0]), math.hypot(max(mc_se, floor), extrap_se)
 
 
 class TestTransformOnce:
