@@ -24,8 +24,9 @@ The Monte Carlo estimates share one deterministic engine, :func:`_replicates`:
 draws come in blocks whose size depends only on the dimension, each seeded
 from (seed, block index) and reduced to (count, sum, M2), and the blocks
 merge in fixed order, so every result is bit-identical for a given seed
-whatever the number of cores.  Blocks whose kernel calls LAPACK run on
-every available core (see :func:`slognorm.matcore._run_blocks`).
+whatever the number of cores.  Blocks whose kernel calls LAPACK (p = 2
+above dimension 16, or the spectral abscissa above 2) run on every
+available core (see :func:`slognorm.matcore._eigen_blocks_fan_out`).
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ from .lognorm import _check_h_sequence, mu, mu_batch, ols_line_weights
 from .matcore import (
     DimensionError,
     EigenConvergenceError,
-    _calls_lapack,
+    _eigen_blocks_fan_out,
     _run_blocks,
     _square_matrix,
     check_p,
@@ -290,7 +291,7 @@ def _merge_moments(moments: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def _replicates(draw: Callable[[np.random.Generator, int], np.ndarray],
                 stat: Callable[[np.ndarray], np.ndarray], ncols: int, cfg: McConfig,
-                dim: int, lapack: bool) -> tuple[np.ndarray, np.ndarray, int]:
+                dim: int, fan_out: bool) -> tuple[np.ndarray, np.ndarray, int]:
     """Means and standard errors of the ``ncols`` columns of stat over the
     replicates, and the number of samples behind them.
 
@@ -300,8 +301,8 @@ def _replicates(draw: Callable[[np.random.Generator, int], np.ndarray],
     rng_b from :func:`_run_blocks`, evaluates stat (which must act row by
     row) in chunks that keep each (rows, dim, dim) temporary near
     ``_CHUNK_DOUBLES``, and keeps only its :func:`_block_moments`, so memory
-    is O(block) and the blocks fan out (when ``lapack`` says stat's kernel
-    calls LAPACK) with bit-identical results.
+    is O(block) and the blocks may ``fan_out`` (see
+    :func:`slognorm.matcore._eigen_blocks_fan_out`) with bit-identical results.
     """
     samples = cfg.resolve_samples(dim)
     if cfg.antithetic and samples < 4:
@@ -327,7 +328,7 @@ def _replicates(draw: Callable[[np.random.Generator, int], np.ndarray],
             ) from exc
         _block_moments(vals, moments[:, b])
 
-    _run_blocks(run, nblocks, cfg.seed, lapack)
+    _run_blocks(run, nblocks, cfg.seed, fan_out)
     return (*_merge_moments(moments), 2 * reps if cfg.antithetic else reps)
 
 
@@ -342,7 +343,7 @@ def _paired(stat: Callable[[np.ndarray], np.ndarray], base, noise: np.ndarray,
 
 
 def _white_noise(system: SdeSystem, stat: Callable[[np.ndarray], np.ndarray], ncols: int,
-                 cfg: McConfig, lapack: bool) -> tuple[np.ndarray, np.ndarray, int]:
+                 cfg: McConfig, fan_out: bool) -> tuple[np.ndarray, np.ndarray, int]:
     """:func:`_replicates` of stat(A - 1/2 sum B^2 + sum B zeta), with
     zeta(1)..zeta(m) i.i.d. standard normal (unpaired when m = 0)."""
     bs = system.diffusions
@@ -353,7 +354,7 @@ def _white_noise(system: SdeSystem, stat: Callable[[np.ndarray], np.ndarray], nc
         return _paired(stat, base, noise, cfg.antithetic and system.m > 0)
 
     return _replicates(lambda rng, count: rng.standard_normal((count, system.m)),
-                       pair, ncols, cfg, system.dim, lapack)
+                       pair, ncols, cfg, system.dim, fan_out)
 
 
 # ---------------------------------------------------------------------------
@@ -472,7 +473,8 @@ def nu_direct(system: SdeSystem, p=2, l: int = 2, cfg: McConfig | None = None) -
                 value=quad[0], std_error=quad[1], samples=_GH_NODES[-1],
                 estimator="direct", p=p, l=l, method="quadrature",
             )
-    (value,), (se,), total = _white_noise(system, stat, 1, cfg, _calls_lapack(system.dim, p))
+    (value,), (se,), total = _white_noise(system, stat, 1, cfg,
+                                          _eigen_blocks_fan_out(system.dim, p))
     return NuEstimate(
         value=float(value), std_error=float(se), samples=total, estimator="direct", p=p, l=l
     )
@@ -595,7 +597,7 @@ def nu_definitional(
 
     means, ses, total = _replicates(
         lambda rng, count: _unit_normals(rng, count, m),
-        intercept_and_quotients, 1 + nh, cfg, n, _calls_lapack(n, p),
+        intercept_and_quotients, 1 + nh, cfg, n, _eigen_blocks_fan_out(n, p),
     )
     value, mc_se = float(means[0]), float(ses[0])
     extrap_se = _intercept_residual_error(h, means[1:])
@@ -878,7 +880,8 @@ def expected_max_re_perturbed(
         max_re, half_nu = max_re_eigvals_batch(mats), mu_batch(mats, 2)
         return np.column_stack([max_re, half_nu, max_re - half_nu])
 
-    means, ses, total = _white_noise(system, stat, 3, cfg, _calls_lapack(system.dim))
+    means, ses, total = _white_noise(system, stat, 3, cfg,
+                                     _eigen_blocks_fan_out(system.dim, general=True))
     return PerturbedSpectrumCheck(
         estimate=float(means[0]),
         estimate_stderr=float(ses[0]),

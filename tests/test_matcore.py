@@ -38,6 +38,99 @@ def hermitian(m: np.ndarray) -> np.ndarray:
     return 0.5 * (m + m.conj().T)
 
 
+EPS = np.finfo(np.float64).eps
+
+#: every dimension of the tridiagonal kernel, and the first one past it
+KERNEL_DIMS = range(3, matcore._TRIDIAGONAL_MAX_N + 2)
+
+
+def assert_matches_eigvalsh(H: np.ndarray, want: np.ndarray | None = None) -> None:
+    """lambda_max_hermitian_batch(H) is finite and within 64 eps max|lambda|
+    of ``want``, by default LAPACK's eigenvalues of H."""
+    want = np.linalg.eigvalsh(H) if want is None else want
+    got = lambda_max_hermitian_batch(H)
+    assert got.shape == H.shape[:-2]
+    assert np.isfinite(got).all()
+    err = np.abs(got - want[..., -1])
+    bound = 64 * EPS * np.abs(want).max(axis=-1, initial=0.0)
+    assert np.all(err <= bound), (err / np.maximum(bound, 1e-300)).max()
+
+
+def special_hermitian_stack(rng: np.random.Generator, n: int, complex_: bool) -> np.ndarray:
+    """Hermitian n x n matrices that stress a tridiagonal reduction: random,
+    tied diagonals, zero, rank one, block diagonal (a zero off-diagonal
+    splits the tridiagonal) and I + 1e-9 noise like the definitional Grams."""
+    def draw(*shape):
+        m = rng.standard_normal(shape)
+        return m + 1j * rng.standard_normal(shape) if complex_ else m
+
+    def herm(m):
+        return 0.5 * (m + np.conj(np.swapaxes(m, -1, -2)))
+
+    tied = np.diag(np.where(np.arange(n) % 2 == 0, 2.0, -1.0)).astype(draw(1).dtype)
+    v = draw(n)
+    block = np.zeros((n, n), dtype=v.dtype)
+    k = n // 2
+    block[:k, :k] = herm(draw(k, k))
+    block[k:, k:] = herm(draw(n - k, n - k)) + 3.0 * np.eye(n - k)
+    near = np.eye(n) + 1e-9 * draw(4, n, n)
+    return np.concatenate([
+        herm(draw(8, n, n)), tied[None], -tied[None], np.zeros((1, n, n), v.dtype),
+        np.outer(v, np.conj(v))[None], -np.outer(v, np.conj(v))[None], block[None],
+        np.conj(np.swapaxes(near, -1, -2)) @ near, herm(near),
+    ])
+
+
+class TestTridiagonalKernel:
+    """3 <= n <= _TRIDIAGONAL_MAX_N: the batched Householder and Laguerre
+    kernel against LAPACK's eigvalsh, which n = _TRIDIAGONAL_MAX_N + 1 calls."""
+
+    @pytest.mark.parametrize("complex_", [False, True])
+    @pytest.mark.parametrize("n", KERNEL_DIMS)
+    def test_special_stacks_match_eigvalsh(self, n, complex_):
+        stack = special_hermitian_stack(np.random.default_rng(n), n, complex_)
+        assert_matches_eigvalsh(stack)
+        assert_matches_eigvalsh(stack.reshape(2, -1, n, n))
+
+    @pytest.mark.parametrize("complex_", [False, True])
+    @pytest.mark.parametrize("n", [3, 6, matcore._TRIDIAGONAL_MAX_N])
+    def test_extreme_entries(self, n, complex_):
+        stack = special_hermitian_stack(np.random.default_rng(50 + n), n, complex_)
+        # reference eigenvalues of exactly rescaled matrices, scaled back
+        for exp in (-600, 600):
+            scaled = stack * 2.0**exp
+            assert_matches_eigvalsh(scaled, np.linalg.eigvalsh(stack) * 2.0**exp)
+            # the kernel itself rescales by powers of two, which are exact
+            np.testing.assert_array_equal(lambda_max_hermitian_batch(scaled),
+                                          lambda_max_hermitian_batch(stack) * 2.0**exp)
+        big = 1e300 * stack
+        assert_matches_eigvalsh(big, np.linalg.eigvalsh(big * 2.0**-1000) * 2.0**1000)
+
+    @pytest.mark.parametrize("complex_", [False, True])
+    def test_views_and_empty_stacks(self, complex_):
+        n = 5
+        stack = special_hermitian_stack(np.random.default_rng(9), n, complex_)
+        for view in (stack[::2], np.swapaxes(stack, -1, -2), stack[:, ::-1, ::-1],
+                     np.broadcast_to(stack[0], (3, n, n)), stack[:4].reshape(2, 2, n, n)):
+            assert_matches_eigvalsh(view)
+        for shape in ((0, n, n), (2, 0, n, n)):
+            assert lambda_max_hermitian_batch(np.zeros(shape, stack.dtype)).shape == shape[:-2]
+
+    @pytest.mark.parametrize("n", [3, 7, matcore._TRIDIAGONAL_MAX_N])
+    def test_row_bits_do_not_depend_on_the_stack(self, n):
+        stack = special_hermitian_stack(np.random.default_rng(n), n, True)
+        whole = lambda_max_hermitian_batch(stack)
+        for i in range(stack.shape[0]):
+            assert lambda_max_hermitian_batch(stack[i:i + 1])[0] == whole[i]
+        np.testing.assert_array_equal(lambda_max_hermitian_batch(stack[3:11]), whole[3:11])
+
+    def test_reads_only_the_lower_triangle(self):
+        stack = special_hermitian_stack(np.random.default_rng(4), 6, True)
+        lower = np.tril(stack) + np.triu(np.full((6, 6), np.nan + 0j), 1)
+        np.testing.assert_array_equal(lambda_max_hermitian_batch(lower),
+                                      lambda_max_hermitian_batch(stack))
+
+
 class TestAsComplexMatrix:
     """Input validation by ``_square_matrix``, which copies every caller's
     matrix to complex128 (the class keeps the name of the converter it
@@ -90,9 +183,7 @@ class TestLambdaMaxHermitian:
         rng = np.random.default_rng(n)
         mats = np.stack([random_matrix(rng, n, complex_=True) for _ in range(16)])
         herm = 0.5 * (mats + np.conj(np.swapaxes(mats, -1, -2)))
-        got = lambda_max_hermitian_batch(herm)
-        want = np.linalg.eigvalsh(herm)[..., -1]
-        np.testing.assert_allclose(got, want, atol=1e-10)
+        assert_matches_eigvalsh(herm)
 
     def test_batch_rejects_nonsquare(self):
         with pytest.raises(DimensionError):
@@ -308,10 +399,14 @@ class TestRunBlocks:
         monkeypatch.setattr(matcore, "_openblas_controls", lambda: None)
         assert matcore._block_workers(5, fan_out=True) == 1
 
-    def test_lapack_rule_follows_closed_form_switch(self):
-        assert not any(matcore._calls_lapack(n, 2) for n in (1, 2))
-        assert matcore._calls_lapack(3, 2) and matcore._calls_lapack(100, 2)
-        assert not matcore._calls_lapack(100, 1) and not matcore._calls_lapack(100, math.inf)
+    def test_fan_out_rule_follows_kernel_switch(self):
+        fans_out, top = matcore._eigen_blocks_fan_out, matcore._TRIDIAGONAL_MAX_N
+        assert not any(fans_out(n, 2) for n in range(1, top + 1))
+        assert fans_out(top + 1, 2) and fans_out(100, 2)
+        assert not fans_out(100, 1) and not fans_out(100, math.inf)
+        # the spectral abscissa calls LAPACK above the 2x2 closed form
+        assert not any(fans_out(n, 2, general=True) for n in (1, 2))
+        assert fans_out(3, 2, general=True) and fans_out(100, 2, general=True)
 
     def test_concurrent_fan_outs_share_one_blas_hold(self, block_threads):
         controls = matcore._openblas_controls()
