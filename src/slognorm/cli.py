@@ -52,6 +52,7 @@ from .slognorm import (
     SdeSystem,
     bounds_report,
     classify,
+    default_h_sequence,
     nu_definitional,
     nu_direct,
 )
@@ -77,9 +78,7 @@ def _numeric_guard():
     """Map library exceptions onto the CLI exit-code contract."""
     try:
         yield
-    except EigenConvergenceError as exc:
-        raise NumericalError(str(exc)) from exc
-    except np.linalg.LinAlgError as exc:
+    except (EigenConvergenceError, np.linalg.LinAlgError) as exc:
         raise NumericalError(str(exc)) from exc
     except ValueError as exc:  # DimensionError is a ValueError
         raise InputError(str(exc)) from exc
@@ -148,10 +147,6 @@ def _matrix_from_obj(obj, where: str) -> np.ndarray:
     return np.array(entries, dtype=np.complex128).reshape(rows, cols)
 
 
-def _load_matrix(path: str) -> np.ndarray:
-    return _matrix_from_obj(_load_json(path), "matrix")
-
-
 def _load_system(path: str) -> tuple[SdeSystem, dict]:
     obj = _load_json(path)
     if not isinstance(obj, dict) or "A" not in obj:
@@ -192,10 +187,6 @@ def _jsonable(value):
         if math.isnan(f):
             return "nan"
         return "inf" if f > 0 else "-inf"
-    if isinstance(value, complex):
-        return {"re": _jsonable(value.real), "im": _jsonable(value.imag)}
-    if isinstance(value, np.ndarray):
-        return [_jsonable(v) for v in value.tolist()]
     return str(value)
 
 
@@ -307,7 +298,7 @@ def cli() -> None:
 @_P_OPTION
 def cmd_lognorm(matrix_file: str, p: str) -> None:
     """Classical logarithmic norm mu_p of a square matrix."""
-    matrix = _load_matrix(matrix_file)
+    matrix = _matrix_from_obj(_load_json(matrix_file), "matrix")
     with _numeric_guard():
         value = mu(matrix, p)
     _emit(
@@ -365,17 +356,16 @@ def cmd_slognorm(
     system, meta = _load_system(system_file)
     with _numeric_guard():
         cfg = McConfig(samples=samples, seed=seed, antithetic=antithetic)
-        h_seq = None
-        if h0 is not None:
-            if h0 <= 0:
-                raise InputError(f"--h0 must be positive, got {h0}")
-            h_seq = tuple(h0 * 0.5**k for k in range(hsteps))
+        if h0 is not None and h0 <= 0:
+            raise InputError(f"--h0 must be positive, got {h0}")
         if not (math.isfinite(tol) and tol >= 0):
             raise InputError(f"--tol must be finite and nonnegative, got {tol}")
         estimates: list[NuEstimate] = []
         if method in ("direct", "both"):
             estimates.append(nu_direct(system, p, l, cfg))
         if method in ("definitional", "both"):
+            h_seq = (default_h_sequence(system, p, count=hsteps) if h0 is None
+                     else tuple(h0 * 0.5**k for k in range(hsteps)))
             estimates.append(nu_definitional(system, p, l, h_seq, cfg))
         bounds = bounds_report(system, p, l)
 
@@ -422,11 +412,12 @@ def cmd_slognorm(
 def _parse_x0(text: str | None, dim: int) -> np.ndarray:
     if text is None:
         return np.ones(dim)
-    parts = [tok.strip() for tok in text.split(",")]
-    try:
-        values = [complex(tok) for tok in parts if tok]
-    except ValueError as exc:
-        raise InputError(f"--x0: cannot parse component: {exc}") from exc
+    values = []
+    for i, tok in enumerate(text.split(","), 1):
+        try:
+            values.append(complex(tok.strip()))
+        except ValueError as exc:
+            raise InputError(f"--x0: cannot parse component {i} ({tok.strip()!r}): {exc}") from exc
     if len(values) != dim:
         raise InputError(f"--x0 has {len(values)} components, system dimension is {dim}")
     arr = np.asarray(values, dtype=np.complex128)

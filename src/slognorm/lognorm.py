@@ -21,6 +21,7 @@ import numpy as np
 from numpy.typing import ArrayLike
 
 from .matcore import (
+    _abs_line_sums,
     _square_matrix,
     check_p,
     lambda_max_hermitian_batch,
@@ -49,14 +50,9 @@ def mu_batch(M: np.ndarray, p) -> np.ndarray:
         if np.iscomplexobj(herm) and not np.any(herm.imag):
             herm = herm.real
         return lambda_max_hermitian_batch(herm)
-    mag = np.abs(M)
-    diag_mag = np.diagonal(mag, axis1=-2, axis2=-1)
-    diag_re = np.diagonal(M, axis1=-2, axis2=-1).real
-    if p == 1:
-        col = mag.sum(axis=-2) - diag_mag + diag_re
-        return col.max(axis=-1)
-    row = mag.sum(axis=-1) - diag_mag + diag_re
-    return row.max(axis=-1)
+    mag, lines = _abs_line_sums(M, p)
+    lines = lines - np.diagonal(mag, axis1=-2, axis2=-1) + np.diagonal(M, axis1=-2, axis2=-1).real
+    return lines.max(axis=-1)
 
 
 def ols_line_weights(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

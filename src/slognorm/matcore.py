@@ -45,9 +45,6 @@ __all__ = [
     "vector_norm",
 ]
 
-#: largest dimension the eigenvalue kernels solve in closed form
-_CLOSED_FORM_MAX_N = 2
-
 #: largest dimension whose Hermitian lambda_max comes from the batched
 #: tridiagonal kernel; LAPACK's eigvalsh above it.  On stacks of 4096 Gram
 #: matrices (I + 0.03 N(0,1))^H (I + 0.03 N(0,1)), one thread, 2-core Xeon,
@@ -273,7 +270,7 @@ def lambda_max_hermitian_batch(H: np.ndarray) -> np.ndarray:
         raise DimensionError(f"expected square matrices, got shape {H.shape}")
     if n == 1:
         return np.ascontiguousarray(H[..., 0, 0].real)
-    if n <= _CLOSED_FORM_MAX_N:
+    if n == 2:
         return _lambda_max_2x2(H[..., 0, 0].real, H[..., 1, 1].real, np.abs(H[..., 0, 1]))
     if n <= _TRIDIAGONAL_MAX_N:
         return _lambda_max_columns(H.reshape(-1, n, n)).reshape(H.shape[:-2])
@@ -294,7 +291,7 @@ def max_re_eigvals_batch(M: np.ndarray) -> np.ndarray:
         raise DimensionError(f"expected square matrices, got shape {M.shape}")
     if n == 1:
         return np.ascontiguousarray(M[..., 0, 0].real)
-    if n <= _CLOSED_FORM_MAX_N:
+    if n == 2:
         tr = M[..., 0, 0] + M[..., 1, 1]
         det = M[..., 0, 0] * M[..., 1, 1] - M[..., 0, 1] * M[..., 1, 0]
         disc = np.sqrt((tr * tr - 4.0 * det).astype(np.complex128))
@@ -312,14 +309,14 @@ def _eigen_blocks_fan_out(n: int, p=2, general: bool = False) -> bool:
     They do when the kernel calls LAPACK: :func:`lambda_max_hermitian_batch`
     (mu_2, the spectral norm) above ``_TRIDIAGONAL_MAX_N`` and, for a
     statistic that also takes the spectral abscissa (``general``),
-    :func:`max_re_eigvals_batch` above ``_CLOSED_FORM_MAX_N``.  p = 1 and
-    p = inf are entrywise closed forms.  The batched tridiagonal kernel runs
-    short numpy calls under the interpreter lock and gains nothing from
-    threads: fanned out on two cores, case (g)'s definitional run took
-    0.88-1.13 s against 0.75-1.03 s on one thread (12 runs each), with
-    10-18 MB more peak RSS.
+    :func:`max_re_eigvals_batch` above n = 2.  p = 1 and p = inf are
+    entrywise closed forms.  The batched tridiagonal kernel runs short
+    numpy calls under the interpreter lock and gains nothing from threads:
+    fanned out on two cores, case (g)'s definitional run took 0.88-1.13 s
+    against 0.75-1.03 s on one thread (12 runs each), with 10-18 MB more
+    peak RSS.
     """
-    return p == 2 and n > (_CLOSED_FORM_MAX_N if general else _TRIDIAGONAL_MAX_N)
+    return p == 2 and n > (2 if general else _TRIDIAGONAL_MAX_N)
 
 
 @functools.cache
@@ -472,26 +469,29 @@ def _gram_2x2(M: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return g00, g11, np.abs(np.conj(a) * b + np.conj(c) * d)
 
 
+def _abs_line_sums(M: np.ndarray, p) -> tuple[np.ndarray, np.ndarray]:
+    """|M| and its column (p = 1) or row (p = inf) sums, for norm and mu."""
+    mag = np.abs(M)
+    return mag, mag.sum(axis=-2 if p == 1 else -1)
+
+
 def matrix_norm_batch(M: np.ndarray, p) -> np.ndarray:
     """Induced p-norm for a stack of square matrices ``(..., n, n)``.
 
-    The p = 2 norm comes from the entries for n <= ``_CLOSED_FORM_MAX_N``
-    (|m_00| at n = 1, the closed-form largest eigenvalue of the 2x2 Gram
-    matrix M^H M at n = 2), and above from the Gram stack and
-    :func:`lambda_max_hermitian_batch` (the tridiagonal kernel up to
-    ``_TRIDIAGONAL_MAX_N``, LAPACK beyond).
+    The p = 2 norm comes from the entries for n <= 2 (|m_00| at n = 1, the
+    closed-form largest eigenvalue of the 2x2 Gram matrix M^H M at n = 2),
+    and above from the Gram stack and :func:`lambda_max_hermitian_batch`
+    (the tridiagonal kernel up to ``_TRIDIAGONAL_MAX_N``, LAPACK beyond).
     """
     p = check_p(p)
     n = M.shape[-1]
     if M.shape[-2] != n:
         raise DimensionError(f"expected square matrices, got shape {M.shape}")
-    if p == 1:
-        return np.abs(M).sum(axis=-2).max(axis=-1)
-    if p == math.inf:
-        return np.abs(M).sum(axis=-1).max(axis=-1)
+    if p != 2:
+        return _abs_line_sums(M, p)[1].max(axis=-1)
     if n == 1:
         return np.abs(M[..., 0, 0])
-    if n <= _CLOSED_FORM_MAX_N:
+    if n == 2:
         return np.sqrt(_lambda_max_2x2(*_gram_2x2(M)))
     gram = np.matmul(np.conj(np.swapaxes(M, -1, -2)), M)
     lam = lambda_max_hermitian_batch(gram)

@@ -12,9 +12,9 @@ that of Milstein with the exact area.  The fitted slope of log-moments against t
 bounds, which makes the simulator an end-to-end oracle for the estimators
 in :mod:`slognorm.slognorm`.
 
-Paths are simulated in blocks whose size depends only on the dimension
-(:func:`slognorm.slognorm._block_size`, as for the estimators), each seeded
-from (seed, block index) and reduced in path order, so trajectories are
+Paths are simulated in blocks through the estimators' block runner
+(:func:`slognorm.slognorm._moment_blocks`), each seeded from (seed, block
+index) and reduced in path order, so trajectories are
 bit-identical for a given seed whatever the number of cores.  Paths whose norm leaves
 [0, 1e150] are flagged as diverged and the affected checkpoints report an
 infinite moment rather than raising.
@@ -35,9 +35,9 @@ from typing import IO, Union
 import numpy as np
 
 from .lognorm import ols_line_weights
-from .matcore import _norm_rows, _run_blocks, check_p, vector_norm
-from .slognorm import (SdeSystem, _block_moments, _block_size, _check_count, _check_l,
-                       _check_seed, _merge_moments, sample_wiener_increments)
+from .matcore import _norm_rows, check_p, vector_norm
+from .slognorm import (SdeSystem, _block_moments, _channel_products, _check_count, _check_l,
+                       _check_seed, _moment_blocks, sample_wiener_increments)
 
 __all__ = [
     "SimConfig",
@@ -154,20 +154,12 @@ class MomentTrajectory:
                              self.paths, self.config.scheme])
 
 
-def _step_matrices(system: SdeSystem, milstein: bool):
-    """(A, stacked B, stacked B(i)B(j) or None) ready for `_apply_step`."""
-    bs = system.diffusions
-    pairs = np.einsum("iab,jbc->ijac", bs, bs) if milstein and system.m else None
-    return system.A, bs, pairs
-
-
 def _step_buffers(x, a, bs, pairs):
     """Work arrays (update, second, dx) for `_apply_step` with float64 dW
-    and I; ``second`` is None without a Milstein term."""
-    milstein = pairs is not None and pairs.size
-    dtype = np.result_type(a, bs, np.float64, *((pairs,) if milstein else ()))
+    and I; ``second`` is None without a Milstein term (``pairs`` None)."""
+    dtype = np.result_type(a, bs, np.float64)  # pairs are products of bs
     update = np.empty(x.shape[:-1] + a.shape, dtype=dtype)
-    second = np.empty_like(update) if milstein else None
+    second = None if pairs is None else np.empty_like(update)
     return update, second, np.empty(x.shape, dtype=np.result_type(update, x))
 
 
@@ -190,19 +182,28 @@ def _apply_step(x, a, bs, pairs, dw, imat, h: float, work) -> None:
     np.add(x, dx, out=x)
 
 
+def _step(system: SdeSystem, x, dw, iter_ints, h: float) -> np.ndarray:
+    """:func:`milstein_step`, or :func:`em_step` when ``iter_ints`` is None,
+    into a fresh array: x is left alone."""
+    a, bs, m, x = system.A, system.diffusions, system.m, np.asarray(x)
+    dw = np.asarray(dw, dtype=np.float64).reshape(x.shape[:-1] + (m,))
+    imat = pairs = None
+    if iter_ints is not None:
+        imat = np.asarray(iter_ints, dtype=np.float64).reshape(x.shape[:-1] + (m, m))
+        pairs = _channel_products(bs) if m else None
+    work = _step_buffers(x, a, bs, pairs)
+    out = x.astype(work[2].dtype)
+    _apply_step(out, a, bs, pairs, dw, imat, float(h), work)
+    return out
+
+
 def em_step(system: SdeSystem, x, dw, h: float) -> np.ndarray:
     """Euler-Maruyama update x + h A x + sum_j dW(j) B(j) x.
 
     ``x`` may be a single state (n,) or a batch (..., n); ``dw`` must carry
     matching leading axes with final axis m.
     """
-    a, bs, _ = _step_matrices(system, milstein=False)
-    x = np.asarray(x)
-    dw = np.asarray(dw, dtype=np.float64).reshape(x.shape[:-1] + (system.m,))
-    work = _step_buffers(x, a, bs, None)
-    out = x.astype(work[2].dtype)  # a copy: x is left alone
-    _apply_step(out, a, bs, None, dw, None, float(h), work)
-    return out
+    return _step(system, x, dw, None, h)
 
 
 def milstein_step(system: SdeSystem, x, dw, iter_ints, h: float) -> np.ndarray:
@@ -212,23 +213,16 @@ def milstein_step(system: SdeSystem, x, dw, iter_ints, h: float) -> np.ndarray:
     expected to satisfy the sampler symmetry identity
     I_(i,j) + I_(j,i) = dW(i) dW(j) - delta_ij h.
     """
-    a, bs, pairs = _step_matrices(system, milstein=True)
-    x = np.asarray(x)
-    m = system.m
-    dw = np.asarray(dw, dtype=np.float64).reshape(x.shape[:-1] + (m,))
-    imat = np.asarray(iter_ints, dtype=np.float64).reshape(x.shape[:-1] + (m, m))
-    work = _step_buffers(x, a, bs, pairs)
-    out = x.astype(work[2].dtype)  # a copy: x is left alone
-    _apply_step(out, a, bs, pairs, dw, imat, float(h), work)
-    return out
+    return _step(system, x, dw, iter_ints, h)
 
 
 def simulate_moments(system: SdeSystem, x0, cfg: SimConfig) -> MomentTrajectory:
     """Estimate E norm(X_t, p)^l over an ensemble of independent paths.
 
     The initial condition is deterministic, so ``moments[0]`` is exact.
-    Blocks of paths own independent child seeds and fan out over every
-    available core; each reduces its live values at every checkpoint with
+    Blocks of paths from :func:`slognorm.slognorm._moment_blocks` own
+    independent child seeds and fan out over every available core; each
+    reduces its live values at every checkpoint with
     :func:`slognorm.slognorm._block_moments`, and the blocks merge in fixed
     order, so the result is bit-identical for a fixed ``cfg.seed`` whatever
     the thread count.
@@ -244,20 +238,14 @@ def simulate_moments(system: SdeSystem, x0, cfg: SimConfig) -> MomentTrajectory:
     ncheck = cfg.checkpoints
     stride = steps // ncheck
     m = system.m
-    use_milstein = cfg.scheme == "milstein"
-    sampled = use_milstein and m > 0  # dW and I from the sampler, else dW only
+    sampled = cfg.scheme == "milstein" and m > 0  # dW and I from the sampler, else dW only
     root_h = math.sqrt(cfg.h)
-    a, bs, pairs = _step_matrices(system, milstein=use_milstein)
+    a, bs = system.A, system.diffusions
     dtype = np.complex128 if (np.iscomplexobj(a) or np.iscomplexobj(x0)) else np.float64
+    pairs = _channel_products(bs).astype(dtype) if sampled else None
     x0, a, bs = (v.astype(dtype) for v in (x0, a, bs))
-    pairs = None if pairs is None else pairs.astype(dtype)
 
-    block = _block_size(system.dim)
-    nblocks = -(-cfg.paths // block)
-    stats = np.empty((5, nblocks, ncheck))  # block moments of the live paths
-
-    def run(b: int, rng: np.random.Generator) -> None:
-        count = min(block, cfg.paths - b * block)
+    def run(rng: np.random.Generator, start: int, count: int, out: np.ndarray) -> None:
         x = np.tile(x0, (count, 1))
         alive = np.ones(count, dtype=bool)
         # per-block buffers, so the step loop allocates only inside the sampler
@@ -275,13 +263,12 @@ def simulate_moments(system: SdeSystem, x0, cfg: SimConfig) -> MomentTrajectory:
                     norms = _norm_rows(x, cfg.p)
                     vals = norms**cfg.l
                     alive &= np.isfinite(vals) & (norms <= DIVERGENCE_THRESHOLD)
-                    _block_moments(vals[alive], stats[:, b, step // stride - 1])
+                    _block_moments(vals[alive], out[:, step // stride - 1])
 
-    _run_blocks(run, nblocks, cfg.seed, fan_out=True)
-    means, ses = _merge_moments(stats)
+    means, ses, live = _moment_blocks(run, cfg.paths, ncheck, system.dim, cfg.seed, fan_out=True)
 
     times = np.arange(ncheck + 1, dtype=np.float64) * (stride * cfg.h)
-    diverged = np.concatenate([[0], cfg.paths - np.add.reduce(stats[0], axis=0)]).astype(np.int64)
+    diverged = np.concatenate([[0], cfg.paths - live]).astype(np.int64)
     dead = diverged > 0
     moments = np.where(dead, math.inf, np.concatenate([[start_norm**cfg.l], means]))
     # without noise every path is the same path, so the moments are exact

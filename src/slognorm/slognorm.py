@@ -20,13 +20,13 @@ l = 2 the direct route gives 2 mu_2(A) - 1 while the definitional limit is
 2 mu_2(A) + 1 — so both are exposed, never averaged or reconciled; callers
 (and the CLI) are expected to compare them and surface disagreement.
 
-The Monte Carlo estimates share one deterministic engine, :func:`_replicates`:
-draws come in blocks whose size depends only on the dimension, each seeded
-from (seed, block index) and reduced to (count, sum, M2), and the blocks
-merge in fixed order, so every result is bit-identical for a given seed
-whatever the number of cores.  Blocks whose kernel calls LAPACK (p = 2
-above dimension 16, or the spectral abscissa above 2) run on every
-available core (see :func:`slognorm.matcore._eigen_blocks_fan_out`).
+The Monte Carlo estimates and the simulator share one deterministic block
+plan, :func:`_moment_blocks`: draws come in blocks whose size depends only
+on the dimension, each seeded from (seed, block index) and reduced to
+(count, sum, M2), and the blocks merge in fixed order, so every result is
+bit-identical for a given seed whatever the number of cores.  Which blocks
+run on every available core is decided by
+:func:`slognorm.matcore._eigen_blocks_fan_out`.
 """
 
 from __future__ import annotations
@@ -289,6 +289,24 @@ def _merge_moments(moments: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         return mean, np.maximum(se, _rounding_floor(count, np.add.reduce(abs_sums, axis=0) / count))
 
 
+def _moment_blocks(run: Callable[[np.random.Generator, int, int, np.ndarray], None], total: int,
+                   ncols: int, dim: int, seed: int, fan_out: bool) -> tuple[np.ndarray, ...]:
+    """Means, standard errors and counts of ``ncols`` columns over ``total``
+    items, from blocks of ``_block_size(dim)`` items: block b calls
+    ``run(rng_b, start, count, out)`` (rng_b from :func:`_run_blocks`), which
+    reduces its items into out (5, ncols) with :func:`_block_moments`.  So
+    memory is O(block), and the blocks may ``fan_out`` bit for bit."""
+    block = _block_size(dim)
+    nblocks = -(-total // block)
+    moments = np.empty((5, nblocks, ncols))
+
+    def seeded(b: int, rng: np.random.Generator) -> None:
+        run(rng, b * block, min(block, total - b * block), moments[:, b])
+
+    _run_blocks(seeded, nblocks, seed, fan_out)
+    return (*_merge_moments(moments), np.add.reduce(moments[0], axis=0))
+
+
 def _replicates(draw: Callable[[np.random.Generator, int], np.ndarray],
                 stat: Callable[[np.ndarray], np.ndarray], ncols: int, cfg: McConfig,
                 dim: int, fan_out: bool) -> tuple[np.ndarray, np.ndarray, int]:
@@ -296,26 +314,18 @@ def _replicates(draw: Callable[[np.random.Generator, int], np.ndarray],
     replicates, and the number of samples behind them.
 
     Under antithetic pairing a replicate is the mean over a pair of samples,
-    so there are half as many replicates as ``cfg`` asks for samples.  Block
-    b of ``_block_size(dim)`` replicates draws ``draw(rng_b, count)``, with
-    rng_b from :func:`_run_blocks`, evaluates stat (which must act row by
-    row) in chunks that keep each (rows, dim, dim) temporary near
-    ``_CHUNK_DOUBLES``, and keeps only its :func:`_block_moments`, so memory
-    is O(block) and the blocks may ``fan_out`` (see
-    :func:`slognorm.matcore._eigen_blocks_fan_out`) with bit-identical results.
+    so there are half as many replicates as ``cfg`` asks for samples.  Each
+    block of :func:`_moment_blocks` draws ``draw(rng_b, count)`` and
+    evaluates stat (which must act row by row) in chunks that keep each
+    (rows, dim, dim) temporary near ``_CHUNK_DOUBLES``.
     """
     samples = cfg.resolve_samples(dim)
     if cfg.antithetic and samples < 4:
         raise ValueError("antithetic estimation needs at least 4 samples")
     reps = samples // 2 if cfg.antithetic else samples
-    block = _block_size(dim)
     chunk = max(1, _CHUNK_DOUBLES // (dim * dim))
-    nblocks = -(-reps // block)
-    moments = np.empty((5, nblocks, ncols))
 
-    def run(b: int, rng: np.random.Generator) -> None:
-        start = b * block
-        count = min(block, reps - start)
+    def run(rng: np.random.Generator, start: int, count: int, out: np.ndarray) -> None:
         x = draw(rng, count)
         vals = np.empty((ncols, count))
         try:
@@ -326,10 +336,10 @@ def _replicates(draw: Callable[[np.random.Generator, int], np.ndarray],
             raise EigenConvergenceError(
                 f"{exc} (while evaluating replicates {start}..{start + count})"
             ) from exc
-        _block_moments(vals, moments[:, b])
+        _block_moments(vals, out)
 
-    _run_blocks(run, nblocks, cfg.seed, fan_out)
-    return (*_merge_moments(moments), 2 * reps if cfg.antithetic else reps)
+    means, ses, _ = _moment_blocks(run, reps, ncols, dim, cfg.seed, fan_out)
+    return means, ses, 2 * reps if cfg.antithetic else reps
 
 
 def _paired(stat: Callable[[np.ndarray], np.ndarray], base, noise: np.ndarray,
@@ -500,10 +510,13 @@ def _check_l(l) -> int:
 
 
 def _sum_squares(bs: np.ndarray) -> np.ndarray:
-    """sum_j B(j) @ B(j) for a stack of matrices (m, n, n)."""
-    if bs.shape[0] == 0:
-        return np.zeros(bs.shape[1:], dtype=bs.dtype)
+    """sum_j B(j) @ B(j) for a stack of matrices (m, n, n); zero when m = 0."""
     return np.einsum("mij,mjk->ik", bs, bs)
+
+
+def _channel_products(bs: np.ndarray) -> np.ndarray:
+    """The products B(i) @ B(j) of a stack (m, n, n), as (m, m, n, n)."""
+    return np.einsum("iab,jbc->ijac", bs, bs)
 
 
 # ---------------------------------------------------------------------------
@@ -558,11 +571,7 @@ def nu_definitional(
 
     eye = np.eye(n, dtype=a.dtype)
     deterministic = eye[np.newaxis] + h[:, np.newaxis, np.newaxis] * a  # (nh, n, n)
-    pairs = (
-        np.einsum("iab,jbc->ijac", bs, bs)
-        if m
-        else np.zeros((0, 0, n, n), dtype=a.dtype)
-    )
+    pairs = _channel_products(bs)
 
     def quotient(g: np.ndarray, hk: float) -> np.ndarray:
         return (matrix_norm_batch(g, p) ** l - 1.0) / hk

@@ -13,6 +13,7 @@ import slognorm.cli as cli_module
 from slognorm.cases import TABLE1_CASES, TABLE1_REFERENCE, table1_system
 from slognorm.cli import cli
 from slognorm.matcore import EigenConvergenceError
+from slognorm.slognorm import SdeSystem, default_h_sequence
 
 runner = CliRunner()
 
@@ -237,6 +238,15 @@ class TestSlognormCommand:
         h_used = rep["results"]["estimates"][0]["h_used"]
         assert h_used == [1e-3 * 0.5**k for k in range(5)]
 
+    def test_hsteps_without_h0_sets_the_default_sequence_length(self, tmp_path):
+        a = [[-1.0, 20.0], [0.0, -2.0]]
+        path = write_system(tmp_path, a, [[[0.5, 0.0], [0.0, 0.5]]])
+        rep = report_of(run(["slognorm", path, "--method", "definitional",
+                             "--samples", "256", "--hsteps", "3"]))
+        h_used = rep["results"]["estimates"][0]["h_used"]
+        assert rep["invocation"]["hsteps"] == 3 and len(h_used) == 3
+        assert h_used == list(default_h_sequence(SdeSystem(a), 2, count=3))
+
     def test_bounds_and_applicability(self, tmp_path):
         path = write_system(tmp_path, [[-100.0]], [[[10.0]]])
         rep = report_of(run(["slognorm", path, "--method", "direct",
@@ -405,7 +415,7 @@ class TestSimulateCommand:
         start = report_of(result)["results"]["trajectory"]["moments"][0]
         assert start == pytest.approx(5.0, rel=1e-15)
 
-    @pytest.mark.parametrize("x0", ["1,2,3", "abc", ""])
+    @pytest.mark.parametrize("x0", ["1,2,3", "abc", "", "1,,2", "1,2,"])
     def test_bad_x0(self, tmp_path, x0):
         path = write_system(tmp_path, [[-1.0, 0.0], [0.0, -1.0]])
         result = run(["simulate", path, "--x0", x0, "--paths", "1"])

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import slognorm.sdesim as sdesim
+import slognorm.slognorm as slognorm_module
 from slognorm.sdesim import (
     DIVERGENCE_THRESHOLD,
     MomentTrajectory,
@@ -191,7 +192,8 @@ class TestBufferedStep:
         kept = x.copy()
         dw = rng.normal(size=(50, 2))
         imat = rng.normal(size=(50, 2, 2))
-        a, bs, pairs = sdesim._step_matrices(sys_, True)
+        a, bs = sys_.A, sys_.diffusions
+        pairs = slognorm_module._channel_products(bs)
         np.testing.assert_array_equal(
             em_step(sys_, x, dw, 0.01), _reference_step(x, a, bs, None, dw, None, 0.01))
         np.testing.assert_array_equal(
@@ -203,7 +205,8 @@ class TestBufferedStep:
     def test_simulation_matches_reference_loop(self, scheme, complex_):
         sys_ = _two_channel_system(5, complex_)
         cfg = SimConfig(h=0.02, t_end=0.4, paths=700, checkpoints=4, seed=9, scheme=scheme)
-        a, bs, pairs = sdesim._step_matrices(sys_, scheme == "milstein")
+        a, bs = sys_.A, sys_.diffusions
+        pairs = slognorm_module._channel_products(bs) if scheme == "milstein" else None
         rng = np.random.default_rng(np.random.SeedSequence(cfg.seed, spawn_key=(0,)))
         x = np.tile(np.array([1.0, -0.5], dtype=a.dtype), (cfg.paths, 1))
         expected = []
@@ -313,13 +316,13 @@ class TestSimulateMoments:
         cfg = SimConfig(h=0.01, t_end=0.02, paths=3000, checkpoints=2, seed=9,
                         scheme="euler_maruyama")
         blocks = []
-        run_blocks = sdesim._run_blocks
+        run_blocks = slognorm_module._run_blocks
 
         def recording(run, nblocks, seed, fan_out):
             blocks.append(nblocks)
             run_blocks(run, nblocks, seed, fan_out)
 
-        monkeypatch.setattr(sdesim, "_run_blocks", recording)
+        monkeypatch.setattr(slognorm_module, "_run_blocks", recording)
         runs = block_threads.across(lambda: simulate_moments(sys_, np.ones(40), cfg), cores=(1, 2))
         assert blocks == [2, 2]
         assert block_threads.picked == [2 if block_threads.can_fan_out() else 1]
