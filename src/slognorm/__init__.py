@@ -1,14 +1,14 @@
 """Stochastic logarithmic norms for linear Ito systems.
 
 Tools for the one-sided growth rate nu_p^l of the l-th moment of
-``dX = A X dt + sum_j B_j X dW_j``: two Monte Carlo estimators (a
-white-noise formula and the limit definition as vanishing-step difference
-quotients), closed-form upper and lower bounds, stability classifiers for
-scalar and small structured systems, consistency checks (scaling law,
-perturbed-spectrum inequality, deterministic limit), and an ensemble
-Euler-Maruyama/Milstein simulator for moment trajectories with growth-rate
-fits.  All Monte Carlo results are bit-reproducible for a given seed,
-whatever the number of cores.
+``dX = A X dt + sum_j B_j X dW_j``: two estimators (a white-noise formula
+and the limit definition as vanishing-step difference quotients), Monte
+Carlo or, for one channel, Gauss-Kronrod quadrature, closed-form upper and
+lower bounds, stability classifiers for scalar and small structured
+systems, consistency checks (scaling law, perturbed-spectrum inequality,
+deterministic limit), and an ensemble Euler-Maruyama/Milstein simulator
+for moment trajectories with growth-rate fits.  All Monte Carlo results
+are bit-reproducible for a given seed, whatever the number of cores.
 """
 
 from __future__ import annotations

@@ -32,6 +32,7 @@ from contextlib import contextmanager
 
 import click
 import numpy as np
+from click.core import ParameterSource
 
 from . import __version__
 from .cases import (
@@ -218,7 +219,7 @@ def _p_label(p) -> str:
 
 _METHOD_LABELS = {
     "monte_carlo": "Monte Carlo",
-    "quadrature": "Gauss-Hermite quadrature",
+    "quadrature": "Gauss-Kronrod quadrature",
     "closed_form": "exact",
 }
 
@@ -247,10 +248,10 @@ def _estimate_payload(est: NuEstimate) -> dict:
 
 
 _SAMPLES_HELP = (
-    "Monte Carlo samples{what}.  Without it the direct estimate of a "
-    "one-channel system at p = 2 is a Gauss-Hermite quadrature where the "
-    "rule converges, and otherwise a Monte Carlo run whose sample count "
-    "scales with dimension."
+    "Monte Carlo samples{what}.  Without it an estimate for a one-channel "
+    "system is an adaptive Gauss-Kronrod quadrature where the rule "
+    "converges, and otherwise a Monte Carlo run whose sample count scales "
+    "with dimension."
 )
 _SEED_OPTION = click.option(
     "--seed",
@@ -354,6 +355,11 @@ def cmd_slognorm(
     when they disagree beyond 3 combined standard errors.
     """
     system, meta = _load_system(system_file)
+    ctx = click.get_current_context()
+    if method == "direct" and any(ctx.get_parameter_source(name) is not ParameterSource.DEFAULT
+                                  for name in ("h0", "hsteps")):
+        raise InputError("--h0 and --hsteps set the definitional estimator's steps; "
+                         "--method direct does not use them")
     with _numeric_guard():
         cfg = McConfig(samples=samples, seed=seed, antithetic=antithetic)
         if h0 is not None and h0 <= 0:
@@ -374,7 +380,7 @@ def cmd_slognorm(
         if est.bias_warning:
             warnings.append(
                 f"{est.estimator} estimator: extrapolation residual exceeds 10x the "
-                "Monte Carlo error; shrink --h0 for a sharper limit"
+                f"error of the {_METHOD_LABELS[est.method]} quotients"
             )
     if len(estimates) == 2:
         d, f = estimates

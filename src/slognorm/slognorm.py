@@ -7,13 +7,13 @@ the classical logarithmic norm mu_p does for ODEs.  This module offers two
 estimators plus every closed-form bound the theory provides:
 
 * ``nu_direct`` evaluates l * E[mu_p(A - 1/2 sum B^2 + sum B zeta)] with
-  zeta i.i.d. standard normal (the white-noise representation).  For one
-  channel at p = 2 and the default sample count this 1-D Gaussian integral
-  is computed by Gauss-Hermite quadrature when the rule converges; every
-  other case is a Monte Carlo mean.
+  zeta i.i.d. standard normal (the white-noise representation).
 * ``nu_definitional`` estimates the defining limit: the h -> 0 intercept of
   the difference quotients (E norm(I + hA + sum B dW + sum BB I_(i,j), p)^l
-  - 1) / h, with common random numbers across the h-sequence.
+  - 1) / h.
+
+With one channel and the default sample count both are 1-D Gaussian
+integrals, computed by one adaptive Gauss-Kronrod rule; else Monte Carlo.
 
 The two functionals genuinely differ on some inputs — for B = I, p = 2,
 l = 2 the direct route gives 2 mu_2(A) - 1 while the definitional limit is
@@ -187,14 +187,14 @@ class NuEstimate:
     ``monte_carlo``: ``std_error`` is the sample standard deviation of the
     per-replicate statistic, merged from per-block moments, divided by
     sqrt(replicates); under antithetic pairing the replicate is a pair mean.
-    ``quadrature`` (direct estimator only): the value is the 128-node
-    Gauss-Hermite rule, ``std_error`` its difference from the 64-node rule
-    and ``samples`` its node count.  ``closed_form``: the statistic is
-    deterministic (no noise), the value exact and ``std_error`` 0; any
-    other ``std_error`` is at least the rounding bound of the sum behind
-    the value.  ``h_used`` is present exactly for the definitional
-    estimator; ``bias_warning`` marks definitional runs whose extrapolation
-    residual dominates the Monte Carlo error.
+    ``quadrature``: the Gauss-Kronrod rule of :func:`_gaussian_expectation`
+    over one channel's zeta, ``std_error`` its error estimate and
+    ``samples`` its node count.  ``closed_form``: no noise, one evaluation
+    (``samples`` 1), the direct value exact with ``std_error`` 0; any other
+    direct ``std_error`` is at least the rounding bound of the sum behind the
+    value.  ``h_used`` is present exactly for the definitional estimator,
+    whose ``std_error`` includes the h = 0 extrapolation error;
+    ``bias_warning`` marks definitional runs where that error dominates.
     """
 
     value: float
@@ -212,8 +212,6 @@ class NuEstimate:
             raise ValueError(f"unknown estimator {self.estimator!r}")
         if self.method not in ("monte_carlo", "quadrature", "closed_form"):
             raise ValueError(f"unknown method {self.method!r}")
-        if self.method != "monte_carlo" and self.estimator != "direct":
-            raise ValueError(f"{self.method} is a method of the direct estimator only")
         if self.estimator == "definitional" and not self.h_used:
             raise ValueError("definitional estimates must record h_used")
         if self.samples < 1:
@@ -372,95 +370,117 @@ def _white_noise(system: SdeSystem, stat: Callable[[np.ndarray], np.ndarray], nc
 # ---------------------------------------------------------------------------
 
 
-#: node counts of the Gauss-Hermite rules; the coarser one only gauges the
-#: finer one's error.  :func:`_hermite_rule` overflows near 1000 nodes
-_GH_NODES = (64, 128)
+#: the G7/K15 Gauss-Kronrod rule on [-1, 1] (Piessens et al., QUADPACK,
+#: 1983) as rows: the nodes, their Kronrod weights and the Gauss weights
+_G7K15 = np.array([
+    (0.9914553711208126, 0.9491079123427585, 0.8648644233597691, 0.7415311855993945,
+     0.5860872354676911, 0.4058451513773972, 0.20778495500789848, 0.0),
+    (0.022935322010529224, 0.06309209262997856, 0.10479001032225019, 0.14065325971552592,
+     0.1690047266392679, 0.19035057806478542, 0.20443294007529889, 0.20948214108472782),
+    (0, 0.1294849661688697, 0, 0.27970539148927664, 0, 0.3818300505051189, 0, 0.4179591836734694),
+])
+_G7K15 = np.concatenate([_G7K15[:, :-1] * [[-1.0], [1.0], [1.0]], _G7K15[:, ::-1]], axis=1)
 
-#: the 128-node rule is accepted when it is this close to the 64-node rule,
-#: relative to the integral of |f|
-_GH_RTOL = 1e-10
+#: f at the nodes to the value at z = 1 of the polynomial through them
+#: (reversed, at z = -1): prod over i != j of (1 - x_i) / (x_j - x_i)
+_K15_END = np.prod((1.0 - _G7K15[0]) / (
+    _G7K15[0][:, np.newaxis] - _G7K15[0] + np.diag(1.0 - _G7K15[0])), axis=1)[:, np.newaxis]
 
-
-def _orthonormal_hermite(z: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """p_(n-1)(z) and p_n(z) for the Hermite polynomials orthonormal under
-    the standard normal law, from z p_k = sqrt(k + 1) p_(k+1) + sqrt(k) p_(k-1)."""
-    prev, cur = np.zeros_like(z), np.ones_like(z)
-    for k in range(1, n + 1):
-        prev, cur = cur, (z * cur - math.sqrt(k - 1) * prev) / math.sqrt(k)
-    return prev, cur
-
-
-@functools.lru_cache(maxsize=None)
-def _hermite_rule(count: int) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes and weights of the ``count``-node Gauss-Hermite rule for
-    E f(zeta), zeta standard normal (the weights sum to 1).
-
-    The nodes are the zeros of p_count, the eigenvalues of the Jacobi
-    matrix of Golub & Welsch (1969).  Each is bracketed by a sign change on
-    a grid over (-sqrt(4 count + 2), sqrt(4 count + 2)), which holds every
-    zero, and polished by Newton steps with p_n' = sqrt(n) p_(n-1); the
-    weights are 1 / (count p_(count-1)^2).  Neither LAPACK nor
-    numpy.polynomial is used: their first call in a process costs about
-    1 MB of resident memory, more than a 2x2 estimate needs otherwise.
-    """
-    edge = math.sqrt(4 * count + 2)
-    grid = np.linspace(-edge, edge, 16 * count + 1)
-    p = _orthonormal_hermite(grid, count)[1]
-    lo = np.flatnonzero(np.signbit(p[:-1]) != np.signbit(p[1:]))
-    if lo.size != count:
-        raise ArithmeticError(f"found {lo.size} of the {count} Hermite zeros")
-    z = grid[lo] - p[lo] * (grid[lo + 1] - grid[lo]) / (p[lo + 1] - p[lo])
-    for _ in range(4):
-        prev, cur = _orthonormal_hermite(z, count)
-        z = z - cur / (math.sqrt(count) * prev)
-    w = 1.0 / (count * _orthonormal_hermite(z, count)[0] ** 2)
-    z, w = 0.5 * (z - z[::-1]), 0.5 * (w + w[::-1])
-    w /= w.sum()
-    z.flags.writeable = w.flags.writeable = False
-    return z, w
+#: the rule starts from 12 intervals on [-9, 9] and accepts an error of
+#: 1e-10 of the integral of |f|; it gives up after 2^15 nodes
+_QUAD_EDGE, _QUAD_PIECES, _QUAD_RTOL, _QUAD_BUDGET = 9.0, 12, 1e-10, 2**15
 
 
-def _one_channel_quadrature(
-    system: SdeSystem, stat: Callable[[np.ndarray], np.ndarray]
-) -> tuple[float, float] | None:
-    """E stat(A - 1/2 B^2 + zeta B) for one channel by the 128-node
-    Gauss-Hermite rule and its error: the distance from the 64-node rule,
-    at least the rounding bound of the sum.  None when the two rules differ
-    by more than ``_GH_RTOL`` of the integral of |stat| (a kink or a fast
-    change in zeta) plus 16 ulps of the largest entry of A - 1/2 B^2 and B.
+def _normal_density(z):
+    return np.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi)
 
-    The matrices are formed in row chunks of ``_CHUNK_DOUBLES`` doubles,
-    like the Monte Carlo blocks; stat must act row by row.
-    """
-    (b,) = system.diffusions
-    base = system.A - 0.5 * _sum_squares(system.diffusions)
-    chunk = max(1, _CHUNK_DOUBLES // (system.dim * system.dim))
-    rules = []
-    for count in _GH_NODES:
-        z, w = _hermite_rule(count)
-        f = np.empty(count)
-        for lo in range(0, count, chunk):
-            f[lo:lo + chunk] = stat(base + z[lo:lo + chunk, None, None] * b)
-        rules.append((float(w @ f), float(w @ np.abs(f))))
-    (coarse, _), (fine, scale) = rules
-    gap = abs(fine - coarse)
-    # a vanishing integrand is known only to a few ulps of the matrix entries
-    entries = float(np.abs(base).max() + np.abs(b).max())
-    if not gap <= _GH_RTOL * scale + 16 * np.finfo(np.float64).eps * entries:  # also NaN
+
+def _kronrod(lo, hi, f_lo, f_hi, f: Callable[[np.ndarray], np.ndarray]):
+    """Per interval [lo, hi] with end values f_lo, f_hi: the K15 integral of
+    f phi, its error, the K15 integral of |f| phi and f(mid); None if f is
+    not finite."""
+    half = 0.5 * (hi - lo)
+    z = 0.5 * (lo + hi)[:, np.newaxis] + half[:, np.newaxis] * _G7K15[0]
+    fz = f(z.ravel()).reshape(z.shape + (-1,))
+    if not (np.all(np.isfinite(fz)) and np.all(np.isfinite(f_lo)) and np.all(np.isfinite(f_hi))):
         return None
-    return fine, float(max(gap, _rounding_floor(_GH_NODES[-1], scale)))
+    kronrod, gauss = ((_normal_density(z) * half[:, np.newaxis] * w)[..., np.newaxis]
+                      for w in _G7K15[1:])
+    value = (kronrod * fz).sum(axis=1)
+    gap = np.abs(value - (gauss * fz).sum(axis=1))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        spread = (kronrod * np.abs(fz - (value / kronrod.sum(axis=1))[:, np.newaxis])).sum(axis=1)
+        # QUADPACK's scaling: for a smooth f the K15 error is far below the gap
+        err = np.where(spread > 0, spread * np.minimum(1.0, (200.0 * gap / spread) ** 1.5), gap)
+    # a kink between the outermost node and an end shows in no node, only in
+    # how far f at that end lies from the polynomial through the nodes
+    err += half[:, np.newaxis] * (1.0 - _G7K15[0, -1]) * (
+        _normal_density(lo)[:, np.newaxis] * np.abs(f_lo - (_K15_END[::-1] * fz).sum(axis=1))
+        + _normal_density(hi)[:, np.newaxis] * np.abs(f_hi - (_K15_END * fz).sum(axis=1)))
+    return value, err, (kronrod * np.abs(fz)).sum(axis=1), fz[:, 7]
+
+
+def _gaussian_expectation(f: Callable[[np.ndarray], np.ndarray], dim: int, scale: float):
+    """(E f(zeta), its error, the node count) for zeta standard normal and
+    f: nodes (count,) -> (count, ncols); None when f is not finite or no
+    convergence within ``_QUAD_BUDGET`` or :func:`default_samples` nodes.
+
+    Adaptive G7/K15 bisection on [-L, L]: each round bisects every interval
+    whose error in some column is over half its share of the tolerance,
+    ``_QUAD_RTOL`` E|f| plus 16 ulps of ``scale`` (the size of the numbers
+    whose rounding f carries, so that f = 0 converges), and L grows while
+    the tail 2 (|f(-L)| + |f(L)|) phi(L) / L is over half the tolerance.
+    f is called in row chunks of ``_CHUNK_DOUBLES`` doubles and must act row
+    by row; intervals are summed in order, so no bit depends on batching.
+    """
+    chunk, budget = max(1, _CHUNK_DOUBLES // (dim * dim)), min(_QUAD_BUDGET, default_samples(dim))
+
+    def values(z: np.ndarray) -> np.ndarray:
+        return np.concatenate([f(z[i:i + chunk]) for i in range(0, z.size, chunk)])
+
+    edges = np.linspace(-_QUAD_EDGE, _QUAD_EDGE, _QUAD_PIECES + 1)
+    width, at_edges = edges[1] - edges[0], values(edges)
+    fresh = (edges[:-1], edges[1:], at_edges[:-1], at_edges[1:])
+    nodes, cols, keep = edges.size, None, None
+    while True:
+        nodes += 15 * fresh[0].size
+        rule = None if nodes > budget else _kronrod(*fresh, values)
+        if rule is None:
+            return None
+        # per interval: lo, hi, f(lo), f(hi), value, error, |f| mass, f(mid)
+        cols = (*fresh, *rule) if cols is None else tuple(
+            np.concatenate([old[keep], new]) for old, new in zip(cols, (*fresh, *rule)))
+        order = np.argsort(cols[0], kind="stable")
+        lo, hi, f_lo, f_hi, value, err, mass, f_mid = cols = tuple(c[order] for c in cols)
+        tol, edge = _QUAD_RTOL * mass.sum(axis=0) + 16 * np.finfo(float).eps * scale, hi[-1]
+        tail = 2.0 * (np.abs(f_lo[0]) + np.abs(f_hi[-1])) * _normal_density(edge) / edge
+        if np.any(tail > 0.5 * tol):
+            outer, keep = values(np.array([-edge - width, edge + width])), slice(None)
+            nodes += 2
+            fresh = (np.array([-edge - width, edge]), np.array([-edge, edge + width]),
+                     np.stack([outer[0], f_hi[-1]]), np.stack([f_lo[0], outer[1]]))
+        elif np.all(err.sum(axis=0) + tail <= tol):
+            error = np.maximum(err.sum(axis=0) + tail, _rounding_floor(nodes, mass.sum(axis=0)))
+            return value.sum(axis=0), error, nodes
+        else:
+            split = np.any(err > 0.5 * tol / lo.size, axis=1)
+            if not split.any():  # NaN errors or a tie in rounding: nothing to refine
+                return None
+            keep, mid = ~split, 0.5 * (lo[split] + hi[split])
+            fresh = (np.concatenate([lo[split], mid]), np.concatenate([mid, hi[split]]),
+                     np.concatenate([f_lo[split], f_mid[split]]),
+                     np.concatenate([f_mid[split], f_hi[split]]))
 
 
 def nu_direct(system: SdeSystem, p=2, l: int = 2, cfg: McConfig | None = None) -> NuEstimate:
     """Estimate nu_p^l as l * E[mu_p(A - 1/2 sum B^2 + sum B zeta)].
 
-    zeta(1)..zeta(m) are i.i.d. standard normal.  With one channel, p = 2
-    and ``cfg.samples`` left at None, the expectation is a 1-D Gaussian
-    integral of a smooth statistic and is computed by Gauss-Hermite
-    quadrature (``method="quadrature"``, see :class:`NuEstimate`); when the
-    64- and 128-node rules disagree (a kink in zeta) it falls back to the
-    Monte Carlo run at :func:`default_samples`.  Every other call is a
-    Monte Carlo mean over ``cfg.samples`` draws (antithetic by default).
+    zeta(1)..zeta(m) are i.i.d. standard normal.  With one channel and
+    ``cfg.samples`` left at None the expectation is a 1-D Gaussian integral,
+    computed by :func:`_gaussian_expectation` (``method="quadrature"``), or
+    when that rule does not converge by the Monte Carlo run at
+    :func:`default_samples`.  Every other call is a Monte Carlo mean over
+    ``cfg.samples`` draws (antithetic by default).
     With m = 0 the statistic is deterministic and the exact value
     l * mu_p(A) is returned with zero standard error (``closed_form``).
     """
@@ -476,13 +496,15 @@ def nu_direct(system: SdeSystem, p=2, l: int = 2, cfg: McConfig | None = None) -
     def stat(g: np.ndarray) -> np.ndarray:
         return l * mu_batch(g, p)
 
-    if cfg.samples is None and system.m == 1 and p == 2:
-        quad = _one_channel_quadrature(system, stat)
+    if cfg.samples is None and system.m == 1:
+        (b,) = system.diffusions
+        base = system.A - 0.5 * _sum_squares(system.diffusions)
+        # a vanishing integrand is known only to a few ulps of the matrix entries
+        quad = _gaussian_expectation(lambda z: stat(base + z[:, None, None] * b)[:, None],
+                                     system.dim, float(np.abs(base).max() + np.abs(b).max()))
         if quad is not None:
-            return NuEstimate(
-                value=quad[0], std_error=quad[1], samples=_GH_NODES[-1],
-                estimator="direct", p=p, l=l, method="quadrature",
-            )
+            return NuEstimate(value=float(quad[0][0]), std_error=float(quad[1][0]),
+                              samples=quad[2], estimator="direct", p=p, l=l, method="quadrature")
     (value,), (se,), total = _white_noise(system, stat, 1, cfg,
                                           _eigen_blocks_fan_out(system.dim, p))
     return NuEstimate(
@@ -541,16 +563,18 @@ def nu_definitional(
     """Estimate nu_p^l from its defining h -> 0 limit.
 
     For each h in ``h_seq`` the quotient (E norm(G_h, p)^l - 1) / h is
-    sampled, where G_h = I + hA + sum_j B(j) dW(j) + sum_ij B(i)B(j)
-    I_(i,j)(h).  One underlying standard-normal draw per replicate is
-    rescaled across the whole h-sequence (common random numbers), the
-    per-replicate quotient curve is collapsed to its least-squares h = 0
-    intercept, and the Monte Carlo spread of those intercepts is combined
-    (in quadrature) with the intercept error of the fit to the mean curve.
+    computed, where G_h = I + hA + sum_j B(j) dW(j) + sum_ij B(i)B(j)
+    I_(i,j)(h), and collapsed to its least-squares h = 0 intercept.  With
+    one channel and ``cfg.samples`` None every h is integrated over
+    dW / sqrt(h) at shared nodes by :func:`_gaussian_expectation`, as in
+    :func:`nu_direct`.  Otherwise one standard-normal draw per replicate is
+    rescaled across the h-sequence (common random numbers); with m = 0 one
+    evaluation is exact (``closed_form``).  That error is combined (in
+    quadrature) with the intercept error of the fit to the mean curve.
 
     Every h must satisfy h * norm(A, p) < 0.1 (expansion regime).  When the
-    extrapolation residual exceeds 10x the Monte Carlo error — the h-range
-    is too coarse for the curvature — the estimate carries
+    extrapolation residual exceeds 10x the quadrature or Monte Carlo error
+    — the h-range is too coarse for the curvature — the estimate carries
     ``bias_warning=True`` rather than raising.
     """
     p = check_p(p)
@@ -576,9 +600,9 @@ def nu_definitional(
     def quotient(g: np.ndarray, hk: float) -> np.ndarray:
         return (matrix_norm_batch(g, p) ** l - 1.0) / hk
 
-    def intercept_and_quotients(xi: np.ndarray) -> np.ndarray:
+    def intercept_and_quotients(xi: np.ndarray, antithetic: bool) -> np.ndarray:
         """The fitted intercept and the quotient for every h, from one batch
-        of unit normals (count, ...)."""
+        of unit normals (count, m * m), as (count, 1 + nh)."""
         count = xi.shape[0]
         cols = np.empty((1 + nh, count), dtype=np.float64)  # intercept, quotients
         # (count, n, n) work arrays shared by every h: fresh temporaries of
@@ -587,9 +611,6 @@ def nu_definitional(
         noise, second, g = (np.empty((count, n, n), dtype=a.dtype) for _ in range(3))
         for k in range(nh):
             hk = float(h[k])
-            if m == 0:
-                cols[1 + k] = quotient(np.broadcast_to(deterministic[k], (count, n, n)), hk)
-                continue
             # -xi gives exactly -dW and the same I (negation is exact), so
             # one transform serves both members of the pair
             dw, imat = _increments_from_normals(xi, hk)
@@ -598,29 +619,41 @@ def nu_definitional(
             np.einsum("sij,ijab->sab", imat, pairs, out=second)
             cols[1 + k] = _paired(
                 lambda x: quotient(np.add(x, second, out=x), hk),
-                deterministic[k], noise, cfg.antithetic, out=g,
+                deterministic[k], noise, antithetic, out=g,
             )
         # summed in h order, row by row: a gemv's bits depend on the row count
         cols[0] = functools.reduce(operator.add, map(operator.mul, weights, cols[1:]))
         return cols.T
 
-    means, ses, total = _replicates(
-        lambda rng, count: _unit_normals(rng, count, m),
-        intercept_and_quotients, 1 + nh, cfg, n, _eigen_blocks_fan_out(n, p),
-    )
-    value, mc_se = float(means[0]), float(ses[0])
+    quad = None
+    if m == 1 and cfg.samples is None:
+        # a quotient is known only to a few ulps of 1 / h, the intercept to their sum
+        quad = _gaussian_expectation(lambda z: intercept_and_quotients(z[:, np.newaxis], False),
+                                     n, l * float(np.abs(weights) @ (1.0 / h)))
+    if m == 0:  # the quotients do not depend on the draws: one evaluation is exact
+        means, errs, total = intercept_and_quotients(np.empty((1, 0)), False)[0], [0.0], 1
+        method = "closed_form"
+    elif quad is not None:
+        (means, errs, total), method = quad, "quadrature"
+    else:
+        means, errs, total = _replicates(
+            lambda rng, count: _unit_normals(rng, count, m),
+            lambda xi: intercept_and_quotients(xi, cfg.antithetic), 1 + nh, cfg, n,
+            _eigen_blocks_fan_out(n, p))
+        method = "monte_carlo"
+    value, noise_se = float(means[0]), float(errs[0])
     extrap_se = _intercept_residual_error(h, means[1:])
-    se = math.hypot(mc_se, extrap_se)
-    bias = extrap_se > 10.0 * mc_se and extrap_se > FP_FLOOR * max(1.0, abs(value))
+    bias = extrap_se > 10.0 * noise_se and extrap_se > FP_FLOOR * max(1.0, abs(value))
     return NuEstimate(
         value=value,
-        std_error=se,
+        std_error=math.hypot(noise_se, extrap_se),
         samples=total,
         estimator="definitional",
         p=p,
         l=l,
         h_used=tuple(float(v) for v in h),
         bias_warning=bool(bias),
+        method=method,
     )
 
 

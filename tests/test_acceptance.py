@@ -351,6 +351,7 @@ def test_11_cli_byte_identical_reruns(tmp_path):
         ["simulate", str(system_file), "--h", "0.05", "--t-end", "0.5",
          "--paths", "5000", "--checkpoints", "5", "--seed", "7"],
         ["table1", "--samples", "64", "--seed", "3"],
+        ["table1", "--seed", "3"],  # quadratures, case (h) through LAPACK
         ["examples", "--which", "pendulum", "--samples", "512", "--seed", "7"],
         ["examples", "--which", "nonnormal", "--sigma2", "0.5",
          "--samples", "512", "--seed", "7"],
@@ -392,12 +393,13 @@ def test_12_mu_limit_and_spectral_abscissa():
 
 
 def test_13_direct_quadrature_matches_monte_carlo(benchmark_estimates):
-    """At the default sample count the one-channel p = 2 direct estimate is
-    a Gauss-Hermite quadrature.  On every Table 1 row it must equal the
-    independent 128-node oracle ``gauss_hermite_nu22`` to 1e-12 and lie
-    within 3 combined standard errors of an explicit Monte Carlo run: the
-    10^6-sample runs of criterion 1, and 2000 samples for the 100x100 case
-    (h), where 10^6 eigensolves would take minutes."""
+    """At the default sample count the one-channel direct estimate is a
+    Gauss-Kronrod quadrature.  On every Table 1 row at p = 2 it must equal
+    the independent 128-node Gauss-Hermite oracle ``gauss_hermite_nu22`` to
+    1e-12, within its own error bar, and lie within 3 combined standard
+    errors of an explicit Monte Carlo run: the 10^6-sample runs of
+    criterion 1, and 2000 samples for the 100x100 case (h), where 10^6
+    eigensolves would take minutes."""
     estimates, _ = benchmark_estimates
     mc = dict(estimates)
     mc["h"] = nu_direct(table1_system("h"), 2, 2, McConfig(samples=2000, seed=42))
@@ -406,12 +408,93 @@ def test_13_direct_quadrature_matches_monte_carlo(benchmark_estimates):
         quad = nu_direct(system, 2, 2, McConfig(seed=42))
         assert quad.method == "quadrature" and mc[case].method == "monte_carlo", case
         # perfbench's oracle divides by sqrt(samples // 2)
-        assert quad.samples == 128, case
+        assert quad.samples >= 15, case
         exact = gauss_hermite_nu22(system, 128)
         assert quad.value == pytest.approx(exact, rel=1e-12, abs=1e-12), case
-        assert quad.std_error <= 1e-12 * max(1.0, abs(exact)), case
+        assert abs(quad.value - exact) <= quad.std_error + 4 * math.ulp(exact), case
+        assert quad.std_error <= 1e-11 * max(1.0, abs(exact)), case
         window = 3.0 * math.hypot(quad.std_error, mc[case].std_error) + FP_FLOOR
         assert abs(quad.value - mc[case].value) <= window, (
             f"case ({case}): quadrature {quad.value!r} vs Monte Carlo "
             f"{mc[case].value!r} +/- {mc[case].std_error:.3g}"
         )
+
+
+@pytest.mark.parametrize("p", [1, math.inf])
+def test_14_direct_quadrature_at_p1_and_inf(p):
+    """The statistic at p = 1 and inf has kinks in zeta, which the adaptive
+    rule refines.  On every Table 1 row it must lie within 3 combined
+    standard errors of an explicit Monte Carlo run at the default sample
+    count (2000 samples for the 100x100 case (h))."""
+    for case in "abcdefghi":
+        system = table1_system(case)
+        quad = nu_direct(system, p, 2, McConfig(seed=42))
+        samples = 2000 if case == "h" else 10**6 if system.dim <= 2 else 10**5
+        mc = nu_direct(system, p, 2, McConfig(samples=samples, seed=42))
+        assert quad.method == "quadrature" and mc.method == "monte_carlo", case
+        window = 3.0 * math.hypot(quad.std_error, mc.std_error) + FP_FLOOR
+        assert abs(quad.value - mc.value) <= window, (
+            f"case ({case}), p = {p}: quadrature {quad.value!r} vs Monte Carlo "
+            f"{mc.value!r} +/- {mc.std_error:.3g}"
+        )
+
+
+def _mu2(m: np.ndarray) -> float:
+    return float(np.linalg.eigvalsh(0.5 * (m + m.conj().T))[-1])
+
+
+def test_15_definitional_quadrature_oracles():
+    """With one channel the definitional quotients are Gaussian integrals
+    in dW / sqrt(h), and the default estimate is their quadrature.
+
+    * Scalars: E (1 + ha + sqrt(h) zeta b + h (zeta^2 - 1) b^2 / 2)^2 is
+      1 + h (2a + b^2) + h^2 (a^2 + b^4 / 2), so every quotient lies on a
+      line with intercept 2a + b^2, which the fit recovers exactly.
+    * B = I with diagonal A: norm(G_h) = c + h max(a) with c > 0 scalar, so
+      the l = 1 and l = 2 quotients are lines too, with intercept
+      ``main12_exact_B_eq_I``.
+    * Monte Carlo at explicit samples agrees within 3 standard errors, on
+      the default steps and on two steps, whose line fit has no residual.
+    """
+    for alpha, beta in ((-100.0, 10.0), (-1.0, 1.0), (0.0, 1.0), (2.0, -3.0)):
+        est = nu_definitional(scalar_system(alpha, beta), 2, 2)
+        target = 2.0 * alpha + beta**2
+        assert est.method == "quadrature"
+        assert est.value == pytest.approx(target, rel=1e-10, abs=1e-10), (alpha, beta)
+
+    for a in (np.diag([-2.0, -5.0]), np.diag([3.0, -1.0, 0.5])):
+        system = SdeSystem(a, (np.eye(a.shape[0]),))
+        for l in (1, 2):
+            est = nu_definitional(system, 2, l)
+            exact = bounds_report(system, 2, l).main12_exact_B_eq_I
+            assert exact == pytest.approx(l * float(np.diag(a).max()) + l * (l - 1) / 2)
+            assert est.method == "quadrature"
+            assert est.value == pytest.approx(exact, rel=1e-10, abs=1e-10), (a, l)
+
+    for case in "deg":
+        system = table1_system(case)
+        h0 = nu_definitional(system, 2, 2).h_used[0]
+        for steps in ((h0, h0 / 2), None):
+            quad = nu_definitional(system, 2, 2, steps)
+            mc = nu_definitional(system, 2, 2, steps, McConfig(samples=10**5, seed=7))
+            assert quad.method == "quadrature" and mc.method == "monte_carlo"
+            assert abs(quad.value - mc.value) <= 3.0 * math.hypot(quad.std_error, mc.std_error), (
+                f"case ({case}), steps {steps}: quadrature {quad.value!r} vs Monte Carlo "
+                f"{mc.value!r} +/- {mc.std_error:.3g}"
+            )
+
+
+def test_16_definitional_divergence_law():
+    """The quotients grow like c1 / sqrt(h), c1 = l (mu_2(B) + mu_2(-B)) /
+    sqrt(2 pi) for one channel, so the 7-step halving fit from h0 gives an
+    intercept near K c1 / sqrt(h0), where K is the fit's intercept for
+    1 / sqrt(h / h0) (ROADMAP item 2).  Case (e), deterministic at h0 = 1e-10."""
+    steps = 1e-10 * 0.5 ** np.arange(7)
+    k_fit = float(np.polyfit(steps / steps[0], (steps / steps[0]) ** -0.5, 1)[1])
+    assert k_fit == pytest.approx(5.0085, abs=1e-4)
+    system = table1_system("e")
+    (b,) = system.diffusions
+    c1 = 2.0 * (_mu2(b) + _mu2(-b)) / math.sqrt(2.0 * math.pi)
+    est = nu_definitional(system, 2, 2, tuple(steps))
+    assert est.method == "quadrature"
+    assert est.value * math.sqrt(steps[0]) / c1 == pytest.approx(k_fit, abs=1e-3)

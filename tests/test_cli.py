@@ -247,6 +247,19 @@ class TestSlognormCommand:
         assert rep["invocation"]["hsteps"] == 3 and len(h_used) == 3
         assert h_used == list(default_h_sequence(SdeSystem(a), 2, count=3))
 
+    @pytest.mark.parametrize("flag", [["--h0", "10"], ["--h0", "1e-3"], ["--hsteps", "7"]])
+    def test_direct_method_rejects_step_flags(self, tmp_path, flag):
+        # the steps belong to the definitional estimator; an explicit flag
+        # with --method direct would be echoed and ignored
+        path = write_system(tmp_path, [[-1.0]], [[[0.5]]])
+        result = run(["slognorm", path, "--method", "direct", *flag])
+        assert result.exit_code == 2
+        assert "--h0 and --hsteps set the definitional estimator's steps" in result.stderr
+        assert result.stdout == ""
+        # the defaults pass, and the definitional methods take the flags
+        assert run(["slognorm", path, "--method", "direct"]).exit_code == 0
+        assert run(["slognorm", path, "--method", "both", "--hsteps", "7"]).exit_code == 0
+
     def test_bounds_and_applicability(self, tmp_path):
         path = write_system(tmp_path, [[-100.0]], [[[10.0]]])
         rep = report_of(run(["slognorm", path, "--method", "direct",
@@ -309,8 +322,9 @@ class TestEstimateMethods:
         result = run(["slognorm", path, "--method", "direct"])
         direct = report_of(result)["results"]["estimates"][0]
         assert list(direct)[:3] == ["identity", "estimator", "method"]
-        assert direct["method"] == "quadrature" and direct["samples"] == 128
-        assert "(Gauss-Hermite quadrature)" in result.stderr
+        # samples counts the rule's nodes: here it converged in its first round
+        assert direct["method"] == "quadrature" and direct["samples"] == 12 * 15 + 13
+        assert "(Gauss-Kronrod quadrature)" in result.stderr
 
     def test_explicit_samples_run_monte_carlo(self, tmp_path):
         path = write_system(tmp_path, [[-1.0, 0.5], [0.0, -2.0]],
@@ -333,7 +347,7 @@ class TestEstimateMethods:
         assert all(c["nu"]["samples"] >= 2 for c in cases)
         lines = [ln for ln in result.stderr.splitlines() if ln.startswith("case (")]
         assert len(lines) == 9
-        assert all("(Gauss-Hermite quadrature)" in ln for ln in lines)
+        assert all("(Gauss-Kronrod quadrature)" in ln for ln in lines)
 
     def test_table1_error_is_not_below_the_rounding_bound(self):
         # case (a) used to report -225 +/- 8.7e-19, below the ulp of 225
@@ -346,17 +360,45 @@ class TestEstimateMethods:
         pend = run(["examples", "--which", "pendulum", "--samples", "512"])
         assert "(closed form)" in pend.stderr and "(Monte Carlo)" in pend.stderr
         assert report_of(pend)["results"]["nu_estimate"]["method"] == "monte_carlo"
+        # the pendulum's kink in zeta no longer forces a Monte Carlo run
+        pend = run(["examples", "--which", "pendulum"])
+        assert report_of(pend)["results"]["nu_estimate"]["method"] == "quadrature"
+        assert "(Gauss-Kronrod quadrature)" in pend.stderr
         nonnormal = run(["examples", "--which", "nonnormal", "--sigma2", "0.5", "--b", "0"])
         estimate = report_of(nonnormal)["results"]["nu_estimate"]
         assert estimate["method"] == "quadrature"
         assert "cross-check:" in nonnormal.stderr
-        assert "(Gauss-Hermite quadrature)" in nonnormal.stderr
+        assert "(Gauss-Kronrod quadrature)" in nonnormal.stderr
         assert "Monte Carlo cross-check" not in nonnormal.stderr
 
     @pytest.mark.parametrize("command", ["slognorm", "table1", "examples"])
     def test_samples_help_names_the_quadrature_default(self, command):
-        text = " ".join(run([command, "--help"]).stdout.split())
-        assert "Gauss-Hermite quadrature" in text
+        # click may wrap a line at the hyphen
+        text = " ".join(run([command, "--help"]).stdout.split()).replace("Gauss- ", "Gauss-")
+        assert "Gauss-Kronrod quadrature" in text
+        assert "Gauss-Hermite" not in text
+
+    def test_default_definitional_is_quadrature(self, tmp_path):
+        path = write_system(tmp_path, [[-1.0, 0.5], [0.0, -2.0]],
+                            [[[0.3, 0.0], [0.1, 0.2]]])
+        result = run(["slognorm", path, "--method", "definitional"])
+        estimate = report_of(result)["results"]["estimates"][0]
+        assert estimate["method"] == "quadrature" and estimate["samples"] >= 15
+        assert "(Gauss-Kronrod quadrature)" in result.stderr
+
+    @pytest.mark.parametrize("args, source", [
+        (["--samples", "100000"], "Monte Carlo"),
+        ([], "Gauss-Kronrod quadrature"),
+    ])
+    def test_bias_warning_names_the_estimates_error(self, tmp_path, args, source):
+        # case (e) at the default steps: the extrapolation residual dominates
+        path = write_system(tmp_path, [[-100.0, 20.0], [7.0, -200.0]],
+                            [[[5.0, 2.0], [4.0, 6.0]]])
+        rep = report_of(run(["slognorm", path, "--method", "definitional", *args]))
+        assert rep["results"]["estimates"][0]["bias_warning"] is True
+        (warning,) = rep["warnings"]
+        assert warning == ("definitional estimator: extrapolation residual exceeds 10x "
+                           f"the error of the {source} quotients")
 
 
 class TestSimulateCommand:

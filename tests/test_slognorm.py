@@ -190,9 +190,14 @@ class TestNuEstimate:
         with pytest.raises(ValueError, match="unknown method"):
             NuEstimate(value=0.0, std_error=0.0, samples=10, estimator="direct",
                        p=2, l=2, method="oracle")
-        with pytest.raises(ValueError, match="direct estimator only"):
+        with pytest.raises(ValueError, match="unknown method"):
             NuEstimate(value=0.0, std_error=0.0, samples=10, estimator="definitional",
-                       p=2, l=2, h_used=(0.1, 0.05), method="quadrature")
+                       p=2, l=2, h_used=(0.1, 0.05), method="oracle")
+        # both estimators may be quadratures or closed forms
+        for method in ("quadrature", "closed_form"):
+            est = NuEstimate(value=0.0, std_error=0.0, samples=10, estimator="definitional",
+                             p=2, l=2, h_used=(0.1, 0.05), method=method)
+            assert est.method == method
 
 
 class TestClassify:
@@ -303,10 +308,10 @@ _PAIRWISE_SUM_RUNS = {
 
 
 class TestDirectQuadrature:
-    """One channel, p = 2 and the default sample count: Gauss-Hermite
-    quadrature where the 64- and 128-node rules agree, else the Monte Carlo
-    run at the default sample count, bit for bit.  The quadrature's values
-    are checked against an independent oracle in ``test_acceptance``."""
+    """One channel and the default sample count: an adaptive Gauss-Kronrod
+    quadrature at every p, else the Monte Carlo run at the default sample
+    count, bit for bit.  The quadrature's values are checked against
+    independent oracles in ``test_acceptance``."""
 
     def test_case_g_stays_flagged(self):
         est = nu_direct(table1_system("g"), 2, 2)
@@ -316,47 +321,72 @@ class TestDirectQuadrature:
         assert abs(est.value - 924.53) > 100.0
 
     @pytest.mark.parametrize("which, p", [("pendulum", 2), ("e", 1), ("e", math.inf)])
-    def test_fallback_is_the_default_monte_carlo_run(self, which, p):
-        # the pendulum's statistic has a kink in zeta, so the rules disagree;
-        # p = 1 and inf never use quadrature
+    def test_fallback_is_the_default_monte_carlo_run(self, monkeypatch, which, p):
+        # statistics with kinks in zeta: a quadrature now, and the default
+        # Monte Carlo run when the rule runs out of nodes
         system = pendulum(10.0, 0.1, 50.0).system if which == "pendulum" else table1_system(which)
+        assert nu_direct(system, p, 2, McConfig(seed=9)).method == "quadrature"
+        monkeypatch.setattr(slognorm_module, "_QUAD_BUDGET", 100)
         fallback = nu_direct(system, p, 2, McConfig(seed=9))
         explicit = nu_direct(system, p, 2, McConfig(samples=default_samples(system.dim), seed=9))
         assert fallback.method == "monte_carlo"
         assert dataclasses.astuple(fallback) == dataclasses.astuple(explicit)
 
-    @pytest.mark.parametrize("count", [64, 128])
-    def test_rule_matches_numpy_hermegauss(self, count):
-        z, w = slognorm_module._hermite_rule(count)
-        ref_z, ref_w = np.polynomial.hermite_e.hermegauss(count)
-        ref_w = ref_w / math.sqrt(2.0 * math.pi)
-        np.testing.assert_allclose(z, ref_z, rtol=0, atol=1e-14)
-        np.testing.assert_allclose(w, ref_w, rtol=1e-12, atol=0)
-        assert np.array_equal(z, -z[::-1]) and np.array_equal(w, w[::-1])
-        # E zeta^2 = 1, E zeta^4 = 3, E zeta^6 = 15
-        moments = [float(w @ z ** k) for k in (0, 2, 4, 6)]
-        assert moments == pytest.approx([1.0, 1.0, 3.0, 15.0], rel=1e-14)
+    def test_rule_integrates_polynomials_exactly(self):
+        x, kronrod, gauss = slognorm_module._G7K15
+        assert np.array_equal(x, -x[::-1]) and np.all(np.diff(x) > 0)
+        assert np.array_equal(kronrod, kronrod[::-1]) and np.array_equal(gauss, gauss[::-1])
+        assert np.count_nonzero(gauss) == 7 and np.all(gauss[1::2] > 0)
+        # K15 is exact to degree 22 and G7 to degree 13 on [-1, 1]
+        for k in range(0, 23, 2):
+            assert float(kronrod @ x ** k) == pytest.approx(2.0 / (k + 1), rel=1e-14)
+        for k in range(0, 14, 2):
+            assert float(gauss @ x ** k) == pytest.approx(2.0 / (k + 1), rel=1e-14)
+        np.testing.assert_allclose(gauss[1::2], np.polynomial.legendre.leggauss(7)[1],
+                                   rtol=1e-14, atol=0)
+        # the end weights reproduce a degree-14 polynomial at z = 1
+        assert float(slognorm_module._K15_END[:, 0] @ (x ** 14 - 3 * x + 1)) == pytest.approx(
+            -1.0, rel=1e-12)
 
     def test_rules_that_disagree_are_rejected(self):
-        # the base is A - B^2/2 = -1/2, so |zeta - 1/2| has a kink at 1/2 and
-        # Q128 - Q64 is far above 1e-10 of the integral
-        system = SdeSystem([[0.0]], ([[1.0]],))
-        kinked = slognorm_module._one_channel_quadrature(system, lambda g: np.abs(g[:, 0, 0]))
-        smooth = slognorm_module._one_channel_quadrature(system, lambda g: g[:, 0, 0] ** 2)
-        assert kinked is None
-        assert smooth[0] == pytest.approx(1.25, rel=1e-14)  # E (zeta - 1/2)^2
+        # a kink is refined until the rules agree: E|zeta - 1/2|; an
+        # integrand that oscillates on every scale exhausts the nodes
+        expect = slognorm_module._gaussian_expectation
+        kinked = expect(lambda z: np.abs(z - 0.5)[:, None], 1, 0.0)
+        exact = 2 * math.exp(-0.125) / math.sqrt(2 * math.pi) + 0.5 * math.erf(0.5 / math.sqrt(2))
+        assert kinked[0][0] == pytest.approx(exact, rel=1e-12)
+        assert kinked[2] > 193
+        assert expect(lambda z: np.sin(1e7 * z)[:, None], 1, 0.0) is None
+
+    def test_rule_gives_up_when_no_interval_can_be_refined(self, monkeypatch):
+        # NaN error estimates fail every test: a fallback, not an endless loop
+        kronrod = slognorm_module._kronrod
+
+        def nan_errors(*args):
+            value, err, mass, mid = kronrod(*args)
+            return value, np.full_like(err, np.nan), mass, mid
+
+        monkeypatch.setattr(slognorm_module, "_kronrod", nan_errors)
+        assert slognorm_module._gaussian_expectation(lambda z: z[:, None] ** 2, 1, 0.0) is None
+
+    def test_quadrature_tail_widens_for_heavy_integrands(self):
+        # E zeta^20 = 19!! = 654729075, most of it beyond |zeta| = 4
+        est = slognorm_module._gaussian_expectation(lambda z: (z ** 20)[:, None], 1, 0.0)
+        assert est[0][0] == pytest.approx(654729075.0, rel=1e-10)
+        assert est[1][0] <= 1e-10 * 654729075.0
 
     def test_vanishing_integrand_is_a_quadrature(self):
         # nu = sigma^2 - 2 + |b| = 0: f(zeta) is 0 up to rounding, which no
         # relative test passes, so 16 ulps of the matrix entries are allowed
         est = nu_direct(nonnormal(1.0, 1.0).system, 2, 2)
-        assert est.method == "quadrature" and est.samples == 128
+        assert est.method == "quadrature" and est.samples == 12 * 15 + 13  # first round
         assert abs(est.value) <= 1e-15 and est.std_error <= 1e-15
 
     def test_nonfinite_statistic_falls_back(self):
-        system = SdeSystem([[0.0]], ([[1.0]],))
-        assert slognorm_module._one_channel_quadrature(
-            system, lambda g: np.full(len(g), np.nan)) is None
+        assert slognorm_module._gaussian_expectation(
+            lambda z: np.full((len(z), 1), np.nan), 1, 0.0) is None
+        assert slognorm_module._gaussian_expectation(
+            lambda z: np.where(z > 3.3, np.inf, 1.0)[:, None], 1, 0.0) is None
 
     def test_chunked_rule_is_bitwise_equal(self, monkeypatch):
         # n = 100: the rules run in 26-matrix chunks
@@ -455,12 +485,16 @@ class TestErrorFloor:
         assert est.std_error >= math.ulp(215.0)
 
     def test_quadrature_error_is_floored(self):
-        # case (a): the rules agree to a few ulps of -225, so the rounding
-        # bound eps * log2(128) * 225 is the error
-        est = nu_direct(table1_system("a"), 2, 2)
-        assert est.method == "quadrature"
-        assert est.std_error >= math.ulp(225.0)
-        assert est.std_error == pytest.approx(np.finfo(float).eps * 7 * 225.0, rel=1e-9)
+        # case (a) and B = 0 (f is the constant -225): the error is never
+        # below the rounding bound eps * log2(nodes) * 225 of the sum behind
+        # the value, nor below the ulp of 225
+        for system in (table1_system("a"),
+                       SdeSystem(np.diag([-112.5, -300.0]), (np.zeros((2, 2)),))):
+            est = nu_direct(system, 2, 2)
+            assert est.method == "quadrature"
+            assert est.value == pytest.approx(-225.0, rel=1e-14)
+            assert est.std_error >= np.finfo(float).eps * math.log2(est.samples) * 225.0
+            assert est.std_error >= math.ulp(225.0)
 
     def test_deterministic_system_keeps_zero_error(self):
         est = nu_direct(SdeSystem([[-1.0]]), 2, 2)
@@ -482,14 +516,22 @@ class TestNuDefinitional:
         assert est.value == pytest.approx(-3.0, abs=max(4 * est.std_error, 0.05))
 
     def test_deterministic_system_reduces_to_mu(self):
+        # m = 0: each quotient is evaluated once, whatever the sample count
         rng = np.random.default_rng(31)
         sys_ = random_system(rng, 3, 0)
-        h_seq = tuple(1e-5 * 0.5**k for k in range(7))
+        h = np.array([1e-5 * 0.5**k for k in range(7)])
         for p in P_VALUES:
-            est = nu_definitional(sys_, p, 2, h_seq=h_seq,
+            est = nu_definitional(sys_, p, 2, h_seq=tuple(h),
                                   cfg=McConfig(samples=16, seed=1))
             assert est.value == pytest.approx(2 * mu(sys_.A, p), abs=1e-6)
-            assert est.samples == 16
+            assert est.samples == 1 and est.method == "closed_form"
+            # the intercept of the exact quotients, and only its fit error
+            quotients = np.array([(matrix_norm(np.eye(3) + hk * sys_.A, p) ** 2 - 1) / hk
+                                  for hk in h])
+            intercept = np.polyfit(h, quotients, 1)[1]
+            assert est.value == pytest.approx(intercept, rel=1e-9, abs=0)
+            # no sampling error: the quotients lie on a line up to rounding
+            assert est.std_error <= 1e-8
 
     def test_multi_channel_runs_and_is_deterministic(self, block_threads):
         # above the tridiagonal kernel's range p = 2 calls LAPACK, so the two
