@@ -348,6 +348,21 @@ class TestDirectQuadrature:
         assert float(slognorm_module._K15_END[:, 0] @ (x ** 14 - 3 * x + 1)) == pytest.approx(
             -1.0, rel=1e-12)
 
+    @pytest.mark.parametrize("count", [64, 128])
+    def test_rule_matches_numpy_hermegauss(self, count):
+        # the adaptive rule and numpy's Gauss-Hermite rule agree on smooth
+        # integrands: E cos(2 zeta) = e^-2, E e^(zeta/2) = e^(1/8), E zeta^6 = 15
+        def f(z):
+            return np.stack([np.cos(2.0 * z), np.exp(0.5 * z), z ** 6], axis=1)
+
+        value, err, _ = slognorm_module._gaussian_expectation(f, 1, 0.0)
+        ref_z, ref_w = np.polynomial.hermite_e.hermegauss(count)
+        np.testing.assert_allclose(value, ref_w / math.sqrt(2.0 * math.pi) @ f(ref_z),
+                                   rtol=1e-12, atol=0)
+        np.testing.assert_allclose(value, [math.exp(-2.0), math.exp(0.125), 15.0],
+                                   rtol=1e-12, atol=0)
+        assert np.all(err <= 1e-10 * np.abs(value))
+
     def test_rules_that_disagree_are_rejected(self):
         # a kink is refined until the rules agree: E|zeta - 1/2|; an
         # integrand that oscillates on every scale exhausts the nodes
