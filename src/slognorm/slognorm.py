@@ -99,6 +99,11 @@ _CHUNK_DOUBLES = 2**18
 #: Monte Carlo variance vanishes; covers summation rounding of the mean
 FP_FLOOR = 1e-9
 
+#: the extrapolation error, relative to max(1, |value|), above which a
+#: definitional estimate from exact quotients is flagged: curved finite
+#: limits give about 3e-5 at the default steps, divergent ones about 0.2
+_BIAS_RTOL = 1e-3
+
 
 @dataclass(frozen=True, eq=False)
 class SdeSystem:
@@ -188,13 +193,16 @@ class NuEstimate:
     per-replicate statistic, merged from per-block moments, divided by
     sqrt(replicates); under antithetic pairing the replicate is a pair mean.
     ``quadrature``: the Gauss-Kronrod rule of :func:`_gaussian_expectation`
-    over one channel's zeta, ``std_error`` its error estimate and
-    ``samples`` its node count.  ``closed_form``: no noise, one evaluation
-    (``samples`` 1), the direct value exact with ``std_error`` 0; any other
-    direct ``std_error`` is at least the rounding bound of the sum behind the
+    over one channel's zeta, ``std_error`` its error estimate (a heuristic,
+    not a bound, for a statistic with kinks in zeta) and ``samples`` its
+    node count.  ``closed_form``: no noise, one evaluation (``samples`` 1),
+    the direct value exact with ``std_error`` 0; any other direct
+    ``std_error`` is at least the rounding bound of the sum behind the
     value.  ``h_used`` is present exactly for the definitional estimator,
     whose ``std_error`` includes the h = 0 extrapolation error;
-    ``bias_warning`` marks definitional runs where that error dominates.
+    ``bias_warning`` marks definitional runs where that error exceeds 10x
+    the Monte Carlo error, or for exact quotients ``_BIAS_RTOL`` of
+    max(1, |value|).
     """
 
     value: float
@@ -381,43 +389,44 @@ _G7K15 = np.array([
 ])
 _G7K15 = np.concatenate([_G7K15[:, :-1] * [[-1.0], [1.0], [1.0]], _G7K15[:, ::-1]], axis=1)
 
-#: f at the nodes to the value at z = 1 of the polynomial through them
-#: (reversed, at z = -1): prod over i != j of (1 - x_i) / (x_j - x_i)
+#: rows over the points -1, the 15 nodes, 1: the K15 and G7 weights, and f
+#: at -1 and at 1 less the polynomial through f at the nodes, by Lagrange's
+#: prod over i != j of (1 - x_i) / (x_j - x_i)
 _K15_END = np.prod((1.0 - _G7K15[0]) / (
-    _G7K15[0][:, np.newaxis] - _G7K15[0] + np.diag(1.0 - _G7K15[0])), axis=1)[:, np.newaxis]
+    _G7K15[0][:, np.newaxis] - _G7K15[0] + np.diag(1.0 - _G7K15[0])), axis=1)
+_RULE = np.pad(np.stack([*_G7K15[1:], -_K15_END[::-1], -_K15_END]), ((0, 0), (1, 1)))
+_RULE[2, 0] = _RULE[3, -1] = 1.0
 
-#: the rule starts from 12 intervals on [-9, 9] and accepts an error of
-#: 1e-10 of the integral of |f|; it gives up after 2^15 nodes
-_QUAD_EDGE, _QUAD_PIECES, _QUAD_RTOL, _QUAD_BUDGET = 9.0, 12, 1e-10, 2**15
+#: the rule starts from these 12 intervals, narrow where phi is large, up to
+#: L = 12, where a polynomial of degree 40 has shed all but 1e-10 of its
+#: Gaussian mean; it accepts an error of 1e-10 of the integral of |f| and
+#: gives up after 2^15 nodes
+_QUAD_EDGES = np.array([-12.0, -8.0, -6.0, -4.5, -3.0, -1.5, 0.0, 1.5, 3.0, 4.5, 6.0, 8.0, 12.0])
+_QUAD_RTOL, _QUAD_BUDGET = 1e-10, 2**15
 
 
-def _normal_density(z):
-    return np.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi)
-
-
-def _kronrod(lo, hi, f_lo, f_hi, f: Callable[[np.ndarray], np.ndarray]):
-    """Per interval [lo, hi] with end values f_lo, f_hi: the K15 integral of
-    f phi, its error, the K15 integral of |f| phi and f(mid); None if f is
-    not finite."""
-    half = 0.5 * (hi - lo)
-    z = 0.5 * (lo + hi)[:, np.newaxis] + half[:, np.newaxis] * _G7K15[0]
-    fz = f(z.ravel()).reshape(z.shape + (-1,))
-    if not (np.all(np.isfinite(fz)) and np.all(np.isfinite(f_lo)) and np.all(np.isfinite(f_hi))):
+def _kronrod(lo, hi, f: Callable[[np.ndarray], np.ndarray]):
+    """Per interval [lo, hi]: the K15 integral of g = f phi, its error, the
+    K15 integral of |g| and g at lo and at hi; None if g is not finite."""
+    half = 0.5 * (hi - lo)[:, np.newaxis]
+    z = 0.5 * (lo + hi)[:, np.newaxis] + half * np.pad(_G7K15[0], 1, constant_values=(-1.0, 1.0))
+    g = f(z.ravel()).reshape(*z.shape, -1) * np.exp(-0.5 * z * z)[..., np.newaxis]
+    g /= math.sqrt(2.0 * math.pi)
+    if not np.all(np.isfinite(g)):
         return None
-    kronrod, gauss = ((_normal_density(z) * half[:, np.newaxis] * w)[..., np.newaxis]
-                      for w in _G7K15[1:])
-    value = (kronrod * fz).sum(axis=1)
-    gap = np.abs(value - (gauss * fz).sum(axis=1))
+    kronrod, gauss, left, right = np.einsum("rj,ijc->ric", _RULE, g)
+    # QUADPACK's error: the K15 - G7 gap, scaled down by how far it lies
+    # below the spread of g about its mean, for a smooth g
+    spread = np.einsum("j,ijc->ic", _RULE[0], np.abs(g - 0.5 * kronrod[:, np.newaxis]))
+    gap = np.abs(kronrod - gauss)
     with np.errstate(divide="ignore", invalid="ignore"):
-        spread = (kronrod * np.abs(fz - (value / kronrod.sum(axis=1))[:, np.newaxis])).sum(axis=1)
-        # QUADPACK's scaling: for a smooth f the K15 error is far below the gap
         err = np.where(spread > 0, spread * np.minimum(1.0, (200.0 * gap / spread) ** 1.5), gap)
-    # a kink between the outermost node and an end shows in no node, only in
-    # how far f at that end lies from the polynomial through the nodes
-    err += half[:, np.newaxis] * (1.0 - _G7K15[0, -1]) * (
-        _normal_density(lo)[:, np.newaxis] * np.abs(f_lo - (_K15_END[::-1] * fz).sum(axis=1))
-        + _normal_density(hi)[:, np.newaxis] * np.abs(f_hi - (_K15_END * fz).sum(axis=1)))
-    return value, err, (kronrod * np.abs(fz)).sum(axis=1), fz[:, 7]
+    # K15 integrates the polynomial P through the nodes exactly, so its error
+    # is at most the width times the largest |g - P|, which g at the two ends
+    # (where P extrapolates) gauges even where K15 and G7 happen to agree
+    err += np.abs(left) + np.abs(right)
+    mass = np.einsum("j,ijc->ic", _RULE[0], np.abs(g))
+    return half * kronrod, half * err, half * mass, g[:, [0, -1]]
 
 
 def _gaussian_expectation(f: Callable[[np.ndarray], np.ndarray], dim: int, scale: float):
@@ -425,51 +434,43 @@ def _gaussian_expectation(f: Callable[[np.ndarray], np.ndarray], dim: int, scale
     f: nodes (count,) -> (count, ncols); None when f is not finite or no
     convergence within ``_QUAD_BUDGET`` or :func:`default_samples` nodes.
 
-    Adaptive G7/K15 bisection on [-L, L]: each round bisects every interval
-    whose error in some column is over half its share of the tolerance,
-    ``_QUAD_RTOL`` E|f| plus 16 ulps of ``scale`` (the size of the numbers
-    whose rounding f carries, so that f = 0 converges), and L grows while
-    the tail 2 (|f(-L)| + |f(L)|) phi(L) / L is over half the tolerance.
-    f is called in row chunks of ``_CHUNK_DOUBLES`` doubles and must act row
-    by row; intervals are summed in order, so no bit depends on batching.
+    Adaptive G7/K15 bisection from ``_QUAD_EDGES`` on [-L, L]: the
+    tolerance is ``_QUAD_RTOL`` E|f| plus 16 ulps of ``scale`` (the size of
+    the numbers whose rounding f carries, so that f = 0 converges); the
+    tail 2 (|f(-L)| + |f(L)|) phi(L) / L must lie under half of it, and the
+    intervals' errors are bisected under the other half.  f is called in
+    row chunks of ``_CHUNK_DOUBLES`` doubles and must act row by row;
+    intervals are summed in order, so no bit depends on batching.
     """
     chunk, budget = max(1, _CHUNK_DOUBLES // (dim * dim)), min(_QUAD_BUDGET, default_samples(dim))
 
     def values(z: np.ndarray) -> np.ndarray:
         return np.concatenate([f(z[i:i + chunk]) for i in range(0, z.size, chunk)])
 
-    edges = np.linspace(-_QUAD_EDGE, _QUAD_EDGE, _QUAD_PIECES + 1)
-    width, at_edges = edges[1] - edges[0], values(edges)
-    fresh = (edges[:-1], edges[1:], at_edges[:-1], at_edges[1:])
-    nodes, cols, keep = edges.size, None, None
+    lo, hi, kept, nodes, tol = _QUAD_EDGES[:-1], _QUAD_EDGES[1:], None, 0, None
     while True:
-        nodes += 15 * fresh[0].size
-        rule = None if nodes > budget else _kronrod(*fresh, values)
+        nodes += 17 * lo.size
+        rule = None if nodes > budget else _kronrod(lo, hi, values)
         if rule is None:
             return None
-        # per interval: lo, hi, f(lo), f(hi), value, error, |f| mass, f(mid)
-        cols = (*fresh, *rule) if cols is None else tuple(
-            np.concatenate([old[keep], new]) for old, new in zip(cols, (*fresh, *rule)))
-        order = np.argsort(cols[0], kind="stable")
-        lo, hi, f_lo, f_hi, value, err, mass, f_mid = cols = tuple(c[order] for c in cols)
-        tol, edge = _QUAD_RTOL * mass.sum(axis=0) + 16 * np.finfo(float).eps * scale, hi[-1]
-        tail = 2.0 * (np.abs(f_lo[0]) + np.abs(f_hi[-1])) * _normal_density(edge) / edge
-        if np.any(tail > 0.5 * tol):
-            outer, keep = values(np.array([-edge - width, edge + width])), slice(None)
-            nodes += 2
-            fresh = (np.array([-edge - width, edge]), np.array([-edge, edge + width]),
-                     np.stack([outer[0], f_hi[-1]]), np.stack([f_lo[0], outer[1]]))
-        elif np.all(err.sum(axis=0) + tail <= tol):
-            error = np.maximum(err.sum(axis=0) + tail, _rounding_floor(nodes, mass.sum(axis=0)))
-            return value.sum(axis=0), error, nodes
-        else:
-            split = np.any(err > 0.5 * tol / lo.size, axis=1)
-            if not split.any():  # NaN errors or a tie in rounding: nothing to refine
+        value, err, mass, ends = rule
+        if tol is None:  # from the first round: E|f| and f phi at -L and L
+            tol = _QUAD_RTOL * mass.sum(axis=0) + 16 * np.finfo(float).eps * scale
+            tail = 2.0 * (np.abs(ends[0, 0]) + np.abs(ends[-1, 1])) / _QUAD_EDGES[-1]
+            if not np.all(tail <= 0.5 * tol):
                 return None
-            keep, mid = ~split, 0.5 * (lo[split] + hi[split])
-            fresh = (np.concatenate([lo[split], mid]), np.concatenate([mid, hi[split]]),
-                     np.concatenate([f_lo[split], f_mid[split]]),
-                     np.concatenate([f_mid[split], f_hi[split]]))
+        parts = (lo, hi, value, err, mass)
+        lo, hi, value, err, mass = parts = parts if kept is None else tuple(
+            np.concatenate(c) for c in zip(kept, parts))
+        if np.all(err.sum(axis=0) <= 0.5 * tol):
+            break
+        # bisect every interval over an equal share of that half (NaN too,
+        # until the nodes run out)
+        split = ~np.all(err <= 0.5 * tol / lo.size, axis=1)
+        kept, mid = tuple(c[~split] for c in parts), 0.5 * (lo + hi)[split]
+        lo, hi = np.concatenate([lo[split], mid]), np.concatenate([mid, hi[split]])
+    error = np.maximum(err.sum(axis=0) + tail, _rounding_floor(nodes, mass.sum(axis=0)))
+    return value[np.argsort(lo)].sum(axis=0), error, nodes
 
 
 def nu_direct(system: SdeSystem, p=2, l: int = 2, cfg: McConfig | None = None) -> NuEstimate:
@@ -573,9 +574,10 @@ def nu_definitional(
     quadrature) with the intercept error of the fit to the mean curve.
 
     Every h must satisfy h * norm(A, p) < 0.1 (expansion regime).  When the
-    extrapolation residual exceeds 10x the quadrature or Monte Carlo error
-    — the h-range is too coarse for the curvature — the estimate carries
-    ``bias_warning=True`` rather than raising.
+    extrapolation residual exceeds 10x the Monte Carlo error, or for exact
+    quotients (quadrature or m = 0) ``_BIAS_RTOL`` of max(1, |value|) — the
+    h-range is too coarse for the curvature, or the limit is infinite —
+    the estimate carries ``bias_warning=True`` rather than raising.
     """
     p = check_p(p)
     l = _check_l(l)
@@ -625,15 +627,13 @@ def nu_definitional(
         cols[0] = functools.reduce(operator.add, map(operator.mul, weights, cols[1:]))
         return cols.T
 
-    quad = None
-    if m == 1 and cfg.samples is None:
-        # a quotient is known only to a few ulps of 1 / h, the intercept to their sum
-        quad = _gaussian_expectation(lambda z: intercept_and_quotients(z[:, np.newaxis], False),
-                                     n, l * float(np.abs(weights) @ (1.0 / h)))
     if m == 0:  # the quotients do not depend on the draws: one evaluation is exact
         means, errs, total = intercept_and_quotients(np.empty((1, 0)), False)[0], [0.0], 1
         method = "closed_form"
-    elif quad is not None:
+    elif m == 1 and cfg.samples is None and (quad := _gaussian_expectation(
+            lambda z: intercept_and_quotients(z[:, np.newaxis], False), n,
+            # a quotient is known only to a few ulps of 1 / h, the intercept to their sum
+            l * float(np.abs(weights) @ (1.0 / h)))) is not None:
         (means, errs, total), method = quad, "quadrature"
     else:
         means, errs, total = _replicates(
@@ -643,7 +643,10 @@ def nu_definitional(
         method = "monte_carlo"
     value, noise_se = float(means[0]), float(errs[0])
     extrap_se = _intercept_residual_error(h, means[1:])
-    bias = extrap_se > 10.0 * noise_se and extrap_se > FP_FLOOR * max(1.0, abs(value))
+    # exact quotients are never within 10x their own error of a curved line:
+    # for them only an extrapolation error on the value's own scale is flagged
+    floor = FP_FLOOR if method == "monte_carlo" else _BIAS_RTOL
+    bias = extrap_se > 10.0 * noise_se and extrap_se > floor * max(1.0, abs(value))
     return NuEstimate(
         value=value,
         std_error=math.hypot(noise_se, extrap_se),

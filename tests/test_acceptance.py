@@ -407,12 +407,12 @@ def test_13_direct_quadrature_matches_monte_carlo(benchmark_estimates):
         system = table1_system(case)
         quad = nu_direct(system, 2, 2, McConfig(seed=42))
         assert quad.method == "quadrature" and mc[case].method == "monte_carlo", case
-        # perfbench's oracle divides by sqrt(samples // 2)
-        assert quad.samples >= 15, case
+        # every row converges on the rule's 12 starting intervals
+        assert quad.samples == 12 * 17, case
         exact = gauss_hermite_nu22(system, 128)
         assert quad.value == pytest.approx(exact, rel=1e-12, abs=1e-12), case
         assert abs(quad.value - exact) <= quad.std_error + 4 * math.ulp(exact), case
-        assert quad.std_error <= 1e-11 * max(1.0, abs(exact)), case
+        assert quad.std_error <= 1e-12 * max(1.0, abs(exact)), case
         window = 3.0 * math.hypot(quad.std_error, mc[case].std_error) + FP_FLOOR
         assert abs(quad.value - mc[case].value) <= window, (
             f"case ({case}): quadrature {quad.value!r} vs Monte Carlo "
@@ -420,22 +420,48 @@ def test_13_direct_quadrature_matches_monte_carlo(benchmark_estimates):
         )
 
 
+def _row_sum_pair_sd(system: SdeSystem, p) -> float:
+    """The standard deviation of the antithetic pair mean (f(z) + f(-z)) / 2
+    of f(z) = 2 mu_p(A - B^2/2 + z B), z ~ N(0, 1), at p = 1 or inf, by
+    the trapezoid rule on [-12, 12] and mu_inf as the largest Re m_ii plus
+    the off-diagonal row sum (mu_1: of the transpose); shares no code with
+    the estimators."""
+    (b,) = system.diffusions
+    base = system.A - 0.5 * b @ b
+    z = np.linspace(-12.0, 12.0, 4801)
+    f = np.empty(z.size)
+    for lo in range(0, z.size, 200):
+        mats = base + z[lo:lo + 200, None, None] * b
+        if p == 1:
+            mats = np.swapaxes(mats, 1, 2)
+        diag = np.diagonal(mats, axis1=1, axis2=2)
+        f[lo:lo + 200] = 2.0 * (diag.real + np.abs(mats).sum(axis=2) - np.abs(diag)).max(axis=1)
+    w = np.exp(-0.5 * z * z) * (z[1] - z[0]) / math.sqrt(2.0 * math.pi)
+    pair = 0.5 * (f + f[::-1])
+    mean = float(w @ pair) / float(w.sum())
+    return math.sqrt(float(w @ (pair - mean) ** 2) / float(w.sum()))
+
+
 @pytest.mark.parametrize("p", [1, math.inf])
 def test_14_direct_quadrature_at_p1_and_inf(p):
     """The statistic at p = 1 and inf has kinks in zeta, which the adaptive
     rule refines.  On every Table 1 row it must lie within 3 combined
     standard errors of an explicit Monte Carlo run at the default sample
-    count (2000 samples for the 100x100 case (h))."""
+    count (2000 samples for the 100x100 case (h)).  As in perfbench's
+    oracle, the Monte Carlo error is at least the pair spread over the
+    whole law divided by sqrt(pairs): case (h) at p = inf moves only in a
+    tail that no draw reaches, so its runs report a spread near zero."""
     for case in "abcdefghi":
         system = table1_system(case)
         quad = nu_direct(system, p, 2, McConfig(seed=42))
         samples = 2000 if case == "h" else 10**6 if system.dim <= 2 else 10**5
         mc = nu_direct(system, p, 2, McConfig(samples=samples, seed=42))
         assert quad.method == "quadrature" and mc.method == "monte_carlo", case
-        window = 3.0 * math.hypot(quad.std_error, mc.std_error) + FP_FLOOR
+        mc_se = max(mc.std_error, _row_sum_pair_sd(system, p) / math.sqrt(mc.samples // 2))
+        window = 3.0 * math.hypot(quad.std_error, mc_se) + FP_FLOOR
         assert abs(quad.value - mc.value) <= window, (
             f"case ({case}), p = {p}: quadrature {quad.value!r} vs Monte Carlo "
-            f"{mc.value!r} +/- {mc.std_error:.3g}"
+            f"{mc.value!r} +/- {mc_se:.3g}"
         )
 
 

@@ -323,7 +323,7 @@ class TestEstimateMethods:
         direct = report_of(result)["results"]["estimates"][0]
         assert list(direct)[:3] == ["identity", "estimator", "method"]
         # samples counts the rule's nodes: here it converged in its first round
-        assert direct["method"] == "quadrature" and direct["samples"] == 12 * 15 + 13
+        assert direct["method"] == "quadrature" and direct["samples"] == 12 * 17
         assert "(Gauss-Kronrod quadrature)" in result.stderr
 
     def test_explicit_samples_run_monte_carlo(self, tmp_path):
