@@ -11,14 +11,12 @@ shape ``(..., n, n)`` and exist so that Monte Carlo loops elsewhere in the
 package can stay vectorized; they share the same numerics as the scalar
 entry points, which validate their input, compute in complex128 and
 rescale extreme entries for the spectral norm.  The largest Hermitian
-eigenvalue comes from a closed form for n <= 2, from a batched numpy
-kernel (Householder tridiagonalisation and Laguerre's iteration on the
-Sturm recurrence) for 3 <= n <= ``_TRIDIAGONAL_MAX_N``, and from LAPACK
-above; the spectral abscissa calls LAPACK for n > 2.  The Monte Carlo engines
-seed and run their independent blocks through :func:`_run_blocks`, which
-alone picks the thread count (from the available cores and whether the
-blocks may fan out) and holds OpenBLAS to one thread during a fan-out;
-nothing here changes BLAS threading at import.
+eigenvalue and the spectral abscissa come from closed forms for n <= 2 and
+from LAPACK above.  The Monte Carlo engines seed and run their independent
+blocks through :func:`_run_blocks`, which alone picks the thread count (from
+the available cores and whether the blocks may fan out) and holds OpenBLAS
+to one thread during a fan-out; nothing here changes BLAS threading at
+import.
 """
 
 from __future__ import annotations
@@ -44,19 +42,6 @@ __all__ = [
     "matrix_norm_batch",
     "vector_norm",
 ]
-
-#: largest dimension whose Hermitian lambda_max comes from the batched
-#: tridiagonal kernel; LAPACK's eigvalsh above it.  On stacks of 4096 Gram
-#: matrices (I + 0.03 N(0,1))^H (I + 0.03 N(0,1)), one thread, 2-core Xeon,
-#: numpy 2.4.6, the kernel against eigvalsh took, in ms, real / complex:
-#: n = 6: 3.5 vs 15.2 / 6.3 vs 20.3; n = 12: 15.9 vs 42.8 / 30.9 vs 66.4;
-#: n = 16: 40.5 vs 72.8 / 74.3 vs 107.3; n = 20: 61 vs 106 / 137 vs 168;
-#: n = 24: 119 vs 154 / 258 vs 246.  Beyond 16 its lead falls below 1.3x
-#: (1.2x on the 655-matrix stacks the estimators pass at n = 20).
-_TRIDIAGONAL_MAX_N = 16
-
-#: smallest pivot of the Sturm recurrence in :func:`_lambda_max_tridiagonal`
-_PIVMIN = np.finfo(np.float64).tiny
 
 #: :func:`matrix_norm` rescales a matrix whose largest entry modulus lies
 #: outside [2^-500, 2^500] before the p = 2 norm squares its entries
@@ -120,150 +105,13 @@ def _lambda_max_2x2(g00: np.ndarray, g11: np.ndarray, off: np.ndarray) -> np.nda
     return 0.5 * (g00 + g11) + np.hypot(0.5 * (g00 - g11), off)
 
 
-def _abs2(z: np.ndarray) -> np.ndarray:
-    """|z|^2, elementwise and real, for real or complex z."""
-    if np.iscomplexobj(z):
-        return z.real * z.real + z.imag * z.imag
-    return z * z
-
-
-def _sum_rows(rows) -> np.ndarray:
-    """The sum of equal-shape arrays, added in order.
-
-    ``np.add.reduce`` over the rows of a one-column array sums them pairwise,
-    so its bits would depend on how many columns a stack has.
-    """
-    return functools.reduce(np.add, rows)
-
-
-def _tridiagonalize(T: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Diagonals d (n, count) and squared off-diagonal moduli e2 (n - 1, count)
-    of Householder tridiagonal forms (Golub & Van Loan, Matrix Computations,
-    sec. 8.3) of the Hermitian matrices in the column stack T (n, n, count).
-
-    Only the lower triangle of T is read, and T is overwritten.  Step k
-    reflects x, column k below the diagonal, onto its first entry with
-    P = I - 2 u u^H, u = w / |w|, w = x + phase(x_0) |x| e_0; the new
-    off-diagonal entry has modulus |x| and is not formed, because the
-    largest eigenvalue needs only its square.  A column x whose squares
-    underflow to 0 is left unreflected.
-    """
-    n, count = T.shape[0], T.shape[2]
-    complex_ = np.iscomplexobj(T)
-    conj = np.conj if complex_ else (lambda z: z)
-    e2 = np.empty((n - 1, count))
-    for k in range(n - 2):
-        x = T[k + 1:, k]
-        head2 = _abs2(x[0])
-        e2[k] = _sum_rows([head2, *map(_abs2, x[1:])])
-        norm, head = np.sqrt(e2[k]), np.sqrt(head2)
-        if complex_:
-            phase = np.divide(x[0], head, out=np.ones_like(x[0]), where=head > 0)
-        else:
-            phase = np.copysign(1.0, x[0])
-        size = np.sqrt(2.0 * norm) * np.sqrt(norm + head)  # |w|
-        inv = np.divide(1.0, size, out=np.zeros_like(size), where=norm > 0)
-        u = x * inv
-        u[0] = (x[0] + phase * norm) * inv
-        # trailing block a <- P a P = a - u v^H - v u^H, v = 2 (p - (u^H p) u), p = a u
-        # entry by entry, on contiguous vectors: numpy rounds the complex
-        # product of a row with a broadcast one differently when count = 1
-        a = T[k + 1:, k + 1:]
-        m = n - k - 1
-        p = np.empty_like(u)
-        for i in range(m):
-            np.multiply(a[i, 0], u[0], out=p[i])
-            for j in range(1, m):
-                p[i] += (a[i, j] if j <= i else conj(a[j, i])) * u[j]
-        cu = conj(u)
-        v = p - _sum_rows((cu * p).real) * u
-        v += v
-        cv = conj(v)
-        for i in range(m):
-            for j in range(i + 1):
-                a[i, j] -= u[i] * cv[j]
-                a[i, j] -= v[i] * cu[j]
-    e2[n - 2] = _abs2(T[n - 1, n - 2])
-    return np.diagonal(T, axis1=0, axis2=1).T.real.copy(), e2
-
-
-def _lambda_max_tridiagonal(d: np.ndarray, e2: np.ndarray) -> np.ndarray:
-    """Largest eigenvalue of each symmetric tridiagonal matrix with diagonal
-    d (n, count) and squared off-diagonals e2 (n - 1, count), entries of
-    order 1.
-
-    Laguerre's iteration on det(x I - T), whose roots are all real, falls
-    monotonically from the Gershgorin upper bound to the largest root
-    (Wilkinson, The Algebraic Eigenvalue Problem, sec. 7.2).  The
-    determinant's first two logarithmic derivatives come from the LDL^T
-    pivots q_i = x - d_i - e2_(i-1) / q_(i-1) of the Sturm recurrence (Barth,
-    Martin & Wilkinson 1967), with a pivot below the smallest normal number
-    replaced by it, as LAPACK's dstebz does.  Each column stops at the first
-    step that would not decrease it (a replaced pivot means x is already an
-    eigenvalue, and its step is at most that number); columns that stop
-    are dropped from the work arrays once half of them have, so a column's
-    result never depends on the others.
-    """
-    n, count = d.shape
-    e = np.sqrt(e2)
-    radius = np.zeros_like(d)
-    radius[1:] += e
-    radius[:-1] += e
-    x = np.max(d + radius, axis=0)
-    out = np.empty(count)
-    live = np.arange(count)
-    with np.errstate(over="ignore", invalid="ignore"):
-        while live.size:
-            shifted = x - d
-            q = np.maximum(shifted[0], _PIVMIN)
-            r = 1.0 / q  # (log q_i)'
-            r2 = r * r
-            g, h, y = r.copy(), r2.copy(), r2 + r2  # y = (log q_i)'^2 - (log q_i)''
-            for i in range(1, n):
-                t = e2[i - 1] / q
-                q = np.maximum(shifted[i] - t, _PIVMIN)
-                r = (1.0 + t * r) / q
-                y *= t / q
-                r2 = r * r
-                g += r  # sum 1 / (x - lambda)
-                h += r2 + y  # sum 1 / (x - lambda)^2
-                y += r2 + r2
-            delta = n / (g + np.sqrt(np.maximum((n - 1) * (n * h - g * g), 0.0)))
-            step = x - delta
-            moving = (delta > _PIVMIN) & (step < x)
-            x = np.where(moving, step, x)
-            keep = np.flatnonzero(moving)
-            if 2 * keep.size <= live.size:
-                out[live] = x
-                live, x, d, e2 = live[keep], x[keep], d[:, keep], e2[:, keep]
-    return out
-
-
-def _lambda_max_columns(H: np.ndarray) -> np.ndarray:
-    """Largest eigenvalue of each Hermitian matrix in the stack H (count, n, n),
-    from its lower triangle, with n >= 3.
-
-    The stack is copied once to an (n, n, count) layout, so that every
-    operation acts on contiguous length-count vectors, and each matrix is
-    scaled by a power of two to a largest lower-triangle entry modulus in
-    [1/2, 1) before anything is squared.
-    """
-    n = H.shape[-1]
-    T = np.array(np.moveaxis(H, 0, -1), dtype=np.result_type(H.dtype, np.float64), order="C")
-    big = functools.reduce(np.maximum, (np.abs(T[i, :i + 1]).max(axis=0) for i in range(n)))
-    # 2^1023 at most: a matrix of subnormal entries is scaled up only that far
-    exp = np.minimum(-np.frexp(big)[1], 1023)
-    T *= np.ldexp(1.0, exp)
-    return np.ldexp(_lambda_max_tridiagonal(*_tridiagonalize(T)), -exp)
-
-
 def lambda_max_hermitian_batch(H: np.ndarray) -> np.ndarray:
     """Largest eigenvalue for a stack of Hermitian matrices ``(..., n, n)``.
 
     Assumes the inputs are already Hermitian and reads the lower triangle.
-    n = 1 and n = 2 use closed forms, 3 <= n <= ``_TRIDIAGONAL_MAX_N`` the
-    batched tridiagonal kernel :func:`_lambda_max_columns`, and larger n the
-    LAPACK Hermitian solver.
+    n = 1 and n = 2 use closed forms, larger n LAPACK's Hermitian solver
+    (``eigvalsh``), which solves each matrix on its own, so a matrix's result
+    does not depend on the stack it comes in.
     """
     n = H.shape[-1]
     if H.shape[-2] != n:
@@ -272,8 +120,6 @@ def lambda_max_hermitian_batch(H: np.ndarray) -> np.ndarray:
         return np.ascontiguousarray(H[..., 0, 0].real)
     if n == 2:
         return _lambda_max_2x2(H[..., 0, 0].real, H[..., 1, 1].real, np.abs(H[..., 0, 1]))
-    if n <= _TRIDIAGONAL_MAX_N:
-        return _lambda_max_columns(H.reshape(-1, n, n)).reshape(H.shape[:-2])
     try:
         return np.linalg.eigvalsh(H)[..., -1]
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK rarely fails
@@ -302,21 +148,16 @@ def max_re_eigvals_batch(M: np.ndarray) -> np.ndarray:
         raise EigenConvergenceError(f"general eigensolver failed: {exc}") from exc
 
 
-def _eigen_blocks_fan_out(n: int, p=2, general: bool = False) -> bool:
+def _eigen_blocks_fan_out(n: int, p=2) -> bool:
     """Whether Monte Carlo blocks whose statistic takes the eigenvalue
     kernels of n x n matrices at norm p run on every available core.
 
-    They do when the kernel calls LAPACK: :func:`lambda_max_hermitian_batch`
-    (mu_2, the spectral norm) above ``_TRIDIAGONAL_MAX_N`` and, for a
-    statistic that also takes the spectral abscissa (``general``),
-    :func:`max_re_eigvals_batch` above n = 2.  p = 1 and p = inf are
-    entrywise closed forms.  The batched tridiagonal kernel runs short
-    numpy calls under the interpreter lock and gains nothing from threads:
-    fanned out on two cores, case (g)'s definitional run took 0.88-1.13 s
-    against 0.75-1.03 s on one thread (12 runs each), with 10-18 MB more
-    peak RSS.
+    They do when the kernels call LAPACK, which releases the interpreter
+    lock: at p = 2 above n = 2, where :func:`lambda_max_hermitian_batch`
+    (mu_2, the spectral norm) and :func:`max_re_eigvals_batch` leave their
+    closed forms.  p = 1 and p = inf are entrywise closed forms.
     """
-    return p == 2 and n > (2 if general else _TRIDIAGONAL_MAX_N)
+    return p == 2 and n > 2
 
 
 @functools.cache
@@ -411,14 +252,13 @@ def _run_blocks(
     """Call ``run(b, rng_b)`` for every block b on :func:`_block_workers`
     threads, where rng_b is seeded from (seed, spawn_key=(b,)) only.
 
-    Estimator blocks fan out when their kernel calls LAPACK (see
-    :func:`_eigen_blocks_fan_out`); fanning out the n <= 2 and p in {1, inf}
-    closed forms raised peak memory by more than 10% on two-channel 2x2
-    systems, also with the entrywise closed form in :func:`matrix_norm_batch`,
-    and the tridiagonal kernel gains no speed from threads, so they stay on
-    one thread.  Simulation blocks always fan out.  Blocks
-    must write disjoint outputs, so that the thread count cannot change
-    any result.
+    Estimator blocks fan out when their kernel calls LAPACK, at p = 2 and
+    n > 2 (see :func:`_eigen_blocks_fan_out`); fanning out the n <= 2 and
+    p in {1, inf} closed forms raised peak memory by more than 10% on
+    two-channel 2x2 systems, also with the entrywise closed form in
+    :func:`matrix_norm_batch`, so they stay on one thread.  Simulation blocks
+    always fan out.  Blocks must write disjoint outputs, so that the thread
+    count cannot change any result.
     A fan-out holds OpenBLAS to one thread and restores the previous count
     when the last block has finished, also when a block raises.
     """
@@ -481,7 +321,7 @@ def matrix_norm_batch(M: np.ndarray, p) -> np.ndarray:
     The p = 2 norm comes from the entries for n <= 2 (|m_00| at n = 1, the
     closed-form largest eigenvalue of the 2x2 Gram matrix M^H M at n = 2),
     and above from the Gram stack and :func:`lambda_max_hermitian_batch`
-    (the tridiagonal kernel up to ``_TRIDIAGONAL_MAX_N``, LAPACK beyond).
+    (LAPACK's ``eigvalsh``).
     """
     p = check_p(p)
     n = M.shape[-1]

@@ -925,8 +925,7 @@ def expected_max_re_perturbed(
         max_re, half_nu = max_re_eigvals_batch(mats), mu_batch(mats, 2)
         return np.column_stack([max_re, half_nu, max_re - half_nu])
 
-    means, ses, total = _white_noise(system, stat, 3, cfg,
-                                     _eigen_blocks_fan_out(system.dim, general=True))
+    means, ses, total = _white_noise(system, stat, 3, cfg, _eigen_blocks_fan_out(system.dim))
     return PerturbedSpectrumCheck(
         estimate=float(means[0]),
         estimate_stderr=float(ses[0]),

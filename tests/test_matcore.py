@@ -40,8 +40,9 @@ def hermitian(m: np.ndarray) -> np.ndarray:
 
 EPS = np.finfo(np.float64).eps
 
-#: every dimension of the tridiagonal kernel, and the first one past it
-KERNEL_DIMS = range(3, matcore._TRIDIAGONAL_MAX_N + 2)
+#: dimensions above the n <= 2 closed forms, where lambda_max_hermitian_batch
+#: calls LAPACK's eigvalsh
+LAPACK_DIMS = range(3, 18)
 
 
 def assert_matches_eigvalsh(H: np.ndarray, want: np.ndarray | None = None) -> None:
@@ -57,9 +58,9 @@ def assert_matches_eigvalsh(H: np.ndarray, want: np.ndarray | None = None) -> No
 
 
 def special_hermitian_stack(rng: np.random.Generator, n: int, complex_: bool) -> np.ndarray:
-    """Hermitian n x n matrices that stress a tridiagonal reduction: random,
-    tied diagonals, zero, rank one, block diagonal (a zero off-diagonal
-    splits the tridiagonal) and I + 1e-9 noise like the definitional Grams."""
+    """Hermitian n x n matrices that stress an eigensolver: random, tied
+    diagonals, zero, rank one, block diagonal (a zero off-diagonal splits
+    the tridiagonal form) and I + 1e-9 noise like the definitional Grams."""
     def draw(*shape):
         m = rng.standard_normal(shape)
         return m + 1j * rng.standard_normal(shape) if complex_ else m
@@ -82,41 +83,40 @@ def special_hermitian_stack(rng: np.random.Generator, n: int, complex_: bool) ->
 
 
 class TestTridiagonalKernel:
-    """3 <= n <= _TRIDIAGONAL_MAX_N: the batched Householder and Laguerre
-    kernel against LAPACK's eigvalsh, which n = _TRIDIAGONAL_MAX_N + 1 calls."""
+    """n > 2: lambda_max_hermitian_batch through LAPACK's eigvalsh (the class
+    keeps the name of the batched tridiagonal kernel that served 3 <= n <= 16)."""
 
     @pytest.mark.parametrize("complex_", [False, True])
-    @pytest.mark.parametrize("n", KERNEL_DIMS)
+    @pytest.mark.parametrize("n", LAPACK_DIMS)
     def test_special_stacks_match_eigvalsh(self, n, complex_):
+        # against LAPACK's general eigensolver, an algorithm independent of eigvalsh
         stack = special_hermitian_stack(np.random.default_rng(n), n, complex_)
-        assert_matches_eigvalsh(stack)
-        assert_matches_eigvalsh(stack.reshape(2, -1, n, n))
+        want = np.sort(np.linalg.eigvals(stack).real, axis=-1)
+        assert_matches_eigvalsh(stack, want)
+        assert_matches_eigvalsh(stack.reshape(2, -1, n, n), want.reshape(2, -1, n))
 
     @pytest.mark.parametrize("complex_", [False, True])
-    @pytest.mark.parametrize("n", [3, 6, matcore._TRIDIAGONAL_MAX_N])
+    @pytest.mark.parametrize("n", [3, 6, 16])
     def test_extreme_entries(self, n, complex_):
         stack = special_hermitian_stack(np.random.default_rng(50 + n), n, complex_)
         # reference eigenvalues of exactly rescaled matrices, scaled back
         for exp in (-600, 600):
             scaled = stack * 2.0**exp
             assert_matches_eigvalsh(scaled, np.linalg.eigvalsh(stack) * 2.0**exp)
-            # the kernel itself rescales by powers of two, which are exact
-            np.testing.assert_array_equal(lambda_max_hermitian_batch(scaled),
-                                          lambda_max_hermitian_batch(stack) * 2.0**exp)
         big = 1e300 * stack
         assert_matches_eigvalsh(big, np.linalg.eigvalsh(big * 2.0**-1000) * 2.0**1000)
 
     @pytest.mark.parametrize("complex_", [False, True])
     def test_views_and_empty_stacks(self, complex_):
-        n = 5
-        stack = special_hermitian_stack(np.random.default_rng(9), n, complex_)
-        for view in (stack[::2], np.swapaxes(stack, -1, -2), stack[:, ::-1, ::-1],
-                     np.broadcast_to(stack[0], (3, n, n)), stack[:4].reshape(2, 2, n, n)):
-            assert_matches_eigvalsh(view)
-        for shape in ((0, n, n), (2, 0, n, n)):
-            assert lambda_max_hermitian_batch(np.zeros(shape, stack.dtype)).shape == shape[:-2]
+        for n in (3, 6, 17):
+            stack = special_hermitian_stack(np.random.default_rng(9), n, complex_)
+            for view in (stack[::2], np.swapaxes(stack, -1, -2), stack[:, ::-1, ::-1],
+                         np.broadcast_to(stack[0], (3, n, n)), stack[:4].reshape(2, 2, n, n)):
+                assert_matches_eigvalsh(view)
+            for shape in ((0, n, n), (2, 0, n, n)):
+                assert lambda_max_hermitian_batch(np.zeros(shape, stack.dtype)).shape == shape[:-2]
 
-    @pytest.mark.parametrize("n", [3, 7, matcore._TRIDIAGONAL_MAX_N])
+    @pytest.mark.parametrize("n", [3, 6, 7, 16, 17])
     def test_row_bits_do_not_depend_on_the_stack(self, n):
         stack = special_hermitian_stack(np.random.default_rng(n), n, True)
         whole = lambda_max_hermitian_batch(stack)
@@ -125,10 +125,11 @@ class TestTridiagonalKernel:
         np.testing.assert_array_equal(lambda_max_hermitian_batch(stack[3:11]), whole[3:11])
 
     def test_reads_only_the_lower_triangle(self):
-        stack = special_hermitian_stack(np.random.default_rng(4), 6, True)
-        lower = np.tril(stack) + np.triu(np.full((6, 6), np.nan + 0j), 1)
-        np.testing.assert_array_equal(lambda_max_hermitian_batch(lower),
-                                      lambda_max_hermitian_batch(stack))
+        for n in (3, 6, 17):
+            stack = special_hermitian_stack(np.random.default_rng(4), n, True)
+            lower = np.tril(stack) + np.triu(np.full((n, n), np.nan + 0j), 1)
+            np.testing.assert_array_equal(lambda_max_hermitian_batch(lower),
+                                          lambda_max_hermitian_batch(stack))
 
 
 class TestAsComplexMatrix:
@@ -400,13 +401,11 @@ class TestRunBlocks:
         assert matcore._block_workers(5, fan_out=True) == 1
 
     def test_fan_out_rule_follows_kernel_switch(self):
-        fans_out, top = matcore._eigen_blocks_fan_out, matcore._TRIDIAGONAL_MAX_N
-        assert not any(fans_out(n, 2) for n in range(1, top + 1))
-        assert fans_out(top + 1, 2) and fans_out(100, 2)
-        assert not fans_out(100, 1) and not fans_out(100, math.inf)
-        # the spectral abscissa calls LAPACK above the 2x2 closed form
-        assert not any(fans_out(n, 2, general=True) for n in (1, 2))
-        assert fans_out(3, 2, general=True) and fans_out(100, 2, general=True)
+        # the eigenvalue kernels call LAPACK above their 2x2 closed forms
+        fans_out = matcore._eigen_blocks_fan_out
+        assert not fans_out(1) and not fans_out(2, 2)
+        assert all(fans_out(n, 2) for n in (3, 6, 16, 17, 100))
+        assert not any(fans_out(n, p) for n in (1, 3, 100) for p in (1, math.inf))
 
     def test_concurrent_fan_outs_share_one_blas_hold(self, block_threads):
         controls = matcore._openblas_controls()

@@ -591,10 +591,9 @@ class TestNuDefinitional:
         assert nu_definitional(table1_system("e"), 2, 2).bias_warning
 
     def test_multi_channel_runs_and_is_deterministic(self, block_threads):
-        # above the tridiagonal kernel's range p = 2 calls LAPACK, so the two
-        # blocks fan out
+        # at n > 2 p = 2 calls LAPACK, so the two blocks fan out
         rng = np.random.default_rng(37)
-        sys_ = random_system(rng, matcore._TRIDIAGONAL_MAX_N + 1, 3, scale=0.5)
+        sys_ = random_system(rng, 3, 3, scale=0.5)
         runs = block_threads.across(
             lambda: nu_definitional(sys_, 2, 2, cfg=McConfig(samples=8200, seed=5)))
         assert len({(r.value, r.std_error) for r in runs.values()}) == 1, runs
@@ -673,7 +672,7 @@ class TestBlockFanOut:
         block_threads.cores(1)
         assert run() == runs[1]
 
-    @pytest.mark.parametrize("dim, p", [(2, 2), (6, 1), (6, math.inf), (6, 2)])
+    @pytest.mark.parametrize("dim, p", [(2, 2), (6, 1), (6, math.inf)])
     def test_auto_is_serial_without_lapack(self, block_threads, dim, p):
         sys_ = random_system(np.random.default_rng(dim), dim, 1, scale=0.1)
         cfg = McConfig(samples=20000, seed=1)
@@ -696,13 +695,12 @@ class TestBlockFanOut:
     def test_auto_uses_every_core_for_lapack_blocks(self, block_threads):
         if not block_threads.can_fan_out():
             pytest.skip("needs numpy's OpenBLAS thread controls")
-        # eigvalsh above the tridiagonal kernel's range, eigvals above n = 2
-        large = random_system(np.random.default_rng(17), matcore._TRIDIAGONAL_MAX_N + 1, 1,
-                              scale=0.1)
+        # eigvalsh and eigvals above n = 2
+        sys_ = random_system(np.random.default_rng(17), 3, 1, scale=0.1)
         cfg = McConfig(samples=20000, seed=1)  # 3 blocks
         for cores in (2, 8):
             block_threads.cores(cores)
-            nu_direct(large, 2, 2, cfg)
+            nu_direct(sys_, 2, 2, cfg)
             expected_max_re_perturbed(table1_system("g"), cfg)
             assert block_threads.picked == [min(cores, 3)] * 2
 
