@@ -14,9 +14,8 @@ rescale extreme entries for the spectral norm.  The largest Hermitian
 eigenvalue and the spectral abscissa come from closed forms for n <= 2 and
 from LAPACK above.  The Monte Carlo engines seed and run their independent
 blocks through :func:`_run_blocks`, which alone picks the thread count (from
-the available cores and whether the blocks may fan out) and holds OpenBLAS
-to one thread during a fan-out; nothing here changes BLAS threading at
-import.
+the available cores) and holds OpenBLAS to one thread during a fan-out;
+nothing here changes BLAS threading at import.
 """
 
 from __future__ import annotations
@@ -148,18 +147,6 @@ def max_re_eigvals_batch(M: np.ndarray) -> np.ndarray:
         raise EigenConvergenceError(f"general eigensolver failed: {exc}") from exc
 
 
-def _eigen_blocks_fan_out(n: int, p=2) -> bool:
-    """Whether Monte Carlo blocks whose statistic takes the eigenvalue
-    kernels of n x n matrices at norm p run on every available core.
-
-    They do when the kernels call LAPACK, which releases the interpreter
-    lock: at p = 2 above n = 2, where :func:`lambda_max_hermitian_batch`
-    (mu_2, the spectral norm) and :func:`max_re_eigvals_batch` leave their
-    closed forms.  p = 1 and p = inf are entrywise closed forms.
-    """
-    return p == 2 and n > 2
-
-
 @functools.cache
 def _openblas_controls():
     """(get, set) of the thread count of the OpenBLAS bundled with numpy.
@@ -237,36 +224,30 @@ def _available_cores() -> int:
         return os.cpu_count() or 1
 
 
-def _block_workers(nblocks: int, fan_out: bool) -> int:
+def _block_workers(nblocks: int) -> int:
     """Threads for ``nblocks`` independent blocks: one per available core,
-    at most one per block, when the blocks may ``fan_out`` and OpenBLAS can
-    be held to one thread meanwhile; else 1."""
-    if not fan_out or _openblas_controls() is None:
+    at most one per block, when OpenBLAS can be held to one thread
+    meanwhile; else 1."""
+    if _openblas_controls() is None:
         return 1
     return max(1, min(_available_cores(), nblocks))
 
 
-def _run_blocks(
-    run: Callable[[int, np.random.Generator], None], nblocks: int, seed: int, fan_out: bool
-) -> None:
+def _run_blocks(run: Callable[[int, np.random.Generator], None], nblocks: int, seed: int) -> None:
     """Call ``run(b, rng_b)`` for every block b on :func:`_block_workers`
     threads, where rng_b is seeded from (seed, spawn_key=(b,)) only.
 
-    Estimator blocks fan out when their kernel calls LAPACK, at p = 2 and
-    n > 2 (see :func:`_eigen_blocks_fan_out`); fanning out the n <= 2 and
-    p in {1, inf} closed forms raised peak memory by more than 10% on
-    two-channel 2x2 systems, also with the entrywise closed form in
-    :func:`matrix_norm_batch`, so they stay on one thread.  Simulation blocks
-    always fan out.  Blocks must write disjoint outputs, so that the thread
-    count cannot change any result.
-    A fan-out holds OpenBLAS to one thread and restores the previous count
-    when the last block has finished, also when a block raises.
+    Estimator and simulation blocks alike fan out, whatever kernel they
+    call.  Blocks must write disjoint outputs, so that the thread count
+    cannot change any result.  A fan-out holds OpenBLAS to one thread and
+    restores the previous count when the last block has finished, also when
+    a block raises.
     """
 
     def seeded(b: int) -> None:
         run(b, np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(b,))))
 
-    threads = _block_workers(nblocks, fan_out)
+    threads = _block_workers(nblocks)
     if threads == 1:
         for b in range(nblocks):
             seeded(b)

@@ -265,7 +265,7 @@ def simulate_moments(system: SdeSystem, x0, cfg: SimConfig) -> MomentTrajectory:
                     alive &= np.isfinite(vals) & (norms <= DIVERGENCE_THRESHOLD)
                     _block_moments(vals[alive], out[:, step // stride - 1])
 
-    means, ses, live = _moment_blocks(run, cfg.paths, ncheck, system.dim, cfg.seed, fan_out=True)
+    means, ses, live = _moment_blocks(run, cfg.paths, ncheck, system.dim, cfg.seed)
 
     times = np.arange(ncheck + 1, dtype=np.float64) * (stride * cfg.h)
     diverged = np.concatenate([[0], cfg.paths - live]).astype(np.int64)

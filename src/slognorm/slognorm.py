@@ -12,8 +12,10 @@ estimators plus every closed-form bound the theory provides:
   the difference quotients (E norm(I + hA + sum B dW + sum BB I_(i,j), p)^l
   - 1) / h.
 
-With one channel and the default sample count both are 1-D Gaussian
-integrals, computed by one adaptive Gauss-Kronrod rule; else Monte Carlo.
+Each estimate, like the perturbed-spectrum check, is a Gaussian expectation,
+and :func:`_expectation` alone picks how to take it: one evaluation without
+noise, the adaptive Gauss-Kronrod rule over one channel at the default
+sample count, else Monte Carlo.
 
 The two functionals genuinely differ on some inputs — for B = I, p = 2,
 l = 2 the direct route gives 2 mu_2(A) - 1 while the definitional limit is
@@ -24,9 +26,9 @@ The Monte Carlo estimates and the simulator share one deterministic block
 plan, :func:`_moment_blocks`: draws come in blocks whose size depends only
 on the dimension, each seeded from (seed, block index) and reduced to
 (count, sum, M2), and the blocks merge in fixed order, so every result is
-bit-identical for a given seed whatever the number of cores.  Which blocks
-run on every available core is decided by
-:func:`slognorm.matcore._eigen_blocks_fan_out`.
+bit-identical for a given seed whatever the number of cores, and every
+block engine fans out over the available cores
+(:func:`slognorm.matcore._run_blocks`).
 """
 
 from __future__ import annotations
@@ -45,7 +47,6 @@ from .lognorm import _check_h_sequence, mu, mu_batch, ols_line_weights
 from .matcore import (
     DimensionError,
     EigenConvergenceError,
-    _eigen_blocks_fan_out,
     _run_blocks,
     _square_matrix,
     check_p,
@@ -296,12 +297,12 @@ def _merge_moments(moments: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _moment_blocks(run: Callable[[np.random.Generator, int, int, np.ndarray], None], total: int,
-                   ncols: int, dim: int, seed: int, fan_out: bool) -> tuple[np.ndarray, ...]:
+                   ncols: int, dim: int, seed: int) -> tuple[np.ndarray, ...]:
     """Means, standard errors and counts of ``ncols`` columns over ``total``
     items, from blocks of ``_block_size(dim)`` items: block b calls
     ``run(rng_b, start, count, out)`` (rng_b from :func:`_run_blocks`), which
     reduces its items into out (5, ncols) with :func:`_block_moments`.  So
-    memory is O(block), and the blocks may ``fan_out`` bit for bit."""
+    memory is O(block), and the blocks fan out bit for bit."""
     block = _block_size(dim)
     nblocks = -(-total // block)
     moments = np.empty((5, nblocks, ncols))
@@ -309,21 +310,21 @@ def _moment_blocks(run: Callable[[np.random.Generator, int, int, np.ndarray], No
     def seeded(b: int, rng: np.random.Generator) -> None:
         run(rng, b * block, min(block, total - b * block), moments[:, b])
 
-    _run_blocks(seeded, nblocks, seed, fan_out)
+    _run_blocks(seeded, nblocks, seed)
     return (*_merge_moments(moments), np.add.reduce(moments[0], axis=0))
 
 
-def _replicates(draw: Callable[[np.random.Generator, int], np.ndarray],
-                stat: Callable[[np.ndarray], np.ndarray], ncols: int, cfg: McConfig,
-                dim: int, fan_out: bool) -> tuple[np.ndarray, np.ndarray, int]:
-    """Means and standard errors of the ``ncols`` columns of stat over the
+def _replicates(f: Callable[[np.ndarray, bool], np.ndarray], ncols: int, cfg: McConfig,
+                dim: int, draw_cols: int) -> tuple[np.ndarray, np.ndarray, int]:
+    """Means and standard errors of the ``ncols`` columns of f over the
     replicates, and the number of samples behind them.
 
     Under antithetic pairing a replicate is the mean over a pair of samples,
     so there are half as many replicates as ``cfg`` asks for samples.  Each
-    block of :func:`_moment_blocks` draws ``draw(rng_b, count)`` and
-    evaluates stat (which must act row by row) in chunks that keep each
-    (rows, dim, dim) temporary near ``_CHUNK_DOUBLES``.
+    block of :func:`_moment_blocks` draws (count, ``draw_cols``) unit
+    normals and evaluates f(xi, cfg.antithetic), which must act row by row,
+    in chunks that keep each (rows, dim, dim) temporary near
+    ``_CHUNK_DOUBLES``.
     """
     samples = cfg.resolve_samples(dim)
     if cfg.antithetic and samples < 4:
@@ -332,20 +333,41 @@ def _replicates(draw: Callable[[np.random.Generator, int], np.ndarray],
     chunk = max(1, _CHUNK_DOUBLES // (dim * dim))
 
     def run(rng: np.random.Generator, start: int, count: int, out: np.ndarray) -> None:
-        x = draw(rng, count)
+        x = rng.standard_normal((count, draw_cols))
         vals = np.empty((ncols, count))
         try:
             for lo in range(0, count, chunk):
                 hi = min(lo + chunk, count)
-                vals[:, lo:hi] = stat(x[lo:hi]).reshape(hi - lo, ncols).T
+                vals[:, lo:hi] = f(x[lo:hi], cfg.antithetic).reshape(hi - lo, ncols).T
         except EigenConvergenceError as exc:
             raise EigenConvergenceError(
                 f"{exc} (while evaluating replicates {start}..{start + count})"
             ) from exc
         _block_moments(vals, out)
 
-    means, ses, _ = _moment_blocks(run, reps, ncols, dim, cfg.seed, fan_out)
+    means, ses, _ = _moment_blocks(run, reps, ncols, dim, cfg.seed)
     return means, ses, 2 * reps if cfg.antithetic else reps
+
+
+def _expectation(f: Callable[[np.ndarray, bool], np.ndarray], system: SdeSystem, ncols: int,
+                 cfg: McConfig, draw_cols: int, scale: float):
+    """(means, errors, samples, method) of the ``ncols`` columns of
+    E f(xi, paired), for xi unit normals (count, ``draw_cols``) on which f
+    acts row by row, averaging each row with its negation when paired.
+
+    The one place where a method is chosen: without noise f runs once
+    (``closed_form``); with one channel at the default sample count
+    :func:`_gaussian_expectation` integrates over xi, ``scale`` being the
+    size of the numbers whose rounding f carries (``quadrature``); else, or
+    when that rule gives up, :func:`_replicates` (``monte_carlo``).
+    """
+    if system.m == 0:
+        return f(np.empty((1, 0)), False).reshape(ncols), np.zeros(ncols), 1, "closed_form"
+    if system.m == 1 and cfg.samples is None:
+        quad = _gaussian_expectation(lambda z: f(z[:, np.newaxis], False), system.dim, scale)
+        if quad is not None:
+            return (*quad, "quadrature")
+    return (*_replicates(f, ncols, cfg, system.dim, draw_cols), "monte_carlo")
 
 
 def _paired(stat: Callable[[np.ndarray], np.ndarray], base, noise: np.ndarray,
@@ -359,18 +381,21 @@ def _paired(stat: Callable[[np.ndarray], np.ndarray], base, noise: np.ndarray,
 
 
 def _white_noise(system: SdeSystem, stat: Callable[[np.ndarray], np.ndarray], ncols: int,
-                 cfg: McConfig, fan_out: bool) -> tuple[np.ndarray, np.ndarray, int]:
-    """:func:`_replicates` of stat(A - 1/2 sum B^2 + sum B zeta), with
-    zeta(1)..zeta(m) i.i.d. standard normal (unpaired when m = 0)."""
+                 cfg: McConfig):
+    """:func:`_expectation` of stat(A - 1/2 sum B^2 + sum B zeta), with
+    zeta(1)..zeta(m) i.i.d. standard normal."""
     bs = system.diffusions
     base = system.A - 0.5 * _sum_squares(bs)
 
-    def pair(z: np.ndarray) -> np.ndarray:
-        noise = np.tensordot(z, bs, axes=(1, 0))
-        return _paired(stat, base, noise, cfg.antithetic and system.m > 0)
+    def pair(z: np.ndarray, antithetic: bool) -> np.ndarray:
+        # one channel takes a product, not a gemm: a first gemm faults in
+        # OpenBLAS's work buffers.  Unpaired, base + noise overwrites noise
+        noise = z[..., np.newaxis] * bs[0] if system.m == 1 else np.tensordot(z, bs, axes=(1, 0))
+        return _paired(stat, base, noise, antithetic, out=None if antithetic else noise)
 
-    return _replicates(lambda rng, count: rng.standard_normal((count, system.m)),
-                       pair, ncols, cfg, system.dim, fan_out)
+    # a vanishing integrand is known only to a few ulps of the matrix entries
+    scale = float(np.abs(base).max() + np.abs(bs).max(initial=0.0))
+    return _expectation(pair, system, ncols, cfg, system.m, scale)
 
 
 # ---------------------------------------------------------------------------
@@ -476,41 +501,19 @@ def _gaussian_expectation(f: Callable[[np.ndarray], np.ndarray], dim: int, scale
 def nu_direct(system: SdeSystem, p=2, l: int = 2, cfg: McConfig | None = None) -> NuEstimate:
     """Estimate nu_p^l as l * E[mu_p(A - 1/2 sum B^2 + sum B zeta)].
 
-    zeta(1)..zeta(m) are i.i.d. standard normal.  With one channel and
-    ``cfg.samples`` left at None the expectation is a 1-D Gaussian integral,
-    computed by :func:`_gaussian_expectation` (``method="quadrature"``), or
-    when that rule does not converge by the Monte Carlo run at
-    :func:`default_samples`.  Every other call is a Monte Carlo mean over
-    ``cfg.samples`` draws (antithetic by default).
-    With m = 0 the statistic is deterministic and the exact value
-    l * mu_p(A) is returned with zero standard error (``closed_form``).
+    zeta(1)..zeta(m) are i.i.d. standard normal.  :func:`_expectation`
+    takes the mean: l * mu_p(A) exactly with zero standard error when m = 0
+    (``closed_form``); with one channel and ``cfg.samples`` left at None a
+    1-D Gaussian integral (``quadrature``), or when that rule does not
+    converge the Monte Carlo run at :func:`default_samples`; else a Monte
+    Carlo mean over ``cfg.samples`` draws (antithetic by default).
     """
     p = check_p(p)
     l = _check_l(l)
-    cfg = cfg or McConfig()
-    if system.m == 0:
-        return NuEstimate(
-            value=l * mu(system.A, p), std_error=0.0, samples=1,
-            estimator="direct", p=p, l=l, method="closed_form",
-        )
-
-    def stat(g: np.ndarray) -> np.ndarray:
-        return l * mu_batch(g, p)
-
-    if cfg.samples is None and system.m == 1:
-        (b,) = system.diffusions
-        base = system.A - 0.5 * _sum_squares(system.diffusions)
-        # a vanishing integrand is known only to a few ulps of the matrix entries
-        quad = _gaussian_expectation(lambda z: stat(base + z[:, None, None] * b)[:, None],
-                                     system.dim, float(np.abs(base).max() + np.abs(b).max()))
-        if quad is not None:
-            return NuEstimate(value=float(quad[0][0]), std_error=float(quad[1][0]),
-                              samples=quad[2], estimator="direct", p=p, l=l, method="quadrature")
-    (value,), (se,), total = _white_noise(system, stat, 1, cfg,
-                                          _eigen_blocks_fan_out(system.dim, p))
-    return NuEstimate(
-        value=float(value), std_error=float(se), samples=total, estimator="direct", p=p, l=l
-    )
+    (value,), (se,), total, method = _white_noise(
+        system, lambda g: l * mu_batch(g, p), 1, cfg or McConfig())
+    return NuEstimate(value=float(value), std_error=float(se), samples=total,
+                      estimator="direct", p=p, l=l, method=method)
 
 
 def _check_count(value, name: str) -> int:
@@ -567,10 +570,10 @@ def nu_definitional(
     computed, where G_h = I + hA + sum_j B(j) dW(j) + sum_ij B(i)B(j)
     I_(i,j)(h), and collapsed to its least-squares h = 0 intercept.  With
     one channel and ``cfg.samples`` None every h is integrated over
-    dW / sqrt(h) at shared nodes by :func:`_gaussian_expectation`, as in
-    :func:`nu_direct`.  Otherwise one standard-normal draw per replicate is
-    rescaled across the h-sequence (common random numbers); with m = 0 one
-    evaluation is exact (``closed_form``).  That error is combined (in
+    dW / sqrt(h) at shared nodes, as in :func:`nu_direct`, and with m = 0
+    one evaluation is exact; otherwise one standard-normal draw per
+    replicate is rescaled across the h-sequence (common random numbers).
+    :func:`_expectation` makes that choice.  Its error is combined (in
     quadrature) with the intercept error of the fit to the mean curve.
 
     Every h must satisfy h * norm(A, p) < 0.1 (expansion regime).  When the
@@ -627,20 +630,9 @@ def nu_definitional(
         cols[0] = functools.reduce(operator.add, map(operator.mul, weights, cols[1:]))
         return cols.T
 
-    if m == 0:  # the quotients do not depend on the draws: one evaluation is exact
-        means, errs, total = intercept_and_quotients(np.empty((1, 0)), False)[0], [0.0], 1
-        method = "closed_form"
-    elif m == 1 and cfg.samples is None and (quad := _gaussian_expectation(
-            lambda z: intercept_and_quotients(z[:, np.newaxis], False), n,
-            # a quotient is known only to a few ulps of 1 / h, the intercept to their sum
-            l * float(np.abs(weights) @ (1.0 / h)))) is not None:
-        (means, errs, total), method = quad, "quadrature"
-    else:
-        means, errs, total = _replicates(
-            lambda rng, count: _unit_normals(rng, count, m),
-            lambda xi: intercept_and_quotients(xi, cfg.antithetic), 1 + nh, cfg, n,
-            _eigen_blocks_fan_out(n, p))
-        method = "monte_carlo"
+    # a quotient is known only to a few ulps of 1 / h, the intercept to their sum
+    means, errs, total, method = _expectation(intercept_and_quotients, system, 1 + nh, cfg,
+                                              m * m, l * float(np.abs(weights) @ (1.0 / h)))
     value, noise_se = float(means[0]), float(errs[0])
     extrap_se = _intercept_residual_error(h, means[1:])
     # exact quotients are never within 10x their own error of a curved line:
@@ -671,13 +663,6 @@ def _intercept_residual_error(h: np.ndarray, qbar: np.ndarray) -> float:
     resid = qbar - (w0 @ qbar + (w1 @ qbar) * h)
     s2 = float((resid**2).sum() / (k - 2))
     return math.sqrt(s2 * float(w0 @ w0))
-
-
-def _unit_normals(rng: np.random.Generator, count: int, m: int) -> np.ndarray:
-    """The unit normals behind ``count`` joint samples of m-channel Wiener
-    increments: shape (count, m * m), the first m columns for dW and two
-    more for each channel pair i < j (row-major), which fix its area sign."""
-    return rng.standard_normal((count, m * m))
 
 
 def _increments_from_normals(xi: np.ndarray, h: float) -> tuple[np.ndarray, np.ndarray]:
@@ -727,7 +712,7 @@ def sample_wiener_increments(
         raise ValueError(f"count must be nonnegative, got count={count}")
     if not (math.isfinite(h) and h > 0):
         raise ValueError(f"step size must be finite and positive, got h={h}")
-    return _increments_from_normals(_unit_normals(rng, count, m), h)
+    return _increments_from_normals(rng.standard_normal((count, m * m)), h)
 
 
 # ---------------------------------------------------------------------------
@@ -897,8 +882,14 @@ def twobytwo_inf_ms_stable(lam1, lam2, alpha1, beta1, alpha2, beta2) -> bool:
 
 @dataclass(frozen=True)
 class PerturbedSpectrumCheck:
-    """Paired Monte Carlo comparison of E[max Re spectrum(A - 1/2 sum B^2 +
-    sum B zeta)] against half the direct nu_2^2 statistic on the same draws."""
+    """Paired comparison of E[max Re spectrum(A - 1/2 sum B^2 + sum B zeta)]
+    against half the direct nu_2^2 statistic on the same zeta.
+
+    ``method`` says what the errors and ``samples`` mean, as in
+    :class:`NuEstimate`: Monte Carlo standard errors over ``samples`` draws,
+    a quadrature error estimate over ``samples`` nodes, or (``closed_form``,
+    no noise) zero errors from one evaluation.
+    """
 
     estimate: float
     estimate_stderr: float
@@ -906,6 +897,7 @@ class PerturbedSpectrumCheck:
     half_nu_stderr: float
     inequality_holds: bool
     samples: int
+    method: str
 
 
 def expected_max_re_perturbed(
@@ -914,10 +906,12 @@ def expected_max_re_perturbed(
     """Estimate the expected spectral abscissa of the randomly perturbed
     stability matrix and check it against nu_2^2 / 2.
 
-    Both statistics are evaluated on the same zeta draws, so the comparison
-    ``inequality_holds`` (estimate <= half_nu within 3 standard errors of
-    their difference) is a paired test; pointwise max Re lambda(M) <=
-    mu_2(M) makes it hold with margin for any system.
+    The expectation is taken as in :func:`nu_direct`: one evaluation when
+    m = 0, the Gauss-Kronrod rule over one channel at the default sample
+    count, else Monte Carlo.  Both statistics are evaluated at the same zeta,
+    so the comparison ``inequality_holds`` (estimate <= half_nu within 3
+    errors of their difference) is a paired test; pointwise
+    max Re lambda(M) <= mu_2(M) makes it hold with margin for any system.
     """
     cfg = cfg or McConfig()
 
@@ -925,7 +919,7 @@ def expected_max_re_perturbed(
         max_re, half_nu = max_re_eigvals_batch(mats), mu_batch(mats, 2)
         return np.column_stack([max_re, half_nu, max_re - half_nu])
 
-    means, ses, total = _white_noise(system, stat, 3, cfg, _eigen_blocks_fan_out(system.dim))
+    means, ses, total, method = _white_noise(system, stat, 3, cfg)
     return PerturbedSpectrumCheck(
         estimate=float(means[0]),
         estimate_stderr=float(ses[0]),
@@ -933,6 +927,7 @@ def expected_max_re_perturbed(
         half_nu_stderr=float(ses[1]),
         inequality_holds=bool(means[0] - means[1] <= 3.0 * ses[2] + FP_FLOOR),
         samples=total,
+        method=method,
     )
 
 

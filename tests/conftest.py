@@ -16,8 +16,8 @@ class BlockThreads:
         self.picked: list[int] = []
         pick = matcore._block_workers
 
-        def recording(nblocks: int, fan_out: bool) -> int:
-            threads = pick(nblocks, fan_out)
+        def recording(nblocks: int) -> int:
+            threads = pick(nblocks)
             self.picked.append(threads)
             return threads
 

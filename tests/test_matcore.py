@@ -387,25 +387,17 @@ class TestRunBlocks:
         for cores in (1, 3):
             block_threads.cores(cores)
             done = {}
-            matcore._run_blocks(lambda b, rng: done.update({b: rng.random()}), 7, 5, fan_out=True)
+            matcore._run_blocks(lambda b, rng: done.update({b: rng.random()}), 7, 5)
             assert [done[b] for b in range(7)] == expected
 
     def test_worker_count_rules(self, monkeypatch, block_threads):
         block_threads.cores(8)
-        assert matcore._block_workers(5, fan_out=False) == 1
         if block_threads.can_fan_out():
-            assert matcore._block_workers(3, fan_out=True) == 3
+            assert matcore._block_workers(3) == 3
             block_threads.cores(2)
-            assert matcore._block_workers(5, fan_out=True) == 2
+            assert matcore._block_workers(5) == 2
         monkeypatch.setattr(matcore, "_openblas_controls", lambda: None)
-        assert matcore._block_workers(5, fan_out=True) == 1
-
-    def test_fan_out_rule_follows_kernel_switch(self):
-        # the eigenvalue kernels call LAPACK above their 2x2 closed forms
-        fans_out = matcore._eigen_blocks_fan_out
-        assert not fans_out(1) and not fans_out(2, 2)
-        assert all(fans_out(n, 2) for n in (3, 6, 16, 17, 100))
-        assert not any(fans_out(n, p) for n in (1, 3, 100) for p in (1, math.inf))
+        assert matcore._block_workers(5) == 1
 
     def test_concurrent_fan_outs_share_one_blas_hold(self, block_threads):
         controls = matcore._openblas_controls()
@@ -420,7 +412,7 @@ class TestRunBlocks:
 
         def fan_out():
             for _ in range(40):
-                matcore._run_blocks(lambda b, rng: seen.append(get()), 4, 0, fan_out=True)
+                matcore._run_blocks(lambda b, rng: seen.append(get()), 4, 0)
 
         threads = [threading.Thread(target=fan_out) for _ in range(4)]
         try:

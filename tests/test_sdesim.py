@@ -318,9 +318,9 @@ class TestSimulateMoments:
         blocks = []
         run_blocks = slognorm_module._run_blocks
 
-        def recording(run, nblocks, seed, fan_out):
+        def recording(run, nblocks, seed):
             blocks.append(nblocks)
-            run_blocks(run, nblocks, seed, fan_out)
+            run_blocks(run, nblocks, seed)
 
         monkeypatch.setattr(slognorm_module, "_run_blocks", recording)
         runs = block_threads.across(lambda: simulate_moments(sys_, np.ones(40), cfg), cores=(1, 2))

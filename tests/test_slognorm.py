@@ -591,7 +591,7 @@ class TestNuDefinitional:
         assert nu_definitional(table1_system("e"), 2, 2).bias_warning
 
     def test_multi_channel_runs_and_is_deterministic(self, block_threads):
-        # at n > 2 p = 2 calls LAPACK, so the two blocks fan out
+        # the two blocks fan out
         rng = np.random.default_rng(37)
         sys_ = random_system(rng, 3, 3, scale=0.5)
         runs = block_threads.across(
@@ -643,8 +643,8 @@ def _estimates(sys_, p, direct_cfg, definitional_cfg):
 
 
 class TestBlockFanOut:
-    """RNG blocks fan out over threads without changing a bit, and only
-    where the statistic's kernel calls LAPACK."""
+    """RNG blocks fan out over threads without changing a bit, whatever
+    kernel the statistic calls, wherever OpenBLAS can be held."""
 
     def test_case_g_bitwise_equal_across_workers(self, block_threads):
         sys_ = table1_system("g")
@@ -673,15 +673,21 @@ class TestBlockFanOut:
         assert run() == runs[1]
 
     @pytest.mark.parametrize("dim, p", [(2, 2), (6, 1), (6, math.inf)])
-    def test_auto_is_serial_without_lapack(self, block_threads, dim, p):
+    def test_blocks_fan_out_without_lapack(self, block_threads, dim, p):
+        # the n <= 2 and p in {1, inf} closed forms fan out as LAPACK does
         sys_ = random_system(np.random.default_rng(dim), dim, 1, scale=0.1)
-        cfg = McConfig(samples=20000, seed=1)
-        block_threads.cores(8)
-        nu_direct(sys_, p, 2, cfg)
-        nu_definitional(sys_, p, 2, cfg=cfg)
-        if dim <= 2:
-            expected_max_re_perturbed(sys_, cfg)
-        assert block_threads.picked == [1] * (3 if dim <= 2 else 2)
+        cfg = McConfig(samples=20000, seed=1)  # 3 blocks
+
+        def run():
+            checks = [nu_direct(sys_, p, 2, cfg), nu_definitional(sys_, p, 2, cfg=cfg)]
+            if dim <= 2:
+                checks.append(expected_max_re_perturbed(sys_, cfg))
+            return [dataclasses.astuple(c) for c in checks]
+
+        runs = block_threads.across(run, cores=(1, 8))
+        assert runs[8] == runs[1]
+        threads = 3 if block_threads.can_fan_out() else 1
+        assert block_threads.picked == [threads] * (3 if dim <= 2 else 2)
 
     def test_auto_is_serial_without_blas_pinning(self, monkeypatch, block_threads):
         monkeypatch.setattr(matcore, "_openblas_controls", lambda: None)
@@ -812,7 +818,7 @@ class TestIteratedIntegrals:
                 se = prod.std(axis=0) / math.sqrt(n)
                 assert np.all(np.abs(prod.mean(axis=0)) <= 4 * se)
             # with dW = 0 the transform returns the area alone, exactly
-            xi = slognorm_module._unit_normals(rng, 4096, m)
+            xi = rng.standard_normal((4096, m * m))
             xi[:, :m] = 0.0
             _, bare = _increments_from_normals(xi, h)
             assert np.all(np.abs(bare[:, i, j]) == h / 2)
@@ -890,7 +896,7 @@ def _reference_definitional(system: SdeSystem, p, l: int, cfg: McConfig) -> tupl
     counts, sums, residues, m2s, abs_sums = [], [], [], [], []
     for b in range(-(-reps // block)):
         rng = np.random.default_rng(np.random.SeedSequence(cfg.seed, spawn_key=(b,)))
-        xi = sm._unit_normals(rng, min(block, reps - b * block), m)
+        xi = rng.standard_normal((min(block, reps - b * block), m * m))
         rows = np.concatenate([pair_rows(xi[i:i + chunk]) for i in range(0, len(xi), chunk)])
         intercepts = np.array([functools.reduce(operator.add, row * weights) for row in rows])
         # (1 + nh, count) in C order: each column's values contiguous
@@ -920,7 +926,7 @@ class TestTransformOnce:
 
     @pytest.mark.parametrize("m", [1, 2, 3])
     def test_transform_is_odd_bit_for_bit(self, m):
-        xi = slognorm_module._unit_normals(np.random.default_rng(m), 1500, m)
+        xi = np.random.default_rng(m).standard_normal((1500, m * m))
         kept = xi.copy()
         dw, imat = _increments_from_normals(xi, 0.013)
         neg_dw, neg_imat = _increments_from_normals(-xi, 0.013)
@@ -931,7 +937,7 @@ class TestTransformOnce:
     @pytest.mark.parametrize("m", [1, 2, 3, 5])
     @pytest.mark.parametrize("h", [0.05, 3.1e-6])
     def test_transform_matches_reference(self, m, h):
-        xi = slognorm_module._unit_normals(np.random.default_rng(10 + m), 4096, m)
+        xi = np.random.default_rng(10 + m).standard_normal((4096, m * m))
         dw, imat = _increments_from_normals(xi, h)
         ref_dw, ref_imat = _reference_increments(xi, h)
         assert np.array_equal(dw, ref_dw)
@@ -1123,13 +1129,37 @@ class TestStabilityPredicates:
         assert twobytwo_inf_ms_stable(-3, -3, 0, 0, 0, 0)
 
 
+def _two_line_mean(a1: float, mu_: float, sigma: float) -> float:
+    """E max(L1, L2) for two lines in zeta ~ N(0, 1) with E L1 = a1 and
+    L2 - L1 = mu + sigma zeta: a1 + mu Phi(mu/sigma) + sigma phi(mu/sigma)."""
+    x = mu_ / sigma
+    phi = math.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi)
+    return a1 + mu_ * 0.5 * math.erfc(-x / math.sqrt(2.0)) + sigma * phi
+
+
 class TestPerturbedSpectrum:
+    @pytest.mark.parametrize("case, a1, mu_, sigma", [
+        # triangular A - B^2/2 + zeta B: max Re lambda is the larger diagonal,
+        # -112.5 + 5 zeta against -218 + 6 zeta for (a), and for (d)
+        # -112 + 5 zeta against -168 - 6 zeta
+        ("a", -112.5, -105.5, 1.0),
+        ("d", -112.0, -56.0, 11.0),
+    ])
+    def test_one_channel_is_the_closed_form_quadrature(self, case, a1, mu_, sigma):
+        chk = expected_max_re_perturbed(table1_system(case))
+        assert chk.method == "quadrature"
+        assert chk.estimate == pytest.approx(_two_line_mean(a1, mu_, sigma), rel=1e-12, abs=0)
+        assert 0 < chk.estimate_stderr <= 1e-9 and chk.inequality_holds
+
     def test_deterministic_reduction(self):
         a = np.array([[-1.0, 3.0], [0.0, -2.0]])
         chk = expected_max_re_perturbed(SdeSystem(a), McConfig(samples=64, seed=1))
         assert chk.estimate == pytest.approx(-1.0, abs=1e-9)
         assert chk.half_nu == pytest.approx(mu(a, 2), abs=1e-9)
         assert chk.inequality_holds
+        # without noise one evaluation is exact, whatever the sample count
+        assert chk.samples == 1 and chk.method == "closed_form"
+        assert chk.estimate_stderr == chk.half_nu_stderr == 0.0
 
     def test_identity_diffusion_margin(self):
         a = np.diag([-2.0, -5.0])
