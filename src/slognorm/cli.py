@@ -481,8 +481,8 @@ def cmd_simulate(
     diverged_total = int(traj.diverged[-1])
     if diverged_total > 0:
         warnings.append(
-            f"{diverged_total} of {paths} paths diverged (norm beyond 1e150); "
-            "affected checkpoints report infinite moments"
+            f"{diverged_total} of {paths} paths diverged (norm beyond 1e150 or norm^{l} "
+            "beyond the float range); affected checkpoints report infinite moments"
         )
     rate_payload = None
     try:

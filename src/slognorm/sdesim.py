@@ -7,21 +7,23 @@ checkpoints.  Milstein has strong order 1.0 when m <= 1 or the B(j)
 commute.  Otherwise its iterated integrals carry a two-point area in place
 of the Levy area (see :func:`slognorm.slognorm.sample_wiener_increments`):
 the scheme then has weak order 1, and its mean-square operator is exactly
-that of Milstein with the exact area.  The fitted slope of log-moments against time
-(:func:`growth_rate`) is the quantity the stochastic logarithmic norm
-bounds, which makes the simulator an end-to-end oracle for the estimators
-in :mod:`slognorm.slognorm`.
+that of Milstein with the exact area.  The fitted slope of log-moments
+against time (:func:`growth_rate`) is the quantity the stochastic
+logarithmic norm bounds, which makes the simulator an end-to-end oracle for
+the estimators in :mod:`slognorm.slognorm`.
 
 Paths are simulated in blocks through the estimators' block runner
 (:func:`slognorm.slognorm._moment_blocks`), each seeded from (seed, block
-index) and reduced in path order, so trajectories are
-bit-identical for a given seed whatever the number of cores.  Paths whose norm leaves
-[0, 1e150] are flagged as diverged and the affected checkpoints report an
-infinite moment rather than raising.
+index) and reduced in path order, so trajectories are bit-identical for a
+given seed whatever the number of cores.  A path whose norm passes 1e150,
+or whose norm^l overflows, is flagged as diverged and the affected
+checkpoints report an infinite moment rather than raising.
 
-Single-step updates (:func:`em_step`, :func:`milstein_step`) are exposed
-both for convergence testing against exact solutions and because the
-ensemble engine is built on exactly the same kernels.
+Each step is x <- x + (hA + sum dW(j) B(j) + sum I_(i,j) B(i) B(j)) x, with
+no I terms for Euler-Maruyama: :func:`_apply_step` multiplies each path's
+(dW | I) by one table of the noise matrices, stacked once per system, then
+applies the update matrices in one batched mat-vec.  :func:`em_step` and
+:func:`milstein_step` wrap the same kernel for convergence tests.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ import numpy as np
 from .lognorm import ols_line_weights
 from .matcore import _norm_rows, check_p, vector_norm
 from .slognorm import (SdeSystem, _block_moments, _channel_products, _check_count, _check_l,
-                       _check_seed, _moment_blocks, sample_wiener_increments)
+                       _check_seed, _check_step, _moment_blocks, sample_wiener_increments)
 
 __all__ = [
     "SimConfig",
@@ -56,11 +58,6 @@ __all__ = [
 DIVERGENCE_THRESHOLD = 1e150
 
 _SCHEMES = ("euler_maruyama", "milstein")
-
-
-def _check_step(h) -> None:
-    if not (math.isfinite(h) and h > 0):
-        raise ValueError(f"step size h must be finite and positive, got {h}")
 
 
 @dataclass(frozen=True)
@@ -120,11 +117,12 @@ class MomentTrajectory:
     """Estimated E norm(X_t, p)^l at the checkpoint times.
 
     ``moments[0]`` is the exact deterministic value norm(x0, p)^l.  A
-    checkpoint where any path has diverged reports infinite moment and
-    standard error, with the offending path count in ``diverged``.  A
-    system without noise has exact moments and zero standard errors; for a
-    noisy one they come from :func:`slognorm.slognorm._merge_moments`, so
-    none is below the rounding bound, and one path gives NaN after t = 0.
+    checkpoint where any path has diverged (norm beyond 1e150, or norm^l
+    overflowed) reports infinite moment and standard error, with the
+    offending path count in ``diverged``.  A system without noise has exact
+    moments and zero standard errors; for a noisy one they come from
+    :func:`slognorm.slognorm._merge_moments`, so none is below the rounding
+    bound, and one path gives NaN after t = 0.
     """
 
     times: np.ndarray
@@ -154,46 +152,34 @@ class MomentTrajectory:
                              self.paths, self.config.scheme])
 
 
-def _step_buffers(x, a, bs, pairs):
-    """Work arrays (update, second, dx) for `_apply_step` with float64 dW
-    and I; ``second`` is None without a Milstein term (``pairs`` None)."""
-    dtype = np.result_type(a, bs, np.float64)  # pairs are products of bs
-    update = np.empty(x.shape[:-1] + a.shape, dtype=dtype)
-    second = None if pairs is None else np.empty_like(update)
-    return update, second, np.empty(x.shape, dtype=np.result_type(update, x))
+def _step_table(bs: np.ndarray, milstein: bool) -> np.ndarray:
+    """The noise matrices of one step as rows of length n^2: B(1)..B(m),
+    then for Milstein the products B(i) B(j) in row-major (i, j) order."""
+    n = bs.shape[-1]
+    rows = (bs, _channel_products(bs)) if milstein else (bs,)
+    return np.concatenate([r.reshape(-1, n * n) for r in rows])
 
 
-def _apply_step(x, a, bs, pairs, dw, imat, h: float, work) -> None:
-    """One explicit step x <- x + (hA + sum dW B + sum I BB) x, batched over
-    any leading axes shared by x, dw, and imat.
-
-    The new state is written into x, in the work arrays from
-    :func:`_step_buffers`, so the step allocates nothing.
-    """
-    update, second, dx = work
-    n2 = a.size
-    # np.tensordot(dw, bs, axes=(-1, 0)) as the 2-d product it reduces to
-    flat = update.reshape(-1, n2)
-    np.dot(dw.reshape(flat.shape[0], len(bs)), bs.reshape(len(bs), n2), out=flat)
-    np.add(h * a, update, out=update)
-    if second is not None:
-        np.add(update, np.einsum("...ij,ijab->...ab", imat, pairs, out=second), out=update)
-    np.einsum("...ab,...b->...a", update, x, out=dx)
-    np.add(x, dx, out=x)
+def _apply_step(x, drift, mats, coef) -> None:
+    """x <- x + (hA + sum dW B + sum I BB) x in place on paths x (count, n),
+    with ``drift`` = hA, ``mats`` from :func:`_step_table` and ``coef`` each
+    path's (dW | I flattened) in the table's row order."""
+    count, n = x.shape
+    update = coef @ mats
+    update += drift.reshape(n * n)
+    x += np.einsum("cab,cb->ca", update.reshape(count, n, n), x)
 
 
 def _step(system: SdeSystem, x, dw, iter_ints, h: float) -> np.ndarray:
     """:func:`milstein_step`, or :func:`em_step` when ``iter_ints`` is None,
     into a fresh array: x is left alone."""
     a, bs, m, x = system.A, system.diffusions, system.m, np.asarray(x)
-    dw = np.asarray(dw, dtype=np.float64).reshape(x.shape[:-1] + (m,))
-    imat = pairs = None
+    count = math.prod(x.shape[:-1])
+    coef = np.asarray(dw, dtype=np.float64).reshape(count, m)
     if iter_ints is not None:
-        imat = np.asarray(iter_ints, dtype=np.float64).reshape(x.shape[:-1] + (m, m))
-        pairs = _channel_products(bs) if m else None
-    work = _step_buffers(x, a, bs, pairs)
-    out = x.astype(work[2].dtype)
-    _apply_step(out, a, bs, pairs, dw, imat, float(h), work)
+        coef = np.hstack((coef, np.asarray(iter_ints, dtype=np.float64).reshape(count, m * m)))
+    out = x.astype(np.result_type(a, bs, x, np.float64))
+    _apply_step(out.reshape(count, x.shape[-1]), h * a, _step_table(bs, iter_ints is not None), coef)
     return out
 
 
@@ -201,7 +187,7 @@ def em_step(system: SdeSystem, x, dw, h: float) -> np.ndarray:
     """Euler-Maruyama update x + h A x + sum_j dW(j) B(j) x.
 
     ``x`` may be a single state (n,) or a batch (..., n); ``dw`` must carry
-    matching leading axes with final axis m.
+    matching leading axes with final axis m.  Runs the ensemble's kernel.
     """
     return _step(system, x, dw, None, h)
 
@@ -211,7 +197,8 @@ def milstein_step(system: SdeSystem, x, dw, iter_ints, h: float) -> np.ndarray:
 
     ``iter_ints`` are iterated Wiener integrals shaped (..., m, m) and are
     expected to satisfy the sampler symmetry identity
-    I_(i,j) + I_(j,i) = dW(i) dW(j) - delta_ij h.
+    I_(i,j) + I_(j,i) = dW(i) dW(j) - delta_ij h.  Runs the ensemble's
+    kernel, with the products B(i) B(j) as extra rows of its table.
     """
     return _step(system, x, dw, iter_ints, h)
 
@@ -240,25 +227,22 @@ def simulate_moments(system: SdeSystem, x0, cfg: SimConfig) -> MomentTrajectory:
     m = system.m
     sampled = cfg.scheme == "milstein" and m > 0  # dW and I from the sampler, else dW only
     root_h = math.sqrt(cfg.h)
-    a, bs = system.A, system.diffusions
+    a = system.A
     dtype = np.complex128 if (np.iscomplexobj(a) or np.iscomplexobj(x0)) else np.float64
-    pairs = _channel_products(bs).astype(dtype) if sampled else None
-    x0, a, bs = (v.astype(dtype) for v in (x0, a, bs))
+    mats = _step_table(system.diffusions, sampled).astype(dtype)
+    x0, drift = x0.astype(dtype), cfg.h * a.astype(dtype)
 
     def run(rng: np.random.Generator, start: int, count: int, out: np.ndarray) -> None:
         x = np.tile(x0, (count, 1))
         alive = np.ones(count, dtype=bool)
-        # per-block buffers, so the step loop allocates only inside the sampler
-        noise = np.empty((count, m))
-        work = _step_buffers(x, a, bs, pairs)
         with np.errstate(over="ignore", invalid="ignore"):
             for step in range(1, steps + 1):
                 if sampled:
                     dw, imat = sample_wiener_increments(rng, count, m, cfg.h)
+                    coef = np.hstack((dw, imat.reshape(count, m * m)))
                 else:
-                    dw = np.multiply(rng.standard_normal(out=noise), root_h, out=noise)
-                    imat = None
-                _apply_step(x, a, bs, pairs, dw, imat, cfg.h, work)
+                    coef = root_h * rng.standard_normal((count, m))
+                _apply_step(x, drift, mats, coef)
                 if step % stride == 0:
                     norms = _norm_rows(x, cfg.p)
                     vals = norms**cfg.l

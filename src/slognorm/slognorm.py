@@ -529,6 +529,11 @@ def _check_seed(seed) -> None:
         raise ValueError("seed must fit in an unsigned 64-bit integer")
 
 
+def _check_step(h) -> None:
+    if not (math.isfinite(h) and h > 0):
+        raise ValueError(f"step size h must be finite and positive, got h={h}")
+
+
 def _check_l(l) -> int:
     if not isinstance(l, (int, np.integer)) or isinstance(l, bool) or l < 1:
         raise ValueError(f"l must be a positive integer, got {l!r}")
@@ -710,8 +715,7 @@ def sample_wiener_increments(
         raise ValueError(f"need at least one channel, got m={m}")
     if _check_count(count, "count") < 0:
         raise ValueError(f"count must be nonnegative, got count={count}")
-    if not (math.isfinite(h) and h > 0):
-        raise ValueError(f"step size must be finite and positive, got h={h}")
+    _check_step(h)
     return _increments_from_normals(rng.standard_normal((count, m * m)), h)
 
 

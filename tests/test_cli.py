@@ -437,6 +437,17 @@ class TestSimulateCommand:
         assert len(lines) == 7
         assert "trajectory written" in result.stderr
 
+    def test_divergence_warning_names_power_overflow(self, tmp_path):
+        # norm near 6e105 stays below 1e150, but its cube overflows
+        path = write_system(tmp_path, [[2000]], [[[0.1]]])
+        result = run(["simulate", path, "--h", "0.01", "--t-end", "0.8", "--paths", "100",
+                      "--checkpoints", "2", "--l", "3"])
+        assert result.exit_code == 0
+        rep = report_of(result)
+        assert rep["results"]["trajectory"]["diverged"] == [0, 0, 100]
+        assert ("100 of 100 paths diverged (norm beyond 1e150 or norm^3 beyond the float "
+                "range); affected checkpoints report infinite moments") in rep["warnings"]
+
     def test_divergence_reports_inf_and_exits_zero(self, tmp_path):
         path = write_system(tmp_path, [[1e160]])
         result = run(["simulate", path, "--h", "0.1", "--t-end", "0.2",

@@ -162,8 +162,17 @@ def _two_channel_system(seed: int, complex_: bool = False) -> SdeSystem:
 
 
 class TestBufferedStep:
-    """The ensemble loop steps in per-block buffers; the bits are those of
-    the allocating kernel it replaced."""
+    """The ensemble loop steps each block's state buffer in place with the
+    kernel the public steppers wrap.  Euler-Maruyama keeps the bits of the
+    allocating reference; Milstein sums its terms in another order and
+    matches it to rounding."""
+
+    @staticmethod
+    def _check(got, expected, exact: bool) -> None:
+        if exact:
+            np.testing.assert_array_equal(got, expected)
+        else:
+            np.testing.assert_allclose(got, expected, rtol=0, atol=1e-13 * np.abs(expected).max())
 
     @pytest.mark.parametrize("m", [0, 1, 2, 3])
     @pytest.mark.parametrize("complex_", [False, True])
@@ -174,31 +183,33 @@ class TestBufferedStep:
         dtype = np.complex128 if complex_ else np.float64
         a = rng.normal(size=(n, n)).astype(dtype)
         bs = rng.normal(size=(m, n, n)).astype(dtype)
-        pairs = np.einsum("iab,jbc->ijac", bs, bs) if milstein and m else None
+        pairs = slognorm_module._channel_products(bs) if milstein and m else None
         x = rng.normal(size=(4096, n)).astype(dtype)
         dw = rng.normal(size=(4096, m))
         imat = rng.normal(size=(4096, m, m)) if pairs is not None else None
         expected = _reference_step(x, a, bs, pairs, dw, imat, 0.01)
-        work = sdesim._step_buffers(x, a, bs, pairs)
+        coef = dw if imat is None else np.hstack((dw, imat.reshape(4096, m * m)))
         state = x.copy()
-        sdesim._apply_step(state, a, bs, pairs, dw, imat, 0.01, work)
-        np.testing.assert_array_equal(state, expected)
+        sdesim._apply_step(state, 0.01 * a, sdesim._step_table(bs, pairs is not None), coef)
+        self._check(state, expected, exact=pairs is None)
 
     @pytest.mark.parametrize("complex_", [False, True])
     def test_public_steppers_match_reference_and_copy(self, complex_):
-        sys_ = _two_channel_system(3, complex_)
         rng = np.random.default_rng(4)
-        x = rng.normal(size=(50, 2))
-        kept = x.copy()
-        dw = rng.normal(size=(50, 2))
-        imat = rng.normal(size=(50, 2, 2))
-        a, bs = sys_.A, sys_.diffusions
-        pairs = slognorm_module._channel_products(bs)
-        np.testing.assert_array_equal(
-            em_step(sys_, x, dw, 0.01), _reference_step(x, a, bs, None, dw, None, 0.01))
-        np.testing.assert_array_equal(
-            milstein_step(sys_, x, dw, imat, 0.01), _reference_step(x, a, bs, pairs, dw, imat, 0.01))
-        np.testing.assert_array_equal(x, kept)
+        for m in range(4):
+            a = rng.normal(size=(3, 3)) + (1j * rng.normal(size=(3, 3)) if complex_ else 0)
+            bs = rng.normal(size=(m, 3, 3)) + (0.2j * rng.normal(size=(m, 3, 3)) if complex_ else 0)
+            sys_ = SdeSystem(a, tuple(bs))
+            x = rng.normal(size=(50, 3))
+            kept = x.copy()
+            dw = rng.normal(size=(50, m))
+            imat = rng.normal(size=(50, m, m))
+            pairs = slognorm_module._channel_products(bs) if m else None
+            self._check(em_step(sys_, x, dw, 0.01),
+                        _reference_step(x, a, bs, None, dw, None, 0.01), exact=True)
+            self._check(milstein_step(sys_, x, dw, imat, 0.01),
+                        _reference_step(x, a, bs, pairs, dw, imat, 0.01), exact=pairs is None)
+            np.testing.assert_array_equal(x, kept)
 
     @pytest.mark.parametrize("scheme", ["milstein", "euler_maruyama"])
     @pytest.mark.parametrize("complex_", [False, True])
@@ -208,18 +219,22 @@ class TestBufferedStep:
         a, bs = sys_.A, sys_.diffusions
         pairs = slognorm_module._channel_products(bs) if scheme == "milstein" else None
         rng = np.random.default_rng(np.random.SeedSequence(cfg.seed, spawn_key=(0,)))
-        x = np.tile(np.array([1.0, -0.5], dtype=a.dtype), (cfg.paths, 1))
-        expected = []
+        x = ref = np.tile(np.array([1.0, -0.5], dtype=a.dtype), (cfg.paths, 1))
+        expected, reference = [], []
         for step in range(1, cfg.steps + 1):
             if pairs is not None:
                 dw, imat = sample_wiener_increments(rng, cfg.paths, 2, cfg.h)
+                x = milstein_step(sys_, x, dw, imat, cfg.h)
             else:
                 dw, imat = math.sqrt(cfg.h) * rng.standard_normal((cfg.paths, 2)), None
-            x = _reference_step(x, a, bs, pairs, dw, imat, cfg.h)
+                x = em_step(sys_, x, dw, cfg.h)
+            ref = _reference_step(ref, a, bs, pairs, dw, imat, cfg.h)
             if step % (cfg.steps // cfg.checkpoints) == 0:
                 expected.append((sdesim._norm_rows(x, 2) ** 2).sum() / cfg.paths)
+                reference.append((sdesim._norm_rows(ref, 2) ** 2).sum() / cfg.paths)
         traj = simulate_moments(sys_, [1.0, -0.5], cfg)
         np.testing.assert_array_equal(traj.moments[1:], expected)
+        np.testing.assert_allclose(traj.moments[1:], reference, rtol=1e-13)
 
 
 class TestSimulateMoments:
