@@ -484,6 +484,13 @@ def cmd_simulate(
             f"{diverged_total} of {paths} paths diverged (norm beyond 1e150 or norm^{l} "
             "beyond the float range); affected checkpoints report infinite moments"
         )
+    overflowed = np.isfinite(traj.moments) & np.isinf(traj.std_errors)
+    if overflowed.any():
+        times = ", ".join(f"{t:g}" for t in traj.times[overflowed])
+        warnings.append(
+            f"standard error overflowed at t = {times}: the moment is finite, but the "
+            f"squared spread of norm^{l} over the paths passes the float range"
+        )
     rate_payload = None
     try:
         rate, rate_se = growth_rate(traj)

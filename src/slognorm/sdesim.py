@@ -20,10 +20,13 @@ or whose norm^l overflows, is flagged as diverged and the affected
 checkpoints report an infinite moment rather than raising.
 
 Each step is x <- x + (hA + sum dW(j) B(j) + sum I_(i,j) B(i) B(j)) x, with
-no I terms for Euler-Maruyama: :func:`_apply_step` multiplies each path's
-(dW | I) by one table of the noise matrices, stacked once per system, then
-applies the update matrices in one batched mat-vec.  :func:`em_step` and
-:func:`milstein_step` wrap the same kernel for convergence tests.
+no I terms for Euler-Maruyama.  A block's state is state-major, (n, count),
+so every numpy call runs along the paths.  :func:`_apply_step` makes one
+gemm of a table of the step's matrices (B(j), for Milstein B(i) B(j), and
+hA last), stacked once per system, with each path's coefficient rows
+(dW | I | 1), which the sampler's transform writes in place; that gives
+every update matrix, drift included, and one multiply and n adds apply
+them.  :func:`em_step` and :func:`milstein_step` run the same kernel.
 """
 
 from __future__ import annotations
@@ -39,7 +42,7 @@ import numpy as np
 from .lognorm import ols_line_weights
 from .matcore import _norm_rows, check_p, vector_norm
 from .slognorm import (SdeSystem, _block_moments, _channel_products, _check_count, _check_l,
-                       _check_seed, _check_step, _moment_blocks, sample_wiener_increments)
+                       _check_seed, _check_step, _increments_from_normals, _moment_blocks)
 
 __all__ = [
     "SimConfig",
@@ -152,42 +155,59 @@ class MomentTrajectory:
                              self.paths, self.config.scheme])
 
 
-def _step_table(bs: np.ndarray, milstein: bool) -> np.ndarray:
-    """The noise matrices of one step as rows of length n^2: B(1)..B(m),
-    then for Milstein the products B(i) B(j) in row-major (i, j) order."""
-    n = bs.shape[-1]
-    rows = (bs, _channel_products(bs)) if milstein else (bs,)
-    return np.concatenate([r.reshape(-1, n * n) for r in rows])
+def _step_table(bs: np.ndarray, drift: np.ndarray, milstein: bool) -> np.ndarray:
+    """The matrices of one step as the columns of one (n^2, K + 1) table,
+    each flattened row-major: B(1)..B(m), then for Milstein the products
+    B(i) B(j) in row-major (i, j) order, then the drift hA."""
+    n = drift.shape[-1]
+    cols = (bs, _channel_products(bs), drift) if milstein else (bs, drift)
+    return np.ascontiguousarray(np.concatenate([c.reshape(-1, n * n) for c in cols]).T)
 
 
-def _apply_step(x, drift, mats, coef) -> None:
-    """x <- x + (hA + sum dW B + sum I BB) x in place on paths x (count, n),
-    with ``drift`` = hA, ``mats`` from :func:`_step_table` and ``coef`` each
-    path's (dW | I flattened) in the table's row order."""
-    count, n = x.shape
-    update = coef @ mats
-    update += drift.reshape(n * n)
-    x += np.einsum("cab,cb->ca", update.reshape(count, n, n), x)
+def _apply_step(x, table, coef, upd) -> None:
+    """x <- x + (hA + sum dW B + sum I BB) x in place on states x (n, count).
+
+    ``table`` is from :func:`_step_table` and ``coef`` (K + 1, count) holds
+    each path's dW, I flattened and 1 as rows in the table's column order,
+    so one gemm into ``upd`` (n^2, count) gives every path's update matrix,
+    drift included.  The mat-vec is then one multiply of ``upd`` by x and
+    n adds of its rows (each contiguous over the paths), in place."""
+    n = x.shape[0]
+    u = np.matmul(table, coef, out=upd).reshape(n, n, -1)
+    u *= x
+    for b in range(1, n):
+        u[:, 0] += u[:, b]
+    x += u[:, 0]
 
 
 def _step(system: SdeSystem, x, dw, iter_ints, h: float) -> np.ndarray:
     """:func:`milstein_step`, or :func:`em_step` when ``iter_ints`` is None,
-    into a fresh array: x is left alone."""
-    a, bs, m, x = system.A, system.diffusions, system.m, np.asarray(x)
-    count = math.prod(x.shape[:-1])
-    coef = np.asarray(dw, dtype=np.float64).reshape(count, m)
+    into a fresh array: x is left alone.  The batch is stepped as the
+    columns of one state-major block, padded to two: for one column the
+    gemm would be a BLAS matrix-vector call, which rounds the folded drift
+    differently, so a single state would not keep the bits of a batch."""
+    a, m, x = system.A, system.m, np.asarray(x)
+    count, n = math.prod(x.shape[:-1]), x.shape[-1]
+    dtype = np.result_type(a, system.diffusions, x, np.float64)
+    table = _step_table(system.diffusions, h * a, iter_ints is not None).astype(dtype)
+    cols = max(count, 2)
+    coef = np.zeros((table.shape[1], cols))
+    coef[-1] = 1.0
+    coef[:m, :count] = np.reshape(dw, (count, m)).T
     if iter_ints is not None:
-        coef = np.hstack((coef, np.asarray(iter_ints, dtype=np.float64).reshape(count, m * m)))
-    out = x.astype(np.result_type(a, bs, x, np.float64))
-    _apply_step(out.reshape(count, x.shape[-1]), h * a, _step_table(bs, iter_ints is not None), coef)
-    return out
+        coef[m:-1, :count] = np.reshape(iter_ints, (count, m * m)).T
+    state = np.zeros((n, cols), dtype=dtype)
+    state[:, :count] = x.reshape(count, n).T
+    _apply_step(state, table, coef, np.empty((n * n, cols), dtype=dtype))
+    return state[:, :count].T.reshape(x.shape)
 
 
 def em_step(system: SdeSystem, x, dw, h: float) -> np.ndarray:
     """Euler-Maruyama update x + h A x + sum_j dW(j) B(j) x.
 
     ``x`` may be a single state (n,) or a batch (..., n); ``dw`` must carry
-    matching leading axes with final axis m.  Runs the ensemble's kernel.
+    matching leading axes with final axis m.  Runs the ensemble's kernel
+    on the batch transposed to (n, count).
     """
     return _step(system, x, dw, None, h)
 
@@ -198,7 +218,8 @@ def milstein_step(system: SdeSystem, x, dw, iter_ints, h: float) -> np.ndarray:
     ``iter_ints`` are iterated Wiener integrals shaped (..., m, m) and are
     expected to satisfy the sampler symmetry identity
     I_(i,j) + I_(j,i) = dW(i) dW(j) - delta_ij h.  Runs the ensemble's
-    kernel, with the products B(i) B(j) as extra rows of its table.
+    kernel as :func:`em_step` does, with the products B(i) B(j) as extra
+    columns of its table.
     """
     return _step(system, x, dw, iter_ints, h)
 
@@ -224,27 +245,29 @@ def simulate_moments(system: SdeSystem, x0, cfg: SimConfig) -> MomentTrajectory:
     steps = cfg.steps
     ncheck = cfg.checkpoints
     stride = steps // ncheck
-    m = system.m
+    n, m = system.dim, system.m
     sampled = cfg.scheme == "milstein" and m > 0  # dW and I from the sampler, else dW only
     root_h = math.sqrt(cfg.h)
     a = system.A
     dtype = np.complex128 if (np.iscomplexobj(a) or np.iscomplexobj(x0)) else np.float64
-    mats = _step_table(system.diffusions, sampled).astype(dtype)
-    x0, drift = x0.astype(dtype), cfg.h * a.astype(dtype)
+    table = _step_table(system.diffusions, cfg.h * a, sampled).astype(dtype)
+    x0 = x0.astype(dtype)[:, np.newaxis]
 
     def run(rng: np.random.Generator, start: int, count: int, out: np.ndarray) -> None:
-        x = np.tile(x0, (count, 1))
+        x = np.repeat(x0, count, axis=1)
+        coef = np.empty((table.shape[1], count))
+        coef[-1] = 1.0
+        upd = np.empty((n * n, count), dtype=dtype)
         alive = np.ones(count, dtype=bool)
         with np.errstate(over="ignore", invalid="ignore"):
             for step in range(1, steps + 1):
                 if sampled:
-                    dw, imat = sample_wiener_increments(rng, count, m, cfg.h)
-                    coef = np.hstack((dw, imat.reshape(count, m * m)))
+                    _increments_from_normals(rng.standard_normal((count, m * m)), cfg.h, coef)
                 else:
-                    coef = root_h * rng.standard_normal((count, m))
-                _apply_step(x, drift, mats, coef)
+                    np.multiply(root_h, rng.standard_normal((count, m)).T, out=coef[:m])
+                _apply_step(x, table, coef, upd)
                 if step % stride == 0:
-                    norms = _norm_rows(x, cfg.p)
+                    norms = _norm_rows(x.T, cfg.p)
                     vals = norms**cfg.l
                     alive &= np.isfinite(vals) & (norms <= DIVERGENCE_THRESHOLD)
                     _block_moments(vals[alive], out[:, step // stride - 1])

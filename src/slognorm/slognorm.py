@@ -670,7 +670,8 @@ def _intercept_residual_error(h: np.ndarray, qbar: np.ndarray) -> float:
     return math.sqrt(s2 * float(w0 @ w0))
 
 
-def _increments_from_normals(xi: np.ndarray, h: float) -> tuple[np.ndarray, np.ndarray]:
+def _increments_from_normals(xi: np.ndarray, h: float,
+                             rows: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Wiener increments and iterated integrals from unit normals (count, m * m).
 
     dW = sqrt(h) xi[:, :m] and I = 1/2 (dW dW^T - h Id), plus the two-point
@@ -681,21 +682,35 @@ def _increments_from_normals(xi: np.ndarray, h: float) -> tuple[np.ndarray, np.n
     variance h^2/4 and no correlation across pairs, which is all the
     mean-square operator E[G (x) conj(G)] of the Milstein step sees.  The
     transform is odd in xi: -xi gives exactly -dW and the same I.
+
+    dW(1..m), then I flattened row-major, are written in place as the first
+    m + m^2 rows of ``rows``, each of count entries: the simulator passes
+    its state-major step coefficients.  Without ``rows`` they go to fresh
+    path-major (count, m) and (count, m, m) arrays, the layout whose
+    products the definitional estimator takes.  Returns (count, m) and
+    (count, m, m) views of what was written.
     """
     count, m = xi.shape[0], math.isqrt(xi.shape[1])
-    dw = math.sqrt(h) * xi[:, :m]
-    imat = np.empty((count, m, m))
+    if rows is None:
+        dw, imat = np.empty((count, m)).T, np.empty((count, m * m)).T
+    else:
+        dw, imat = rows[:m], rows[m:m + m * m]
+    np.multiply(math.sqrt(h), xi[:, :m].T, out=dw)
+    imat = imat.reshape(m, m, count)
     col = m
-    # entry by entry: column operations beat broadcasting over tiny m x m
+    # entry by entry, in place: row operations beat broadcasting over tiny m x m
     for i in range(m):
-        imat[:, i, i] = 0.5 * (dw[:, i] ** 2 - h)
+        diag = np.multiply(dw[i], dw[i], out=imat[i, i])
+        diag -= h
+        diag *= 0.5
         for j in range(i + 1, m):
-            half = 0.5 * (dw[:, i] * dw[:, j])
+            half = np.multiply(dw[i], dw[j], out=imat[j, i])
+            half *= 0.5
             area = np.copysign(0.5 * h, xi[:, col] * xi[:, col + 1])
-            imat[:, i, j] = half + area
-            imat[:, j, i] = half - area
+            np.add(half, area, out=imat[i, j])
+            half -= area
             col += 2
-    return dw, imat
+    return dw.T, imat.transpose(2, 0, 1)
 
 
 def sample_wiener_increments(

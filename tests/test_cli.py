@@ -448,6 +448,21 @@ class TestSimulateCommand:
         assert ("100 of 100 paths diverged (norm beyond 1e150 or norm^3 beyond the float "
                 "range); affected checkpoints report infinite moments") in rep["warnings"]
 
+    def test_overflowed_standard_error_is_named(self, tmp_path):
+        # at t = 0.4 no path has diverged and the mean of norm^3 (about 5e158)
+        # is finite, but the squared deviations behind its error bar overflow
+        path = write_system(tmp_path, [[2000]], [[[0.1]]])
+        result = run(["simulate", path, "--h", "0.01", "--t-end", "0.8", "--paths", "100",
+                      "--checkpoints", "2", "--l", "3"])
+        assert result.exit_code == 0
+        traj = report_of(result)["results"]["trajectory"]
+        assert traj["diverged"][1] == 0 and 1e158 < traj["moments"][1] < 1e159
+        assert traj["std_errors"][1] == "inf"
+        warning = ("standard error overflowed at t = 0.4: the moment is finite, but the "
+                   "squared spread of norm^3 over the paths passes the float range")
+        assert warning in report_of(result)["warnings"]
+        assert f"warning: {warning}" in result.stderr
+
     def test_divergence_reports_inf_and_exits_zero(self, tmp_path):
         path = write_system(tmp_path, [[1e160]])
         result = run(["simulate", path, "--h", "0.1", "--t-end", "0.2",

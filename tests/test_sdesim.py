@@ -162,10 +162,14 @@ def _two_channel_system(seed: int, complex_: bool = False) -> SdeSystem:
 
 
 class TestBufferedStep:
-    """The ensemble loop steps each block's state buffer in place with the
-    kernel the public steppers wrap.  Euler-Maruyama keeps the bits of the
-    allocating reference; Milstein sums its terms in another order and
-    matches it to rounding."""
+    """The ensemble loop steps each block's state-major buffer (n, count) in
+    place with the kernel the public steppers wrap: one gemm of the step
+    table against the (dW | I | 1) rows, then one multiply and n adds.
+    Complex Euler-Maruyama keeps the bits of the allocating reference; real
+    n = 3 Euler-Maruyama sums the mat-vec's three products in another order
+    than the reference's einsum, and Milstein its terms too, so they match
+    it to rounding.  The simulation loop keeps the bits of the public
+    steppers, also at the benchmark's shapes (n <= 2, m = 1, real)."""
 
     @staticmethod
     def _check(got, expected, exact: bool) -> None:
@@ -179,19 +183,21 @@ class TestBufferedStep:
     @pytest.mark.parametrize("milstein", [False, True])
     def test_buffered_step_matches_reference(self, m, complex_, milstein):
         rng = np.random.default_rng(m)
-        n = 3
+        n, count = 3, 4096
         dtype = np.complex128 if complex_ else np.float64
         a = rng.normal(size=(n, n)).astype(dtype)
         bs = rng.normal(size=(m, n, n)).astype(dtype)
         pairs = slognorm_module._channel_products(bs) if milstein and m else None
-        x = rng.normal(size=(4096, n)).astype(dtype)
-        dw = rng.normal(size=(4096, m))
-        imat = rng.normal(size=(4096, m, m)) if pairs is not None else None
+        x = rng.normal(size=(count, n)).astype(dtype)
+        dw = rng.normal(size=(count, m))
+        imat = rng.normal(size=(count, m, m)) if pairs is not None else None
         expected = _reference_step(x, a, bs, pairs, dw, imat, 0.01)
-        coef = dw if imat is None else np.hstack((dw, imat.reshape(4096, m * m)))
-        state = x.copy()
-        sdesim._apply_step(state, 0.01 * a, sdesim._step_table(bs, pairs is not None), coef)
-        self._check(state, expected, exact=pairs is None)
+        rows = [dw] if imat is None else [dw, imat.reshape(count, m * m)]
+        coef = np.vstack([r.T for r in rows] + [np.ones((1, count))])
+        table = sdesim._step_table(bs, 0.01 * a, pairs is not None).astype(dtype)
+        state = x.T.copy()
+        sdesim._apply_step(state, table, coef, np.empty((n * n, count), dtype=dtype))
+        self._check(state.T, expected, exact=pairs is None and complex_)
 
     @pytest.mark.parametrize("complex_", [False, True])
     def test_public_steppers_match_reference_and_copy(self, complex_):
@@ -206,35 +212,50 @@ class TestBufferedStep:
             imat = rng.normal(size=(50, m, m))
             pairs = slognorm_module._channel_products(bs) if m else None
             self._check(em_step(sys_, x, dw, 0.01),
-                        _reference_step(x, a, bs, None, dw, None, 0.01), exact=True)
+                        _reference_step(x, a, bs, None, dw, None, 0.01), exact=complex_)
             self._check(milstein_step(sys_, x, dw, imat, 0.01),
-                        _reference_step(x, a, bs, pairs, dw, imat, 0.01), exact=pairs is None)
+                        _reference_step(x, a, bs, pairs, dw, imat, 0.01),
+                        exact=pairs is None and complex_)
             np.testing.assert_array_equal(x, kept)
 
-    @pytest.mark.parametrize("scheme", ["milstein", "euler_maruyama"])
-    @pytest.mark.parametrize("complex_", [False, True])
-    def test_simulation_matches_reference_loop(self, scheme, complex_):
-        sys_ = _two_channel_system(5, complex_)
-        cfg = SimConfig(h=0.02, t_end=0.4, paths=700, checkpoints=4, seed=9, scheme=scheme)
-        a, bs = sys_.A, sys_.diffusions
-        pairs = slognorm_module._channel_products(bs) if scheme == "milstein" else None
+    @staticmethod
+    def _check_reference_loop(sys_: SdeSystem, x0, cfg: SimConfig) -> None:
+        """simulate_moments against the public steppers driven by the same
+        draws (bit for bit) and against the allocating reference."""
+        a, bs, m = sys_.A, sys_.diffusions, sys_.m
+        pairs = slognorm_module._channel_products(bs) if cfg.scheme == "milstein" else None
         rng = np.random.default_rng(np.random.SeedSequence(cfg.seed, spawn_key=(0,)))
-        x = ref = np.tile(np.array([1.0, -0.5], dtype=a.dtype), (cfg.paths, 1))
+        x = ref = np.tile(np.array(x0, dtype=a.dtype), (cfg.paths, 1))
         expected, reference = [], []
         for step in range(1, cfg.steps + 1):
             if pairs is not None:
-                dw, imat = sample_wiener_increments(rng, cfg.paths, 2, cfg.h)
+                dw, imat = sample_wiener_increments(rng, cfg.paths, m, cfg.h)
                 x = milstein_step(sys_, x, dw, imat, cfg.h)
             else:
-                dw, imat = math.sqrt(cfg.h) * rng.standard_normal((cfg.paths, 2)), None
+                dw, imat = math.sqrt(cfg.h) * rng.standard_normal((cfg.paths, m)), None
                 x = em_step(sys_, x, dw, cfg.h)
             ref = _reference_step(ref, a, bs, pairs, dw, imat, cfg.h)
             if step % (cfg.steps // cfg.checkpoints) == 0:
                 expected.append((sdesim._norm_rows(x, 2) ** 2).sum() / cfg.paths)
                 reference.append((sdesim._norm_rows(ref, 2) ** 2).sum() / cfg.paths)
-        traj = simulate_moments(sys_, [1.0, -0.5], cfg)
+        traj = simulate_moments(sys_, x0, cfg)
         np.testing.assert_array_equal(traj.moments[1:], expected)
         np.testing.assert_allclose(traj.moments[1:], reference, rtol=1e-13)
+
+    @pytest.mark.parametrize("scheme", ["milstein", "euler_maruyama"])
+    @pytest.mark.parametrize("complex_", [False, True])
+    def test_simulation_matches_reference_loop(self, scheme, complex_):
+        cfg = SimConfig(h=0.02, t_end=0.4, paths=700, checkpoints=4, seed=9, scheme=scheme)
+        self._check_reference_loop(_two_channel_system(5, complex_), [1.0, -0.5], cfg)
+
+    @pytest.mark.parametrize("scheme", ["milstein", "euler_maruyama"])
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_single_channel_simulation_matches_reference_loop(self, scheme, n):
+        # the shapes of the benchmark's simulations: n <= 2, m = 1, real
+        rng = np.random.default_rng(20 + n)
+        sys_ = SdeSystem(rng.normal(size=(n, n)) - 2 * np.eye(n), (0.5 * rng.normal(size=(n, n)),))
+        cfg = SimConfig(h=0.02, t_end=0.4, paths=700, checkpoints=4, seed=9, scheme=scheme)
+        self._check_reference_loop(sys_, [1.0, -0.5][:n], cfg)
 
 
 class TestSimulateMoments:
