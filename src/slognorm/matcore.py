@@ -12,10 +12,11 @@ package can stay vectorized; they share the same numerics as the scalar
 entry points, which validate their input, compute in complex128 and
 rescale extreme entries for the spectral norm.  The largest Hermitian
 eigenvalue and the spectral abscissa come from closed forms for n <= 2 and
-from LAPACK above.  The Monte Carlo engines seed and run their independent
-blocks through :func:`_run_blocks`, which alone picks the thread count (from
-the available cores) and holds OpenBLAS to one thread during a fan-out;
-nothing here changes BLAS threading at import.
+from LAPACK above.  The block Monte Carlo engine
+(:func:`slognorm.slognorm._moment_blocks`) takes its thread count from
+:func:`_block_workers` (the available cores) and holds OpenBLAS to one
+thread with :data:`_single_thread_blas` while its blocks fan out; nothing
+here changes BLAS threading at import.
 """
 
 from __future__ import annotations
@@ -25,8 +26,6 @@ import functools
 import math
 import os
 import threading
-from concurrent.futures import ThreadPoolExecutor
-from typing import Callable
 
 import numpy as np
 from numpy.typing import ArrayLike
@@ -231,30 +230,6 @@ def _block_workers(nblocks: int) -> int:
     if _openblas_controls() is None:
         return 1
     return max(1, min(_available_cores(), nblocks))
-
-
-def _run_blocks(run: Callable[[int, np.random.Generator], None], nblocks: int, seed: int) -> None:
-    """Call ``run(b, rng_b)`` for every block b on :func:`_block_workers`
-    threads, where rng_b is seeded from (seed, spawn_key=(b,)) only.
-
-    Estimator and simulation blocks alike fan out, whatever kernel they
-    call.  Blocks must write disjoint outputs, so that the thread count
-    cannot change any result.  A fan-out holds OpenBLAS to one thread and
-    restores the previous count when the last block has finished, also when
-    a block raises.
-    """
-
-    def seeded(b: int) -> None:
-        run(b, np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(b,))))
-
-    threads = _block_workers(nblocks)
-    if threads == 1:
-        for b in range(nblocks):
-            seeded(b)
-        return
-    with _single_thread_blas, ThreadPoolExecutor(max_workers=threads) as pool:
-        for future in [pool.submit(seeded, b) for b in range(nblocks)]:
-            future.result()
 
 
 def matrix_norm(M: ArrayLike, p) -> float:

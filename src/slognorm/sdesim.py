@@ -183,14 +183,16 @@ def _apply_step(x, table, coef, upd) -> None:
 def _step(system: SdeSystem, x, dw, iter_ints, h: float) -> np.ndarray:
     """:func:`milstein_step`, or :func:`em_step` when ``iter_ints`` is None,
     into a fresh array: x is left alone.  The batch is stepped as the
-    columns of one state-major block, padded to two: for one column the
-    gemm would be a BLAS matrix-vector call, which rounds the folded drift
-    differently, so a single state would not keep the bits of a batch."""
+    columns of one state-major block, padded to a multiple of four, so that
+    a state keeps its bits whatever batch it comes in: one column would
+    make the product a BLAS matrix-vector call, and at n = 1 (one table
+    row) it is one for every column count, whose tail columns past a
+    multiple of four round the folded drift differently."""
     a, m, x = system.A, system.m, np.asarray(x)
     count, n = math.prod(x.shape[:-1]), x.shape[-1]
     dtype = np.result_type(a, system.diffusions, x, np.float64)
     table = _step_table(system.diffusions, h * a, iter_ints is not None).astype(dtype)
-    cols = max(count, 2)
+    cols = -(-count // 4) * 4
     coef = np.zeros((table.shape[1], cols))
     coef[-1] = 1.0
     coef[:m, :count] = np.reshape(dw, (count, m)).T

@@ -25,10 +25,9 @@ l = 2 the direct route gives 2 mu_2(A) - 1 while the definitional limit is
 The Monte Carlo estimates and the simulator share one deterministic block
 plan, :func:`_moment_blocks`: draws come in blocks whose size depends only
 on the dimension, each seeded from (seed, block index) and reduced to
-(count, sum, M2), and the blocks merge in fixed order, so every result is
-bit-identical for a given seed whatever the number of cores, and every
-block engine fans out over the available cores
-(:func:`slognorm.matcore._run_blocks`).
+(count, sum, M2), and the blocks fan out over the available cores and
+merge in fixed order, so every result is bit-identical for a given seed
+whatever the number of cores.
 """
 
 from __future__ import annotations
@@ -36,6 +35,7 @@ from __future__ import annotations
 import functools
 import math
 import operator
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Sequence
@@ -43,11 +43,11 @@ from typing import Callable, Sequence
 import numpy as np
 from numpy.typing import ArrayLike
 
+from . import matcore
 from .lognorm import _check_h_sequence, mu, mu_batch, ols_line_weights
 from .matcore import (
     DimensionError,
     EigenConvergenceError,
-    _run_blocks,
     _square_matrix,
     check_p,
     matrix_norm,
@@ -170,7 +170,7 @@ class McConfig:
     into one replicate, so the reported standard error is the spread of the
     pair means; with it enabled the effective sample count is rounded down
     to a multiple of two.  The thread count is not a setting: see
-    :func:`slognorm.matcore._run_blocks`, which can never change a result.
+    :func:`_moment_blocks`, where it can never change a result.
     """
 
     samples: int | None = None
@@ -300,53 +300,29 @@ def _moment_blocks(run: Callable[[np.random.Generator, int, int, np.ndarray], No
                    ncols: int, dim: int, seed: int) -> tuple[np.ndarray, ...]:
     """Means, standard errors and counts of ``ncols`` columns over ``total``
     items, from blocks of ``_block_size(dim)`` items: block b calls
-    ``run(rng_b, start, count, out)`` (rng_b from :func:`_run_blocks`), which
-    reduces its items into out (5, ncols) with :func:`_block_moments`.  So
-    memory is O(block), and the blocks fan out bit for bit."""
+    ``run(rng_b, start, count, out)``, rng_b seeded from (seed,
+    spawn_key=(b,)) only, which reduces its items into out (5, ncols) with
+    :func:`_block_moments`, so memory is O(block).  The blocks run on
+    :func:`slognorm.matcore._block_workers` threads, with OpenBLAS held to
+    one thread until the last has finished (also when one raises), and
+    merge in block order, so the thread count cannot change a bit.
+    """
     block = _block_size(dim)
     nblocks = -(-total // block)
     moments = np.empty((5, nblocks, ncols))
 
-    def seeded(b: int, rng: np.random.Generator) -> None:
+    def seeded(b: int) -> None:
+        rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(b,)))
         run(rng, b * block, min(block, total - b * block), moments[:, b])
 
-    _run_blocks(seeded, nblocks, seed)
+    threads = matcore._block_workers(nblocks)
+    if threads == 1:
+        for b in range(nblocks):
+            seeded(b)
+    else:
+        with matcore._single_thread_blas, ThreadPoolExecutor(max_workers=threads) as pool:
+            list(pool.map(seeded, range(nblocks)))
     return (*_merge_moments(moments), np.add.reduce(moments[0], axis=0))
-
-
-def _replicates(f: Callable[[np.ndarray, bool], np.ndarray], ncols: int, cfg: McConfig,
-                dim: int, draw_cols: int) -> tuple[np.ndarray, np.ndarray, int]:
-    """Means and standard errors of the ``ncols`` columns of f over the
-    replicates, and the number of samples behind them.
-
-    Under antithetic pairing a replicate is the mean over a pair of samples,
-    so there are half as many replicates as ``cfg`` asks for samples.  Each
-    block of :func:`_moment_blocks` draws (count, ``draw_cols``) unit
-    normals and evaluates f(xi, cfg.antithetic), which must act row by row,
-    in chunks that keep each (rows, dim, dim) temporary near
-    ``_CHUNK_DOUBLES``.
-    """
-    samples = cfg.resolve_samples(dim)
-    if cfg.antithetic and samples < 4:
-        raise ValueError("antithetic estimation needs at least 4 samples")
-    reps = samples // 2 if cfg.antithetic else samples
-    chunk = max(1, _CHUNK_DOUBLES // (dim * dim))
-
-    def run(rng: np.random.Generator, start: int, count: int, out: np.ndarray) -> None:
-        x = rng.standard_normal((count, draw_cols))
-        vals = np.empty((ncols, count))
-        try:
-            for lo in range(0, count, chunk):
-                hi = min(lo + chunk, count)
-                vals[:, lo:hi] = f(x[lo:hi], cfg.antithetic).reshape(hi - lo, ncols).T
-        except EigenConvergenceError as exc:
-            raise EigenConvergenceError(
-                f"{exc} (while evaluating replicates {start}..{start + count})"
-            ) from exc
-        _block_moments(vals, out)
-
-    means, ses, _ = _moment_blocks(run, reps, ncols, dim, cfg.seed)
-    return means, ses, 2 * reps if cfg.antithetic else reps
 
 
 def _expectation(f: Callable[[np.ndarray, bool], np.ndarray], system: SdeSystem, ncols: int,
@@ -359,15 +335,45 @@ def _expectation(f: Callable[[np.ndarray, bool], np.ndarray], system: SdeSystem,
     (``closed_form``); with one channel at the default sample count
     :func:`_gaussian_expectation` integrates over xi, ``scale`` being the
     size of the numbers whose rounding f carries (``quadrature``); else, or
-    when that rule gives up, :func:`_replicates` (``monte_carlo``).
+    when that rule gives up, Monte Carlo (``monte_carlo``).  Under
+    antithetic pairing a Monte Carlo replicate is the mean over a pair of
+    samples, so there are half as many replicates as ``cfg`` asks for
+    samples; each block of :func:`_moment_blocks` draws (count,
+    ``draw_cols``) unit normals.  Nodes and draws alike reach f in row
+    chunks that keep each (rows, dim, dim) temporary near ``_CHUNK_DOUBLES``.
     """
     if system.m == 0:
         return f(np.empty((1, 0)), False).reshape(ncols), np.zeros(ncols), 1, "closed_form"
+    dim = system.dim
+    chunk = max(1, _CHUNK_DOUBLES // (dim * dim))
+
+    def rows(xi: np.ndarray, paired: bool) -> np.ndarray:
+        """f on the rows of xi, chunk by chunk, joined in the memory layout
+        f returns: a reduction's summation order follows the layout."""
+        return np.concatenate([f(xi[lo:lo + chunk], paired) for lo in range(0, len(xi), chunk)])
+
     if system.m == 1 and cfg.samples is None:
-        quad = _gaussian_expectation(lambda z: f(z[:, np.newaxis], False), system.dim, scale)
+        quad = _gaussian_expectation(lambda z: rows(z[:, np.newaxis], False), dim, scale)
         if quad is not None:
             return (*quad, "quadrature")
-    return (*_replicates(f, ncols, cfg, system.dim, draw_cols), "monte_carlo")
+    samples = cfg.resolve_samples(dim)
+    if cfg.antithetic and samples < 4:
+        raise ValueError("antithetic estimation needs at least 4 samples")
+    reps = samples // 2 if cfg.antithetic else samples
+
+    def run(rng: np.random.Generator, start: int, count: int, out: np.ndarray) -> None:
+        xi = rng.standard_normal((count, draw_cols))
+        try:
+            vals = rows(xi, cfg.antithetic).reshape(count, ncols)
+        except EigenConvergenceError as exc:
+            raise EigenConvergenceError(
+                f"{exc} (while evaluating replicates {start}..{start + count})"
+            ) from exc
+        # each column contiguous, as the pairwise sums of _block_moments expect
+        _block_moments(np.ascontiguousarray(vals.T), out)
+
+    means, ses, _ = _moment_blocks(run, reps, ncols, dim, cfg.seed)
+    return means, ses, 2 * reps if cfg.antithetic else reps, "monte_carlo"
 
 
 def _paired(stat: Callable[[np.ndarray], np.ndarray], base, noise: np.ndarray,
@@ -463,19 +469,16 @@ def _gaussian_expectation(f: Callable[[np.ndarray], np.ndarray], dim: int, scale
     tolerance is ``_QUAD_RTOL`` E|f| plus 16 ulps of ``scale`` (the size of
     the numbers whose rounding f carries, so that f = 0 converges); the
     tail 2 (|f(-L)| + |f(L)|) phi(L) / L must lie under half of it, and the
-    intervals' errors are bisected under the other half.  f is called in
-    row chunks of ``_CHUNK_DOUBLES`` doubles and must act row by row;
-    intervals are summed in order, so no bit depends on batching.
+    intervals' errors are bisected under the other half.  f gets every
+    node of a round at once and must act row by row (:func:`_expectation`
+    hands it on in row chunks); intervals are summed in order, so no bit
+    depends on batching.
     """
-    chunk, budget = max(1, _CHUNK_DOUBLES // (dim * dim)), min(_QUAD_BUDGET, default_samples(dim))
-
-    def values(z: np.ndarray) -> np.ndarray:
-        return np.concatenate([f(z[i:i + chunk]) for i in range(0, z.size, chunk)])
-
+    budget = min(_QUAD_BUDGET, default_samples(dim))
     lo, hi, kept, nodes, tol = _QUAD_EDGES[:-1], _QUAD_EDGES[1:], None, 0, None
     while True:
         nodes += 17 * lo.size
-        rule = None if nodes > budget else _kronrod(lo, hi, values)
+        rule = None if nodes > budget else _kronrod(lo, hi, f)
         if rule is None:
             return None
         value, err, mass, ends = rule

@@ -9,7 +9,8 @@ import slognorm.matcore as matcore
 
 class BlockThreads:
     """Sets the core count that the block engine sees and records the
-    thread count :func:`slognorm.matcore._run_blocks` picks for each call."""
+    thread count :func:`slognorm.matcore._block_workers` picks for each
+    call of :func:`slognorm.slognorm._moment_blocks`."""
 
     def __init__(self, monkeypatch: pytest.MonkeyPatch):
         self._monkeypatch = monkeypatch

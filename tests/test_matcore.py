@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import slognorm.matcore as matcore
+import slognorm.slognorm as slognorm_module
 from slognorm.lognorm import mu
 from slognorm.matcore import (
     DimensionError,
@@ -378,17 +379,35 @@ class TestSpectralInequalities:
         assert matrix_norm(m, 2) <= bound + 1e-9
 
 
+#: a dimension whose blocks hold the fewest items, 64
+_SMALL_BLOCK_DIM = 256
+
+
 class TestRunBlocks:
+    """The block runner, ``slognorm._moment_blocks``, on this module's
+    thread helpers."""
+
     def test_every_block_runs_once(self, block_threads):
-        expected = [
-            np.random.default_rng(np.random.SeedSequence(5, spawn_key=(b,))).random()
+        block = slognorm_module._block_size(_SMALL_BLOCK_DIM)
+        total = 6 * block + 5  # seven blocks, the last of five items
+        expected = {
+            b * block: [(min(block, total - b * block),
+                         np.random.default_rng(np.random.SeedSequence(5, spawn_key=(b,))).random())]
             for b in range(7)
-        ]
+        }
         for cores in (1, 3):
             block_threads.cores(cores)
             done = {}
-            matcore._run_blocks(lambda b, rng: done.update({b: rng.random()}), 7, 5)
-            assert [done[b] for b in range(7)] == expected
+
+            def run(rng, start, count, out):
+                done.setdefault(start, []).append((count, rng.random()))
+                slognorm_module._block_moments(np.full((1, count), start / block), out)
+
+            means, _, counts = slognorm_module._moment_blocks(run, total, 1, _SMALL_BLOCK_DIM, 5)
+            assert done == expected
+            assert counts[0] == total
+            assert means[0] == pytest.approx((15 * block + 6 * 5) / total, rel=1e-15)
+            assert block_threads.picked == [cores if block_threads.can_fan_out() else 1]
 
     def test_worker_count_rules(self, monkeypatch, block_threads):
         block_threads.cores(8)
@@ -410,9 +429,13 @@ class TestRunBlocks:
         interval = sys.getswitchinterval()
         seen = []
 
+        def run(rng, start, count, out):
+            seen.append(get())
+            slognorm_module._block_moments(np.zeros((1, count)), out)
+
         def fan_out():
             for _ in range(40):
-                matcore._run_blocks(lambda b, rng: seen.append(get()), 4, 0)
+                slognorm_module._moment_blocks(run, 4 * 64, 1, _SMALL_BLOCK_DIM, 0)
 
         threads = [threading.Thread(target=fan_out) for _ in range(4)]
         try:

@@ -90,15 +90,32 @@ class TestSteppers:
         out = em_step(scalar_system(0.0, 1.0), np.array([1.0]), np.array([w]), 0.1)
         assert out[0] == pytest.approx(1.0 + w, abs=1e-15)
 
-    def test_em_batch_matches_single(self):
+    @staticmethod
+    def _check_batch_matches_single(milstein: bool):
+        # every state of a batch keeps the bits it gets alone; at n = 1 the
+        # step's product is a BLAS matrix-vector call at any batch size
         rng = np.random.default_rng(7)
-        sys_ = SdeSystem(rng.normal(size=(2, 2)), (rng.normal(size=(2, 2)),))
-        x = rng.normal(size=(5, 2))
-        dw = rng.normal(size=(5, 1))
-        batched = em_step(sys_, x, dw, 0.05)
-        assert batched.shape == (5, 2)
-        for i in range(5):
-            np.testing.assert_array_equal(batched[i], em_step(sys_, x[i], dw[i], 0.05))
+        for n in (1, 2, 3):
+            for _ in range(20):
+                sys_ = SdeSystem(rng.normal(size=(n, n)),
+                                 tuple(rng.normal(size=(n, n)) for _ in range(2)))
+                x = rng.normal(size=(7, n))
+                dw, iint = sample_wiener_increments(rng, 7, 2, 0.05)
+                if milstein:
+                    batched = milstein_step(sys_, x, dw, iint, 0.05)
+                    singles = [milstein_step(sys_, x[i], dw[i], iint[i], 0.05) for i in range(7)]
+                else:
+                    batched = em_step(sys_, x, dw, 0.05)
+                    singles = [em_step(sys_, x[i], dw[i], 0.05) for i in range(7)]
+                assert batched.shape == (7, n)
+                for i in range(7):
+                    np.testing.assert_array_equal(batched[i], singles[i], err_msg=f"n = {n}")
+
+    def test_em_batch_matches_single(self):
+        self._check_batch_matches_single(milstein=False)
+
+    def test_milstein_batch_matches_single(self):
+        self._check_batch_matches_single(milstein=True)
 
     def test_em_no_diffusion(self):
         sys_ = SdeSystem(np.diag([-1.0, -2.0]))
@@ -352,15 +369,18 @@ class TestSimulateMoments:
         cfg = SimConfig(h=0.01, t_end=0.02, paths=3000, checkpoints=2, seed=9,
                         scheme="euler_maruyama")
         blocks = []
-        run_blocks = slognorm_module._run_blocks
+        moment_blocks = sdesim._moment_blocks
 
-        def recording(run, nblocks, seed):
-            blocks.append(nblocks)
-            run_blocks(run, nblocks, seed)
+        def recording(run, total, ncols, dim, seed):
+            def counted(rng, start, count, out):
+                blocks.append((start, count))
+                run(rng, start, count, out)
 
-        monkeypatch.setattr(slognorm_module, "_run_blocks", recording)
+            return moment_blocks(counted, total, ncols, dim, seed)
+
+        monkeypatch.setattr(sdesim, "_moment_blocks", recording)
         runs = block_threads.across(lambda: simulate_moments(sys_, np.ones(40), cfg), cores=(1, 2))
-        assert blocks == [2, 2]
+        assert sorted(blocks) == [(0, 2621)] * 2 + [(2621, 379)] * 2
         assert block_threads.picked == [2 if block_threads.can_fan_out() else 1]
         np.testing.assert_array_equal(runs[2].moments, runs[1].moments)
         np.testing.assert_array_equal(runs[2].std_errors, runs[1].std_errors)

@@ -433,6 +433,22 @@ class TestDirectQuadrature:
         monkeypatch.setattr(slognorm_module, "_CHUNK_DOUBLES", 2**40)
         assert dataclasses.astuple(nu_direct(system, 2, 2)) == dataclasses.astuple(chunked)
 
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_rule_sees_the_statistic_as_returned(self, order):
+        # the row chunks join in the layout f returns, and the rule's sums
+        # follow the layout: the perturbed check's columns come C-ordered,
+        # the definitional quotients F-ordered
+        def f(xi, paired):
+            z = xi[:, 0]
+            return np.array(np.stack([np.abs(z - 0.3), np.cos(3 * z), z * z], axis=1), order=order)
+
+        system = table1_system("c")
+        *got, method = slognorm_module._expectation(f, system, 3, McConfig(), 1, 1.0)
+        want = slognorm_module._gaussian_expectation(lambda z: f(z[:, None], False), 2, 1.0)
+        assert method == "quadrature"
+        for a, b in zip(got, want):
+            np.testing.assert_array_equal(a, b)
+
     @pytest.mark.parametrize("key", list(_EXPLICIT_SAMPLE_RUNS))
     def test_explicit_samples_are_unchanged(self, key):
         case, p, samples, seed, antithetic = key
