@@ -382,6 +382,12 @@ def cmd_slognorm(
                 f"{est.estimator} estimator: extrapolation residual exceeds 10x the "
                 f"error of the {_METHOD_LABELS[est.method]} quotients"
             )
+        if not (math.isfinite(est.value) and math.isfinite(est.std_error)):
+            warnings.append(
+                f"{est.estimator} estimate is not finite ({est.value:.6g} +/- "
+                f"{est.std_error:.3g}): the terms of its mean or their spread pass "
+                "the float range"
+            )
     if len(estimates) == 2:
         d, f = estimates
         if not agrees(d.value, f.value, math.hypot(d.std_error, f.std_error)):

@@ -26,7 +26,7 @@ gemm of a table of the step's matrices (B(j), for Milstein B(i) B(j), and
 hA last), stacked once per system, with each path's coefficient rows
 (dW | I | 1), which the sampler's transform writes in place; that gives
 every update matrix, drift included, and one multiply and n adds apply
-them.  :func:`em_step` and :func:`milstein_step` run the same kernel.
+them.  It is the package's only stepper.
 """
 
 from __future__ import annotations
@@ -48,8 +48,6 @@ __all__ = [
     "SimConfig",
     "MomentTrajectory",
     "DIVERGENCE_THRESHOLD",
-    "em_step",
-    "milstein_step",
     "simulate_moments",
     "growth_rate",
     "milstein_R",
@@ -178,52 +176,6 @@ def _apply_step(x, table, coef, upd) -> None:
     for b in range(1, n):
         u[:, 0] += u[:, b]
     x += u[:, 0]
-
-
-def _step(system: SdeSystem, x, dw, iter_ints, h: float) -> np.ndarray:
-    """:func:`milstein_step`, or :func:`em_step` when ``iter_ints`` is None,
-    into a fresh array: x is left alone.  The batch is stepped as the
-    columns of one state-major block, padded to a multiple of four, so that
-    a state keeps its bits whatever batch it comes in: one column would
-    make the product a BLAS matrix-vector call, and at n = 1 (one table
-    row) it is one for every column count, whose tail columns past a
-    multiple of four round the folded drift differently."""
-    a, m, x = system.A, system.m, np.asarray(x)
-    count, n = math.prod(x.shape[:-1]), x.shape[-1]
-    dtype = np.result_type(a, system.diffusions, x, np.float64)
-    table = _step_table(system.diffusions, h * a, iter_ints is not None).astype(dtype)
-    cols = -(-count // 4) * 4
-    coef = np.zeros((table.shape[1], cols))
-    coef[-1] = 1.0
-    coef[:m, :count] = np.reshape(dw, (count, m)).T
-    if iter_ints is not None:
-        coef[m:-1, :count] = np.reshape(iter_ints, (count, m * m)).T
-    state = np.zeros((n, cols), dtype=dtype)
-    state[:, :count] = x.reshape(count, n).T
-    _apply_step(state, table, coef, np.empty((n * n, cols), dtype=dtype))
-    return state[:, :count].T.reshape(x.shape)
-
-
-def em_step(system: SdeSystem, x, dw, h: float) -> np.ndarray:
-    """Euler-Maruyama update x + h A x + sum_j dW(j) B(j) x.
-
-    ``x`` may be a single state (n,) or a batch (..., n); ``dw`` must carry
-    matching leading axes with final axis m.  Runs the ensemble's kernel
-    on the batch transposed to (n, count).
-    """
-    return _step(system, x, dw, None, h)
-
-
-def milstein_step(system: SdeSystem, x, dw, iter_ints, h: float) -> np.ndarray:
-    """Milstein update: Euler-Maruyama plus sum_ij I_(i,j) B(i) B(j) x.
-
-    ``iter_ints`` are iterated Wiener integrals shaped (..., m, m) and are
-    expected to satisfy the sampler symmetry identity
-    I_(i,j) + I_(j,i) = dW(i) dW(j) - delta_ij h.  Runs the ensemble's
-    kernel as :func:`em_step` does, with the products B(i) B(j) as extra
-    columns of its table.
-    """
-    return _step(system, x, dw, iter_ints, h)
 
 
 def simulate_moments(system: SdeSystem, x0, cfg: SimConfig) -> MomentTrajectory:

@@ -262,11 +262,13 @@ def _rounding_floor(count, mean_abs):
     return np.finfo(np.float64).eps * np.log2(count) * mean_abs
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _block_moments(x: np.ndarray, out: np.ndarray) -> None:
     """Reduce x (..., count) along its last axis into out (5, ...): the
     count, the sum, about the rounded mean m = sum / count the residue
     sum (x - m) and M2 = sum (x - m)^2, and the sum of |x|.  Each is the
-    pairwise sum of one contiguous row, so it depends on that row only."""
+    pairwise sum of one contiguous row, so it depends on that row only.
+    Sums past the float range are inf or NaN, without numpy warnings."""
     total = x.sum(axis=-1)
     dev = x - (total / max(x.shape[-1], 1))[..., np.newaxis]
     out[0], out[1], out[2] = x.shape[-1], total, dev.sum(axis=-1)
@@ -287,7 +289,7 @@ def _merge_moments(moments: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     is never below the :func:`_rounding_floor`, and NaN for one value.
     """
     counts, sums, residues, m2s, abs_sums = moments
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         count = np.add.reduce(counts, axis=0)
         mean = np.add.reduce(sums, axis=0) / count
         d = sums / np.maximum(counts, 1) - mean
@@ -348,8 +350,7 @@ def _expectation(f: Callable[[np.ndarray, bool], np.ndarray], system: SdeSystem,
     chunk = max(1, _CHUNK_DOUBLES // (dim * dim))
 
     def rows(xi: np.ndarray, paired: bool) -> np.ndarray:
-        """f on the rows of xi, chunk by chunk, joined in the memory layout
-        f returns: a reduction's summation order follows the layout."""
+        """f on the rows of xi, chunk by chunk."""
         return np.concatenate([f(xi[lo:lo + chunk], paired) for lo in range(0, len(xi), chunk)])
 
     if system.m == 1 and cfg.samples is None:
@@ -442,6 +443,8 @@ def _kronrod(lo, hi, f: Callable[[np.ndarray], np.ndarray]):
     half = 0.5 * (hi - lo)[:, np.newaxis]
     z = 0.5 * (lo + hi)[:, np.newaxis] + half * np.pad(_G7K15[0], 1, constant_values=(-1.0, 1.0))
     g = f(z.ravel()).reshape(*z.shape, -1) * np.exp(-0.5 * z * z)[..., np.newaxis]
+    # each column contiguous, whatever layout f returns: the einsums sum in layout order
+    g = np.ascontiguousarray(np.moveaxis(g, -1, 0)).transpose(1, 2, 0)
     g /= math.sqrt(2.0 * math.pi)
     if not np.all(np.isfinite(g)):
         return None
@@ -613,9 +616,11 @@ def nu_definitional(
     def quotient(g: np.ndarray, hk: float) -> np.ndarray:
         return (matrix_norm_batch(g, p) ** l - 1.0) / hk
 
+    @np.errstate(over="ignore", invalid="ignore")
     def intercept_and_quotients(xi: np.ndarray, antithetic: bool) -> np.ndarray:
         """The fitted intercept and the quotient for every h, from one batch
-        of unit normals (count, m * m), as (count, 1 + nh)."""
+        of unit normals (count, m * m), as (count, 1 + nh); inf or NaN past
+        the float range, which the CLI reports."""
         count = xi.shape[0]
         cols = np.empty((1 + nh, count), dtype=np.float64)  # intercept, quotients
         # (count, n, n) work arrays shared by every h: fresh temporaries of
@@ -660,6 +665,7 @@ def nu_definitional(
     )
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _intercept_residual_error(h: np.ndarray, qbar: np.ndarray) -> float:
     """Standard error of the h = 0 intercept from the residuals of the
     least-squares line through the mean quotient curve (0 when the line
@@ -728,6 +734,11 @@ def sample_wiener_increments(
     two-point area of :func:`_increments_from_normals` in place of the Levy
     area, so the Milstein step keeps weak order 1 and the exact-area
     scheme's mean-square operator, but not its paths.
+
+    No package code calls it: the simulator and the definitional estimator
+    run :func:`_increments_from_normals` on their own draws.  It stays
+    public, with this name and signature, because perfbench's tracer
+    groups per-layer metrics by it (``tests/test_traced_api.py``).
     """
     if _check_count(m, "m") < 1:
         raise ValueError(f"need at least one channel, got m={m}")

@@ -31,11 +31,11 @@ from slognorm.lognorm import mu, mu_limit_check
 from slognorm.matcore import max_re_eigvals_batch
 from slognorm.sdesim import (
     SimConfig,
+    _apply_step,
+    _step_table,
     em_2x2_ms_stable,
-    em_step,
     growth_rate,
     milstein_R,
-    milstein_step,
     simulate_moments,
 )
 from slognorm.slognorm import (
@@ -280,19 +280,22 @@ def test_08_strong_convergence_orders():
         h = 2.0**-lev
         hs.append(h)
         dw = finest.reshape(paths, nsteps, -1).sum(axis=2)
-        x_em = np.ones((paths, 1))
-        x_mil = np.ones((paths, 1))
+        # the simulator's kernel on state-major (1, paths) blocks; the
+        # coefficient rows are (dW | I | 1) for Milstein and (dW | 1) for EM
+        tables = [_step_table(system.diffusions, h * system.A, mil) for mil in (False, True)]
+        x_em, x_mil = np.ones((1, paths)), np.ones((1, paths))
+        coef_em, coef_mil = np.ones((2, paths)), np.ones((3, paths))
+        upd = np.empty((1, paths))
         for k in range(nsteps):
-            step_dw = dw[:, k : k + 1]
-            iints = 0.5 * (step_dw**2 - h)
-            x_em = em_step(system, x_em, step_dw, h)
-            x_mil = milstein_step(system, x_mil, step_dw,
-                                  iints[:, :, np.newaxis], h)
+            coef_em[0] = coef_mil[0] = dw[:, k]
+            coef_mil[1] = 0.5 * (dw[:, k] ** 2 - h)
+            _apply_step(x_em, tables[0], coef_em, upd)
+            _apply_step(x_mil, tables[1], coef_mil, upd)
         errors["euler_maruyama"].append(
-            math.sqrt(np.mean((x_em[:, 0] - exact) ** 2))
+            math.sqrt(np.mean((x_em[0] - exact) ** 2))
         )
         errors["milstein"].append(
-            math.sqrt(np.mean((x_mil[:, 0] - exact) ** 2))
+            math.sqrt(np.mean((x_mil[0] - exact) ** 2))
         )
 
     log_h = np.log(hs)

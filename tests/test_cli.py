@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -399,6 +400,30 @@ class TestEstimateMethods:
         (warning,) = rep["warnings"]
         assert warning == ("definitional estimator: extrapolation residual exceeds 10x "
                            f"the error of the {source} quotients")
+
+
+    @pytest.mark.parametrize("l, error", [(400, "inf"), (100000, "nan")])
+    def test_non_finite_estimate_is_named(self, tmp_path, l, error):
+        # case (f) at a high moment: the quadrature gives up on overflow, and
+        # the Monte Carlo spread (l = 400) or the quotients (l = 100000) pass
+        # the float range, quietly: numpy's warnings stay off stderr
+        path = write_system(tmp_path, [[-100.0]], [[[10.0]]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            result = run(["slognorm", path, "--l", str(l)])
+        assert result.exit_code == 0
+        rep = report_of(result)
+        direct, definitional = rep["results"]["estimates"]
+        assert math.isfinite(direct["value"]) and math.isfinite(direct["std_error"])
+        value = definitional["value"]
+        assert definitional["std_error"] == error and (value == "nan") == (error == "nan")
+        warning = (f"definitional estimate is not finite ({float(value):.6g} +/- "
+                   f"{float(error):.3g}): the terms of its mean or their spread pass "
+                   "the float range")
+        assert warning in rep["warnings"]
+        assert f"warning: {warning}" in result.stderr
+        assert "RuntimeWarning" not in result.stderr
+        assert not any("direct estimate is not finite" in w for w in rep["warnings"])
 
 
 class TestSimulateCommand:

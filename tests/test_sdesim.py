@@ -15,11 +15,9 @@ from slognorm.sdesim import (
     MomentTrajectory,
     SimConfig,
     em_2x2_ms_stable,
-    em_step,
     growth_rate,
     milstein_R,
     milstein_ms_stable,
-    milstein_step,
     simulate_moments,
 )
 from slognorm.slognorm import SdeSystem, sample_wiener_increments
@@ -75,74 +73,59 @@ class TestSimConfig:
         assert cfg.p == math.inf
 
 
+def kernel_step(sys_: SdeSystem, x, dw, imat=None, h: float = 0.01) -> np.ndarray:
+    """x (n, count) after one step of the simulator's kernel, in place:
+    Milstein with the iterated integrals ``imat`` (count, m, m), else
+    Euler-Maruyama; ``dw`` is (count, m), as the sampler returns them."""
+    count = x.shape[1]
+    rows = [dw] if imat is None else [dw, np.reshape(imat, (count, dw.shape[1] ** 2))]
+    coef = np.vstack([r.T for r in rows] + [np.ones((1, count))])
+    table = sdesim._step_table(sys_.diffusions, h * sys_.A, imat is not None).astype(x.dtype)
+    sdesim._apply_step(x, table, coef, np.empty((table.shape[0], count), dtype=x.dtype))
+    return x
+
+
 class TestSteppers:
+    """Hand formulas for single states: one-column blocks of the kernel."""
+
     def test_zero_coefficients_leave_state_unchanged(self):
-        sys_ = scalar_system(0.0, 0.0)
-        out = em_step(sys_, np.array([2.0]), np.array([0.7]), 0.3)
-        assert out[0] == 2.0
+        out = kernel_step(scalar_system(0.0, 0.0), np.array([[2.0]]), np.array([[0.7]]), h=0.3)
+        assert out[0, 0] == 2.0
 
     def test_em_pure_drift(self):
-        out = em_step(scalar_system(-1.0, 0.0), np.array([1.0]), np.array([5.0]), 0.1)
-        assert out[0] == pytest.approx(0.9, abs=1e-15)
+        out = kernel_step(scalar_system(-1.0, 0.0), np.array([[1.0]]), np.array([[5.0]]), h=0.1)
+        assert out[0, 0] == pytest.approx(0.9, abs=1e-15)
 
     def test_em_pure_noise(self):
         w = 0.37
-        out = em_step(scalar_system(0.0, 1.0), np.array([1.0]), np.array([w]), 0.1)
-        assert out[0] == pytest.approx(1.0 + w, abs=1e-15)
-
-    @staticmethod
-    def _check_batch_matches_single(milstein: bool):
-        # every state of a batch keeps the bits it gets alone; at n = 1 the
-        # step's product is a BLAS matrix-vector call at any batch size
-        rng = np.random.default_rng(7)
-        for n in (1, 2, 3):
-            for _ in range(20):
-                sys_ = SdeSystem(rng.normal(size=(n, n)),
-                                 tuple(rng.normal(size=(n, n)) for _ in range(2)))
-                x = rng.normal(size=(7, n))
-                dw, iint = sample_wiener_increments(rng, 7, 2, 0.05)
-                if milstein:
-                    batched = milstein_step(sys_, x, dw, iint, 0.05)
-                    singles = [milstein_step(sys_, x[i], dw[i], iint[i], 0.05) for i in range(7)]
-                else:
-                    batched = em_step(sys_, x, dw, 0.05)
-                    singles = [em_step(sys_, x[i], dw[i], 0.05) for i in range(7)]
-                assert batched.shape == (7, n)
-                for i in range(7):
-                    np.testing.assert_array_equal(batched[i], singles[i], err_msg=f"n = {n}")
-
-    def test_em_batch_matches_single(self):
-        self._check_batch_matches_single(milstein=False)
-
-    def test_milstein_batch_matches_single(self):
-        self._check_batch_matches_single(milstein=True)
+        out = kernel_step(scalar_system(0.0, 1.0), np.array([[1.0]]), np.array([[w]]), h=0.1)
+        assert out[0, 0] == pytest.approx(1.0 + w, abs=1e-15)
 
     def test_em_no_diffusion(self):
         sys_ = SdeSystem(np.diag([-1.0, -2.0]))
-        out = em_step(sys_, np.array([1.0, 1.0]), np.empty(0), 0.5)
-        np.testing.assert_allclose(out, [0.5, 0.0], atol=1e-15)
+        out = kernel_step(sys_, np.array([[1.0], [1.0]]), np.empty((1, 0)), h=0.5)
+        np.testing.assert_allclose(out[:, 0], [0.5, 0.0], atol=1e-15)
 
     def test_milstein_reduces_to_em_without_noise_squared_term(self):
         sys_ = SdeSystem(np.diag([-1.0, -2.0]), (np.zeros((2, 2)),))
-        x = np.array([1.0, 2.0])
-        dw = np.array([0.4])
-        em = em_step(sys_, x, dw, 0.1)
-        mil = milstein_step(sys_, x, dw, np.array([[0.0]]), 0.1)
+        x = np.array([[1.0], [2.0]])
+        dw = np.array([[0.4]])
+        em = kernel_step(sys_, x.copy(), dw, h=0.1)
+        mil = kernel_step(sys_, x.copy(), dw, np.zeros((1, 1, 1)), h=0.1)
         np.testing.assert_array_equal(em, mil)
 
     def test_milstein_scalar_correction(self):
-        sys_ = scalar_system(0.0, 1.0)
         h, w = 0.1, 0.37
         iint = 0.5 * (w**2 - h)
-        out = milstein_step(sys_, np.array([1.0]), np.array([w]), np.array([[iint]]), h)
-        assert out[0] == pytest.approx(1.0 + w + iint, abs=1e-15)
+        out = kernel_step(scalar_system(0.0, 1.0), np.array([[1.0]]), np.array([[w]]),
+                          np.array([[[iint]]]), h)
+        assert out[0, 0] == pytest.approx(1.0 + w + iint, abs=1e-15)
 
     def test_milstein_sqrt_h_increment_is_exact_factor(self):
         h = 0.04
-        sys_ = scalar_system(0.0, 1.0)
-        out = milstein_step(sys_, np.array([1.0]), np.array([math.sqrt(h)]),
-                            np.array([[0.0]]), h)
-        assert out[0] == 1.0 + math.sqrt(h)
+        out = kernel_step(scalar_system(0.0, 1.0), np.array([[1.0]]), np.array([[math.sqrt(h)]]),
+                          np.zeros((1, 1, 1)), h)
+        assert out[0, 0] == 1.0 + math.sqrt(h)
 
     def test_milstein_multi_channel_matches_hand_formula(self):
         rng = np.random.default_rng(11)
@@ -150,14 +133,15 @@ class TestSteppers:
         b1, b2 = rng.normal(size=(2, 2)), rng.normal(size=(2, 2))
         sys_ = SdeSystem(a, (b1, b2))
         x = rng.normal(size=2)
-        dw, imat = (a[0] for a in sample_wiener_increments(rng, 1, 2, 0.02))
-        out = milstein_step(sys_, x, dw, imat, 0.02)
+        dw, imat = sample_wiener_increments(rng, 1, 2, 0.02)
+        out = kernel_step(sys_, x[:, np.newaxis].copy(), dw, imat, 0.02)
+        dw, imat = dw[0], imat[0]
         bs = [b1, b2]
         update = 0.02 * a + dw[0] * b1 + dw[1] * b2
         for i in range(2):
             for j in range(2):
                 update = update + imat[i, j] * (bs[i] @ bs[j])
-        np.testing.assert_allclose(out, x + update @ x, rtol=1e-13)
+        np.testing.assert_allclose(out[:, 0], x + update @ x, rtol=1e-13)
 
 
 def _reference_step(x, a, bs, pairs, dw, imat, h):
@@ -180,13 +164,14 @@ def _two_channel_system(seed: int, complex_: bool = False) -> SdeSystem:
 
 class TestBufferedStep:
     """The ensemble loop steps each block's state-major buffer (n, count) in
-    place with the kernel the public steppers wrap: one gemm of the step
-    table against the (dW | I | 1) rows, then one multiply and n adds.
-    Complex Euler-Maruyama keeps the bits of the allocating reference; real
-    n = 3 Euler-Maruyama sums the mat-vec's three products in another order
-    than the reference's einsum, and Milstein its terms too, so they match
-    it to rounding.  The simulation loop keeps the bits of the public
-    steppers, also at the benchmark's shapes (n <= 2, m = 1, real)."""
+    place with one kernel: one gemm of the step table against the
+    (dW | I | 1) rows, then one multiply and n adds.  Complex
+    Euler-Maruyama keeps the bits of the allocating reference; real n = 3
+    Euler-Maruyama sums the mat-vec's three products in another order than
+    the reference's einsum, and Milstein its terms too, so they match it to
+    rounding.  The simulation loop keeps the bits of the kernel stepping
+    all paths as one block, also at the benchmark's shapes (n <= 2, m = 1,
+    real)."""
 
     @staticmethod
     def _check(got, expected, exact: bool) -> None:
@@ -209,51 +194,47 @@ class TestBufferedStep:
         dw = rng.normal(size=(count, m))
         imat = rng.normal(size=(count, m, m)) if pairs is not None else None
         expected = _reference_step(x, a, bs, pairs, dw, imat, 0.01)
-        rows = [dw] if imat is None else [dw, imat.reshape(count, m * m)]
-        coef = np.vstack([r.T for r in rows] + [np.ones((1, count))])
-        table = sdesim._step_table(bs, 0.01 * a, pairs is not None).astype(dtype)
-        state = x.T.copy()
-        sdesim._apply_step(state, table, coef, np.empty((n * n, count), dtype=dtype))
+        state = kernel_step(SdeSystem(a, tuple(bs)), x.T.copy(), dw, imat, 0.01)
         self._check(state.T, expected, exact=pairs is None and complex_)
 
     @pytest.mark.parametrize("complex_", [False, True])
-    def test_public_steppers_match_reference_and_copy(self, complex_):
+    def test_small_block_matches_reference(self, complex_):
+        # m = 0..3 channels, real or complex coefficients, on 50-column blocks
         rng = np.random.default_rng(4)
         for m in range(4):
             a = rng.normal(size=(3, 3)) + (1j * rng.normal(size=(3, 3)) if complex_ else 0)
             bs = rng.normal(size=(m, 3, 3)) + (0.2j * rng.normal(size=(m, 3, 3)) if complex_ else 0)
             sys_ = SdeSystem(a, tuple(bs))
             x = rng.normal(size=(50, 3))
-            kept = x.copy()
             dw = rng.normal(size=(50, m))
             imat = rng.normal(size=(50, m, m))
             pairs = slognorm_module._channel_products(bs) if m else None
-            self._check(em_step(sys_, x, dw, 0.01),
+            state = np.ascontiguousarray(x.T, dtype=a.dtype)
+            self._check(kernel_step(sys_, state.copy(), dw, None, 0.01).T,
                         _reference_step(x, a, bs, None, dw, None, 0.01), exact=complex_)
-            self._check(milstein_step(sys_, x, dw, imat, 0.01),
+            self._check(kernel_step(sys_, state.copy(), dw, imat, 0.01).T,
                         _reference_step(x, a, bs, pairs, dw, imat, 0.01),
                         exact=pairs is None and complex_)
-            np.testing.assert_array_equal(x, kept)
 
     @staticmethod
     def _check_reference_loop(sys_: SdeSystem, x0, cfg: SimConfig) -> None:
-        """simulate_moments against the public steppers driven by the same
-        draws (bit for bit) and against the allocating reference."""
+        """simulate_moments against the kernel stepping one (n, paths) block
+        on the same draws (bit for bit) and against the allocating reference."""
         a, bs, m = sys_.A, sys_.diffusions, sys_.m
         pairs = slognorm_module._channel_products(bs) if cfg.scheme == "milstein" else None
         rng = np.random.default_rng(np.random.SeedSequence(cfg.seed, spawn_key=(0,)))
-        x = ref = np.tile(np.array(x0, dtype=a.dtype), (cfg.paths, 1))
+        x = np.tile(np.array(x0, dtype=a.dtype)[:, np.newaxis], (1, cfg.paths))
+        ref = x.T.copy()
         expected, reference = [], []
         for step in range(1, cfg.steps + 1):
             if pairs is not None:
                 dw, imat = sample_wiener_increments(rng, cfg.paths, m, cfg.h)
-                x = milstein_step(sys_, x, dw, imat, cfg.h)
             else:
                 dw, imat = math.sqrt(cfg.h) * rng.standard_normal((cfg.paths, m)), None
-                x = em_step(sys_, x, dw, cfg.h)
+            kernel_step(sys_, x, dw, imat, cfg.h)
             ref = _reference_step(ref, a, bs, pairs, dw, imat, cfg.h)
             if step % (cfg.steps // cfg.checkpoints) == 0:
-                expected.append((sdesim._norm_rows(x, 2) ** 2).sum() / cfg.paths)
+                expected.append((sdesim._norm_rows(x.T, 2) ** 2).sum() / cfg.paths)
                 reference.append((sdesim._norm_rows(ref, 2) ** 2).sum() / cfg.paths)
         traj = simulate_moments(sys_, x0, cfg)
         np.testing.assert_array_equal(traj.moments[1:], expected)

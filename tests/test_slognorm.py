@@ -14,7 +14,7 @@ import pytest
 import slognorm.matcore as matcore
 import slognorm.slognorm as slognorm_module
 from slognorm.cases import nonnormal, pendulum, table1_row, table1_system
-from slognorm.lognorm import mu, ols_line_weights
+from slognorm.lognorm import mu, mu_batch, ols_line_weights
 from slognorm.matcore import DimensionError, EigenConvergenceError, matrix_norm, matrix_norm_batch
 from slognorm.slognorm import (
     BOUND_APPLICABILITY,
@@ -435,9 +435,8 @@ class TestDirectQuadrature:
 
     @pytest.mark.parametrize("order", ["C", "F"])
     def test_rule_sees_the_statistic_as_returned(self, order):
-        # the row chunks join in the layout f returns, and the rule's sums
-        # follow the layout: the perturbed check's columns come C-ordered,
-        # the definitional quotients F-ordered
+        # the row chunks join in the layout f returns: the perturbed check's
+        # columns come C-ordered, the definitional quotients F-ordered
         def f(xi, paired):
             z = xi[:, 0]
             return np.array(np.stack([np.abs(z - 0.3), np.cos(3 * z), z * z], axis=1), order=order)
@@ -448,6 +447,25 @@ class TestDirectQuadrature:
         assert method == "quadrature"
         for a, b in zip(got, want):
             np.testing.assert_array_equal(a, b)
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_rule_does_not_depend_on_layout(self, n):
+        # equal values, C- or F-ordered, integrate to equal bits
+        rng = np.random.default_rng(40 + n)
+        for _ in range(5):
+            sys_ = random_system(rng, n, 1)
+            c, b = sys_.A, sys_.diffusions[0]
+
+            def f(z, order):
+                mats = c + z[:, np.newaxis, np.newaxis] * b
+                cols = [mu_batch(mats, p) for p in (2, math.inf, 1)]
+                return np.array(np.stack(cols, axis=1), order=order)
+
+            got = [slognorm_module._gaussian_expectation(functools.partial(f, order=order), n, 1.0)
+                   for order in "CF"]
+            assert got[0] is not None
+            for a, b_ in zip(*got):
+                np.testing.assert_array_equal(a, b_)
 
     @pytest.mark.parametrize("key", list(_EXPLICIT_SAMPLE_RUNS))
     def test_explicit_samples_are_unchanged(self, key):
