@@ -230,6 +230,16 @@ def _with_error(est: NuEstimate, digits: int) -> str:
             f"({_METHOD_LABELS[est.method]})")
 
 
+def _finite(est: NuEstimate) -> bool:
+    return math.isfinite(est.value) and math.isfinite(est.std_error)
+
+
+def _verdict(est: NuEstimate, tol: float = 0.0) -> str | None:
+    """The stability class of ``est`` by :func:`classify`, or None (no
+    verdict) when its value or error is not finite."""
+    return classify(est, tol).value if _finite(est) else None
+
+
 def _estimate_payload(est: NuEstimate) -> dict:
     payload = {
         "identity": f"nu_p{_p_label(est.p)}_l{est.l}_{est.estimator}",
@@ -382,13 +392,14 @@ def cmd_slognorm(
                 f"{est.estimator} estimator: extrapolation residual exceeds 10x the "
                 f"error of the {_METHOD_LABELS[est.method]} quotients"
             )
-        if not (math.isfinite(est.value) and math.isfinite(est.std_error)):
+        if not _finite(est):
             warnings.append(
                 f"{est.estimator} estimate is not finite ({est.value:.6g} +/- "
                 f"{est.std_error:.3g}): the terms of its mean or their spread pass "
                 "the float range"
             )
-    if len(estimates) == 2:
+    # an estimate that is not finite has its own warning above
+    if len(estimates) == 2 and all(map(_finite, estimates)):
         d, f = estimates
         if not agrees(d.value, f.value, math.hypot(d.std_error, f.std_error)):
             warnings.append(
@@ -397,12 +408,11 @@ def cmd_slognorm(
                 "different functionals on such systems (e.g. B = I) and are both reported"
             )
 
+    verdicts = {est.estimator: _verdict(est, tol) for est in estimates}
     results = {
         "system": {"dimension": system.dim, "channels": system.m, **meta},
         "estimates": [_estimate_payload(est) for est in estimates],
-        "classification": {
-            est.estimator: classify(est, tol).value for est in estimates
-        },
+        "classification": verdicts,
         "bounds": bounds.items(),
         "bound_applicability": {
             name: BOUND_APPLICABILITY[name] for name in bounds.items()
@@ -410,7 +420,7 @@ def cmd_slognorm(
     }
     summary = [
         f"nu_p{p}_l{l} ({est.estimator}) = {_with_error(est, 10)}  "
-        f"[{classify(est, tol).value}]"
+        f"[{verdicts[est.estimator] or 'no verdict'}]"
         for est in estimates
     ] + [f"warning: {w}" for w in warnings]
     _emit(results, summary, warnings)
@@ -570,7 +580,7 @@ def cmd_table1(seed: int, samples: int | None, antithetic: bool) -> None:
                 "case": case,
                 "dimension": system.dim,
                 "nu": _estimate_payload(est),
-                "classification": classify(est).value,
+                "classification": _verdict(est),
                 "bounds": bounds.items(),
                 **row,
             })
@@ -655,7 +665,7 @@ def cmd_examples(
                 "value": example.nu,
             },
             "nu_estimate": _estimate_payload(est),
-            "classification": classify(est).value,
+            "classification": _verdict(est),
             "amplitude_threshold": {
                 "identity": "pendulum_necessary_amplitude",
                 "value": example.threshold,
@@ -697,7 +707,7 @@ def cmd_examples(
             )
         if est is not None:
             results["nu_estimate"] = _estimate_payload(est)
-            results["classification"] = classify(est).value
+            results["classification"] = _verdict(est)
             results["estimate_matches_closed_form"] = agrees(
                 est.value, example.nu, est.std_error
             )

@@ -88,16 +88,10 @@ def _check_h_sequence(h_seq, floor: float = 0.0) -> np.ndarray:
     return h
 
 
-def default_mu_h_sequence(A: ArrayLike, p, *, count: int = 8) -> tuple[float, ...]:
-    """Geometric step sequence h_k = h0 / 2^k used by :func:`mu_limit_check`.
-
-    h0 is scaled by the matrix norm so the quotients sit in the regime where
-    the curvature of h -> norm(I + h A, p) is negligible after the linear
-    term is removed by the fit.
-    """
-    a = _square_matrix(A, "A")
-    h0 = 1e-5 / max(1.0, matrix_norm(a, p))
-    return tuple(h0 * 0.5**k for k in range(count))
+#: the steps h_k = 1e-5 / 2^k of :func:`mu_limit_check` for a matrix of
+#: norm below 1, where the curvature of h -> norm(I + h A, p) is negligible
+#: once the fit has removed the linear term
+_MU_H_SEQUENCE = tuple(1e-5 * 0.5**k for k in range(8))
 
 
 def mu_limit_check(A: ArrayLike, p, h_seq=None) -> float:
@@ -109,10 +103,10 @@ def mu_limit_check(A: ArrayLike, p, h_seq=None) -> float:
     i.e. the extrapolation to h = 0.
 
     Without ``h_seq`` the limit is taken for 2^-e A, where e is the binary
-    exponent of norm(A, p), on :func:`default_mu_h_sequence`, and scaled
-    back by 2^e: mu_p is positively homogeneous and the power-of-two
-    scaling is exact, so the steps keep one relative accuracy at every
-    scale of A.
+    exponent of norm(A, p), so that norm(2^-e A, p) < 1, on the fixed steps
+    1e-5 / 2^k, k = 0..7, and scaled back by 2^e: mu_p is positively
+    homogeneous and the power-of-two scaling is exact, so the steps keep
+    one relative accuracy at every scale of A.
     """
     p = check_p(p)
     a = _square_matrix(A, "A")
@@ -120,7 +114,7 @@ def mu_limit_check(A: ArrayLike, p, h_seq=None) -> float:
     if h_seq is None:
         shift = math.frexp(matrix_norm(a, p))[1]
         a = np.ldexp(a.view(np.float64), -shift).view(np.complex128)
-        h_seq = default_mu_h_sequence(a, p)
+        h_seq = _MU_H_SEQUENCE
     h = _check_h_sequence(h_seq, floor=1e-10)
     eye = np.eye(a.shape[0], dtype=a.dtype)
     mats = eye[np.newaxis] + h[:, np.newaxis, np.newaxis] * a[np.newaxis]

@@ -15,7 +15,7 @@ eigenvalue and the spectral abscissa come from closed forms for n <= 2 and
 from LAPACK above.  The block Monte Carlo engine
 (:func:`slognorm.slognorm._moment_blocks`) takes its thread count from
 :func:`_block_workers` (the available cores) and holds OpenBLAS to one
-thread with :data:`_single_thread_blas` while its blocks fan out; nothing
+thread with :data:`_single_thread_blas` whenever its blocks run; nothing
 here changes BLAS threading at import.
 """
 
@@ -179,7 +179,7 @@ def _openblas_controls():
 
 
 class _SingleThreadBlas:
-    """Context that holds OpenBLAS to one thread while blocks fan out.
+    """Context that holds OpenBLAS to one thread while blocks run.
 
     Python threads that each call a multi-threaded OpenBLAS oversubscribe
     the cores.  The thread count is process-wide, so concurrent holders

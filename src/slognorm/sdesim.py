@@ -5,7 +5,7 @@ with the Euler-Maruyama (strong order 0.5) or Milstein scheme and records
 the sample mean and standard error of norm(X_t, p)^l at evenly spaced
 checkpoints.  Milstein has strong order 1.0 when m <= 1 or the B(j)
 commute.  Otherwise its iterated integrals carry a two-point area in place
-of the Levy area (see :func:`slognorm.slognorm.sample_wiener_increments`):
+of the Levy area (see :func:`slognorm.slognorm._increments_from_normals`):
 the scheme then has weak order 1, and its mean-square operator is exactly
 that of Milstein with the exact area.  The fitted slope of log-moments
 against time (:func:`growth_rate`) is the quantity the stochastic
@@ -32,10 +32,8 @@ them.  It is the package's only stepper.
 from __future__ import annotations
 
 import csv
-import io
 import math
 from dataclasses import dataclass
-from typing import IO, Union
 
 import numpy as np
 
@@ -137,20 +135,15 @@ class MomentTrajectory:
         if not (len(self.times) == len(self.moments) == len(self.std_errors) == len(self.diverged)):
             raise ValueError("times/moments/std_errors/diverged must have equal length")
 
-    def write_csv(self, dest: Union[str, "io.TextIOBase", IO[str]]) -> None:
-        """Write columns time, moment, stderr, paths, scheme; one row per checkpoint."""
-        if isinstance(dest, (str, bytes)) or hasattr(dest, "__fspath__"):
-            with open(dest, "w", newline="") as fh:
-                self._write_rows(fh)
-        else:
-            self._write_rows(dest)
-
-    def _write_rows(self, fh) -> None:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["time", "moment", "stderr", "paths", "scheme"])
-        for t, mom, se in zip(self.times, self.moments, self.std_errors):
-            writer.writerow([repr(float(t)), repr(float(mom)), repr(float(se)),
-                             self.paths, self.config.scheme])
+    def write_csv(self, path) -> None:
+        """Write the file at ``path`` (a str or path-like): columns time,
+        moment, stderr, paths, scheme, one row per checkpoint."""
+        with open(path, "w", newline="") as fh:
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(["time", "moment", "stderr", "paths", "scheme"])
+            for t, mom, se in zip(self.times, self.moments, self.std_errors):
+                writer.writerow([repr(float(t)), repr(float(mom)), repr(float(se)),
+                                 self.paths, self.config.scheme])
 
 
 def _step_table(bs: np.ndarray, drift: np.ndarray, milstein: bool) -> np.ndarray:

@@ -41,7 +41,6 @@ from enum import Enum
 from typing import Callable, Sequence
 
 import numpy as np
-from numpy.typing import ArrayLike
 
 from . import matcore
 from .lognorm import _check_h_sequence, mu, mu_batch, ols_line_weights
@@ -240,10 +239,14 @@ def classify(nu: NuEstimate, tol: float = 0.0) -> StabilityClass:
 
     value + 2 se < -tol is asymptotically stable; |value| <= 2 se + tol is
     the indeterminate boundary, reported as stable; anything else is
-    unstable.
+    unstable.  An estimate whose value or error is not finite has no
+    verdict: it raises ValueError.
     """
     if not (math.isfinite(tol) and tol >= 0):
         raise ValueError(f"tol must be finite and nonnegative, got {tol}")
+    if not (math.isfinite(nu.value) and math.isfinite(nu.std_error)):
+        raise ValueError(f"no verdict for an estimate that is not finite "
+                         f"({nu.value} +/- {nu.std_error})")
     if nu.value + 2.0 * nu.std_error < -tol:
         return StabilityClass.ASYMPTOTICALLY_STABLE
     if abs(nu.value) <= 2.0 * nu.std_error + tol:
@@ -318,12 +321,8 @@ def _moment_blocks(run: Callable[[np.random.Generator, int, int, np.ndarray], No
         run(rng, b * block, min(block, total - b * block), moments[:, b])
 
     threads = matcore._block_workers(nblocks)
-    if threads == 1:
-        for b in range(nblocks):
-            seeded(b)
-    else:
-        with matcore._single_thread_blas, ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(seeded, range(nblocks)))
+    with matcore._single_thread_blas, ThreadPoolExecutor(max_workers=threads) as pool:
+        list(pool.map(seeded, range(nblocks)))
     return (*_merge_moments(moments), np.add.reduce(moments[0], axis=0))
 
 
@@ -395,9 +394,8 @@ def _white_noise(system: SdeSystem, stat: Callable[[np.ndarray], np.ndarray], nc
     base = system.A - 0.5 * _sum_squares(bs)
 
     def pair(z: np.ndarray, antithetic: bool) -> np.ndarray:
-        # one channel takes a product, not a gemm: a first gemm faults in
-        # OpenBLAS's work buffers.  Unpaired, base + noise overwrites noise
-        noise = z[..., np.newaxis] * bs[0] if system.m == 1 else np.tensordot(z, bs, axes=(1, 0))
+        # unpaired, base + noise overwrites noise
+        noise = np.tensordot(z, bs, axes=(1, 0))
         return _paired(stat, base, noise, antithetic, out=None if antithetic else noise)
 
     # a vanishing integrand is known only to a few ulps of the matrix entries
@@ -561,10 +559,10 @@ def _channel_products(bs: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def default_h_sequence(system: SdeSystem | ArrayLike, p=2, *, count: int = 7) -> tuple[float, ...]:
-    """Step sizes h0 * 2^-k, k = 0..count-1, with h0 = 0.05 / max(1, norm(A, p))."""
-    a = system.A if isinstance(system, SdeSystem) else system
-    h0 = 0.05 / max(1.0, matrix_norm(a, p))
+def default_h_sequence(system: SdeSystem, p=2, *, count: int = 7) -> tuple[float, ...]:
+    """Step sizes h0 * 2^-k, k = 0..count-1, with h0 = 0.05 / max(1, norm(A, p))
+    for the drift A of ``system``."""
+    h0 = 0.05 / max(1.0, matrix_norm(system.A, p))
     return tuple(h0 * 0.5**k for k in range(count))
 
 
@@ -627,11 +625,12 @@ def nu_definitional(
         # this size (128 KiB at n = 2) are mapped and unmapped by the
         # allocator on every step, and their pages faulted in again
         noise, second, g = (np.empty((count, n, n), dtype=a.dtype) for _ in range(3))
+        increments = np.empty((count, m + m * m)).T  # path-major dW | I
         for k in range(nh):
             hk = float(h[k])
             # -xi gives exactly -dW and the same I (negation is exact), so
             # one transform serves both members of the pair
-            dw, imat = _increments_from_normals(xi, hk)
+            dw, imat = _increments_from_normals(xi, hk, increments)
             # np.tensordot(dw, bs, axes=(1, 0)) as the 2-d product it reduces to
             np.dot(dw, bs.reshape(m, n * n), out=noise.reshape(count, n * n))
             np.einsum("sij,ijab->sab", imat, pairs, out=second)
@@ -680,7 +679,7 @@ def _intercept_residual_error(h: np.ndarray, qbar: np.ndarray) -> float:
 
 
 def _increments_from_normals(xi: np.ndarray, h: float,
-                             rows: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+                             rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Wiener increments and iterated integrals from unit normals (count, m * m).
 
     dW = sqrt(h) xi[:, :m] and I = 1/2 (dW dW^T - h Id), plus the two-point
@@ -694,16 +693,13 @@ def _increments_from_normals(xi: np.ndarray, h: float,
 
     dW(1..m), then I flattened row-major, are written in place as the first
     m + m^2 rows of ``rows``, each of count entries: the simulator passes
-    its state-major step coefficients.  Without ``rows`` they go to fresh
-    path-major (count, m) and (count, m, m) arrays, the layout whose
-    products the definitional estimator takes.  Returns (count, m) and
-    (count, m, m) views of what was written.
+    its state-major step coefficients, the definitional estimator and
+    :func:`sample_wiener_increments` the transpose of a path-major
+    (count, m + m^2) array.  Returns (count, m) and (count, m, m) views of
+    what was written.
     """
     count, m = xi.shape[0], math.isqrt(xi.shape[1])
-    if rows is None:
-        dw, imat = np.empty((count, m)).T, np.empty((count, m * m)).T
-    else:
-        dw, imat = rows[:m], rows[m:m + m * m]
+    dw, imat = rows[:m], rows[m:m + m * m]
     np.multiply(math.sqrt(h), xi[:, :m].T, out=dw)
     imat = imat.reshape(m, m, count)
     col = m
@@ -745,7 +741,8 @@ def sample_wiener_increments(
     if _check_count(count, "count") < 0:
         raise ValueError(f"count must be nonnegative, got count={count}")
     _check_step(h)
-    return _increments_from_normals(rng.standard_normal((count, m * m)), h)
+    return _increments_from_normals(rng.standard_normal((count, m * m)), h,
+                                    np.empty((count, m + m * m)).T)
 
 
 # ---------------------------------------------------------------------------

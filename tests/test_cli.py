@@ -52,6 +52,25 @@ def report_of(result):
     return json.loads(result.stdout)
 
 
+#: every setting of every command, in declaration order: the keys of the
+#: "invocation" echo in each report.  Adding or removing a setting edits this.
+SETTINGS = {
+    "lognorm": ["matrix_file", "p"],
+    "slognorm": ["system_file", "p", "l", "method", "samples", "seed", "h0", "hsteps", "tol",
+                 "antithetic"],
+    "simulate": ["system_file", "x0", "h", "t_end", "paths", "checkpoints", "scheme", "p", "l",
+                 "seed", "out"],
+    "table1": ["seed", "samples", "antithetic"],
+    "examples": ["which", "g_over_l", "eps", "b", "sigma2", "samples", "seed", "antithetic"],
+}
+
+
+def test_settings_inventory(tmp_path):
+    assert {name: [p.name for p in cmd.params] for name, cmd in cli.commands.items()} == SETTINGS
+    rep = report_of(run(["lognorm", write_matrix(tmp_path, [[-1.0]])]))
+    assert list(rep["invocation"]) == SETTINGS["lognorm"]
+
+
 class TestLognormCommand:
     def test_diagonal_matrix(self, tmp_path):
         path = write_matrix(tmp_path, [[-100.0, 0.0], [0.0, -200.0]])
@@ -424,6 +443,13 @@ class TestEstimateMethods:
         assert f"warning: {warning}" in result.stderr
         assert "RuntimeWarning" not in result.stderr
         assert not any("direct estimate is not finite" in w for w in rep["warnings"])
+        # no verdict for the estimate that is not finite, and no disagreement
+        # with it: the warning above already explains it
+        assert rep["results"]["classification"] == {
+            "direct": "asymptotically_stable", "definitional": None}
+        line, = (s for s in result.stderr.splitlines() if "(definitional) =" in s)
+        assert line.endswith("[no verdict]")
+        assert not any("disagree" in w for w in rep["warnings"])
 
 
 class TestSimulateCommand:

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import io
 import math
 
 import numpy as np
@@ -313,7 +312,7 @@ class TestSimulateMoments:
         rate, rate_se = growth_rate(traj)
         assert rate == pytest.approx(-9.0, abs=max(0.9, 3 * rate_se))
 
-    def test_divergence_reported_as_inf(self):
+    def test_divergence_reported_as_inf(self, tmp_path):
         sys_ = SdeSystem(np.array([[1e160]]))
         cfg = SimConfig(h=0.1, t_end=0.2, paths=8, checkpoints=2)
         traj = simulate_moments(sys_, [1.0], cfg)
@@ -323,9 +322,9 @@ class TestSimulateMoments:
         assert np.all(traj.diverged[1:] == 8)
         with pytest.raises(ValueError):
             growth_rate(traj)
-        buf = io.StringIO()
-        traj.write_csv(buf)
-        assert "inf" in buf.getvalue().splitlines()[-1]
+        out = tmp_path / "traj.csv"
+        traj.write_csv(out)
+        assert "inf" in out.read_text().splitlines()[-1]
 
     def test_threshold_is_documented_scale(self):
         assert DIVERGENCE_THRESHOLD == 1e150
@@ -520,12 +519,12 @@ class TestMomentTrajectory:
                 paths=10, config=cfg, diverged=np.zeros(3, dtype=np.int64),
             )
 
-    def test_write_csv_format(self):
+    def test_write_csv_format(self, tmp_path):
         traj = synthetic_trajectory([0.0, 0.5, 1.0], [1.0, 0.5, 0.25],
                                     [0.0, 0.01, 0.02])
-        buf = io.StringIO()
-        traj.write_csv(buf)
-        lines = buf.getvalue().splitlines()
+        out = tmp_path / "traj.csv"
+        traj.write_csv(out)
+        lines = out.read_text().splitlines()
         assert lines[0] == "time,moment,stderr,paths,scheme"
         assert lines[1] == "0.0,1.0,0.0,100,milstein"
         assert len(lines) == 4

@@ -228,6 +228,16 @@ class TestClassify:
         with pytest.raises(ValueError, match="tol"):
             classify(est, tol)
 
+    @pytest.mark.parametrize("value, se", [
+        (-5.28e158, math.inf), (math.nan, math.nan), (math.inf, 0.0), (-1.0, math.nan),
+    ])
+    def test_no_verdict_for_nonfinite_estimate(self, value, se):
+        # -5e158 +/- inf used to read as stable, nan +/- nan as unstable
+        est = NuEstimate(value=value, std_error=se, samples=100,
+                         estimator="definitional", p=2, l=400, h_used=(0.01, 0.005))
+        with pytest.raises(ValueError, match="not finite"):
+            classify(est)
+
 
 class TestNuDirect:
     def test_case_f_exact(self):
@@ -657,9 +667,9 @@ class TestNuDefinitional:
 
     def test_default_h_sequences_of_extreme_matrices(self):
         # h0 stays positive where squaring the entries of A would overflow
-        h0 = default_h_sequence(1e200 * np.eye(2), 2)[0]
+        h0 = default_h_sequence(SdeSystem(1e200 * np.eye(2)), 2)[0]
         assert h0 == pytest.approx(5e-202, rel=1e-14, abs=0)
-        assert default_h_sequence(1e-200 * np.eye(2), 2)[0] == 0.05
+        assert default_h_sequence(SdeSystem(1e-200 * np.eye(2)), 2)[0] == 0.05
 
     def test_default_h_sequence_scaling(self):
         seq = default_h_sequence(scalar_system(-100.0, 1.0), 2)
@@ -667,7 +677,7 @@ class TestNuDefinitional:
         assert seq[0] == pytest.approx(0.05 / 100.0)
         assert all(a / b == pytest.approx(2.0) for a, b in zip(seq, seq[1:]))
         # small matrices are clamped at h0 = 0.05
-        assert default_h_sequence(np.zeros((2, 2)), 2)[0] == 0.05
+        assert default_h_sequence(SdeSystem(np.zeros((2, 2))), 2)[0] == 0.05
 
 
 def _estimates(sys_, p, direct_cfg, definitional_cfg):
@@ -854,7 +864,7 @@ class TestIteratedIntegrals:
             # with dW = 0 the transform returns the area alone, exactly
             xi = rng.standard_normal((4096, m * m))
             xi[:, :m] = 0.0
-            _, bare = _increments_from_normals(xi, h)
+            _, bare = _increments_from_normals(xi, h, _rows(xi))
             assert np.all(np.abs(bare[:, i, j]) == h / 2)
             assert np.array_equal(bare[:, j, i], -bare[:, i, j])
             assert np.all(bare[:, range(m), range(m)] == -h / 2)
@@ -874,6 +884,12 @@ class TestIteratedIntegrals:
     def test_zero_count_is_empty(self):
         dw, imat = sample_wiener_increments(np.random.default_rng(0), 0, 2, 0.1)
         assert dw.shape == (0, 2) and imat.shape == (0, 2, 2)
+
+
+def _rows(xi: np.ndarray) -> np.ndarray:
+    """A state-major (m + m^2, count) buffer for the transform of ``xi``."""
+    m = math.isqrt(xi.shape[1])
+    return np.empty((m + m * m, xi.shape[0]))
 
 
 def _reference_increments(xi: np.ndarray, h: float) -> tuple[np.ndarray, np.ndarray]:
@@ -962,8 +978,8 @@ class TestTransformOnce:
     def test_transform_is_odd_bit_for_bit(self, m):
         xi = np.random.default_rng(m).standard_normal((1500, m * m))
         kept = xi.copy()
-        dw, imat = _increments_from_normals(xi, 0.013)
-        neg_dw, neg_imat = _increments_from_normals(-xi, 0.013)
+        dw, imat = _increments_from_normals(xi, 0.013, _rows(xi))
+        neg_dw, neg_imat = _increments_from_normals(-xi, 0.013, _rows(xi))
         assert np.array_equal(neg_dw, -dw)
         assert np.array_equal(neg_imat, imat)
         assert np.array_equal(xi, kept)  # the caller's draws are left alone
@@ -972,7 +988,7 @@ class TestTransformOnce:
     @pytest.mark.parametrize("h", [0.05, 3.1e-6])
     def test_transform_matches_reference(self, m, h):
         xi = np.random.default_rng(10 + m).standard_normal((4096, m * m))
-        dw, imat = _increments_from_normals(xi, h)
+        dw, imat = _increments_from_normals(xi, h, _rows(xi))
         ref_dw, ref_imat = _reference_increments(xi, h)
         assert np.array_equal(dw, ref_dw)
         assert np.array_equal(imat, ref_imat)
